@@ -20,6 +20,8 @@
 # high-availability label (-L ha) covers the leader lease, split-brain
 # chaos and the anti-entropy scrubber; a failover smoke then kill -9s a
 # live leader and requires its hot standby to take over and drain cleanly.
+# The par, serve, diskfault and ha labels run a second time pinned to one
+# core (taskset -c 0), so tier-1 is exercised at 1 core as well as at all.
 #
 #   $ scripts/ci.sh                  # from the repo root
 #   $ CI_JOBS=4 scripts/ci.sh        # cap build parallelism
@@ -48,17 +50,23 @@ cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-ci-release -j "$JOBS"
 run_labelled_tests build-ci-release fault obs serve diskfault overload ha par
 
+# One-core leg: the same process-spawning and determinism labels pinned to
+# CPU 0, so tier-1 is known to pass on a single core as well as on many
+# (the anneal-resume tests are bounded by move count, not machine speed).
+step "build-ci-release: serve+diskfault+ha+par labels on one core (taskset -c 0)"
+taskset -c 0 ctest --test-dir build-ci-release -L 'par|serve|diskfault|ha' \
+  --output-on-failure -j "$JOBS"
+
 step "configure + build (AddressSanitizer)"
 cmake -B build-ci-asan -S . -DMINERGY_SANITIZE=address
 cmake --build build-ci-asan -j "$JOBS"
 run_labelled_tests build-ci-asan fault obs serve diskfault overload ha par
 
 # ThreadSanitizer pass: the serve daemon forks workers, the obs layer
-# shares atomics across threads, and the parallel evaluation engine (the
-# `par` label: thread pool, levelized STA, parallel width search,
-# multi-chain anneal, evaluation cache) is the hottest shared-state code in
-# the tree — run all of them under TSan to catch real races rather than
-# relying on review.
+# shares atomics across threads, and the `par` label (thread pool,
+# multi-chain anneal over shared evaluators, evaluation cache) is the
+# hottest shared-state code in the tree — run all of them under TSan to
+# catch real races rather than relying on review.
 step "configure + build (ThreadSanitizer)"
 cmake -B build-ci-tsan -S . -DMINERGY_SANITIZE=thread
 cmake --build build-ci-tsan -j "$JOBS"
@@ -329,22 +337,24 @@ build-ci-release/bench/table1_baseline --circuit=s27 --perf-record="$traj"
 mkdir -p bench/trajectory
 cp "$traj" bench/trajectory/BENCH_table1_baseline.latest.json
 
-# Parallel-engine trajectory: the Table-2 heuristic on the largest bundled
-# circuit, once with the evaluation engine fully disarmed (--threads=1
-# --eval-cache=0, the historical serial path) and once at the defaults
-# (hardware threads + cache). Both perf records — each carrying its own
-# wall_seconds — land in one archived document together with the machine's
-# hardware_concurrency, so the engine's speedup is a diffable series and a
-# 1-core CI runner is distinguishable from a real regression. The two flows
-# must print identical result rows; the `par` determinism oracles above
-# already enforce that bit-exactly.
-step "perf trajectory (table2_heuristic, serial vs parallel+cache)"
+# Table-2 trajectory: the heuristic on the largest bundled circuit, once
+# with --threads=1 --eval-cache=0 and once at the defaults (hardware
+# threads + cache). Both perf records, each with its own wall_seconds, land
+# in one archived document together with the machine's
+# hardware_concurrency. The evaluation kernels are serial, so the default
+# run must dispatch no pool job at all (util.pool.jobs is a deterministic
+# counter, absent from the record when zero); wall time is archived, never
+# gated. The `par` oracles above already prove both flows bit-identical.
+step "perf trajectory (table2_heuristic, serial vs defaults)"
 t2_serial=build-ci-release/BENCH_table2_serial.json
-t2_par=build-ci-release/BENCH_table2_parallel.json
+t2_default=build-ci-release/BENCH_table2_default.json
 build-ci-release/bench/table2_heuristic --circuit='s832*' \
   --threads=1 --eval-cache=0 --perf-record="$t2_serial" >/dev/null
 build-ci-release/bench/table2_heuristic --circuit='s832*' \
-  --perf-record="$t2_par" >/dev/null
+  --perf-record="$t2_default" >/dev/null
+pool_jobs=$(sed -n 's/^ *"util\.pool\.jobs": *\([0-9]*\).*/\1/p' "$t2_default")
+[ "${pool_jobs:-0}" -eq 0 ] \
+  || { echo "default table2 run dispatched $pool_jobs pool jobs; the evaluation kernels must stay serial"; exit 1; }
 {
   printf '{\n'
   printf '"schema": "minergy.perf_trajectory.v1",\n'
@@ -353,10 +363,10 @@ build-ci-release/bench/table2_heuristic --circuit='s832*' \
   printf '"hardware_concurrency": %s,\n' "$(nproc 2>/dev/null || echo 1)"
   printf '"serial_threads1_cache_off": '
   cat "$t2_serial"
-  printf ',\n"parallel_default": '
-  cat "$t2_par"
+  printf ',\n"defaults": '
+  cat "$t2_default"
   printf '}\n'
 } > bench/trajectory/BENCH_table2_heuristic.latest.json
-grep -H '"wall_seconds"' "$t2_serial" "$t2_par"
+grep -H '"wall_seconds"' "$t2_serial" "$t2_default"
 
-step "OK: all builds green, fault+obs+serve+diskfault+overload+ha labels pass, batch results certified, exposition scraped live, overload shed+browned out+recovered, standby survived kill -9 of its leader"
+step "OK: all builds green, fault+obs+serve+diskfault+overload+ha+par labels pass (and on one core), batch results certified, exposition scraped live, overload shed+browned out+recovered, standby survived kill -9 of its leader"

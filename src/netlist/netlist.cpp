@@ -138,20 +138,6 @@ void Netlist::finalize() {
     depth_ = std::max(depth_, lvl);
   }
 
-  // Level buckets for the parallel evaluators. Bucketing topo_ keeps only
-  // logic gates; sorting each bucket by id makes the serial in-bucket order
-  // (and thus any ordered reduction over a bucket) deterministic.
-  level_groups_.clear();
-  level_groups_.resize(static_cast<std::size_t>(depth_) + 1);
-  for (GateId id : topo_) {
-    level_groups_[static_cast<std::size_t>(gates_[id].level)].push_back(id);
-  }
-  level_groups_.erase(
-      std::remove_if(level_groups_.begin(), level_groups_.end(),
-                     [](const std::vector<GateId>& b) { return b.empty(); }),
-      level_groups_.end());
-  for (auto& bucket : level_groups_) std::sort(bucket.begin(), bucket.end());
-
   // Role lists.
   outputs_.clear();
   for (const Gate& g : gates_) {

@@ -92,15 +92,6 @@ class Netlist {
   int level(GateId id) const { return gates_.at(id).level; }
   int depth() const { return depth_; }
 
-  // Logic gates bucketed by combinational level, ascending, empty buckets
-  // dropped; each bucket sorted by id. Gates in one bucket depend only on
-  // earlier buckets, so a bucket may be evaluated in any order (or in
-  // parallel) without changing any per-gate value — the basis of the
-  // levelized parallel STA and width search.
-  const std::vector<std::vector<GateId>>& level_groups() const {
-    return level_groups_;
-  }
-
   // Name lookup; returns kInvalidGate if absent.
   GateId find(const std::string& name) const;
 
@@ -117,7 +108,6 @@ class Netlist {
   std::unordered_map<std::string, GateId> by_name_;
   std::vector<GateId> inputs_, outputs_, dffs_;
   std::vector<GateId> topo_;
-  std::vector<std::vector<GateId>> level_groups_;
   std::vector<GateId> sources_, sink_drivers_;
   int depth_ = 0;
   bool finalized_ = false;

@@ -8,7 +8,6 @@
 #include "opt/sizer.h"
 #include "util/check.h"
 #include "util/guard.h"
-#include "util/thread_pool.h"
 
 namespace minergy::opt {
 namespace {
@@ -147,36 +146,27 @@ power::EnergyBreakdown CircuitEvaluator::energy(
     power::EnergyBreakdown hit;
     if (energy_cache_.lookup(key, &hit)) return hit;
   }
-  // Per-gate terms are independent, so they fan across the pool into slots;
-  // the reduction then runs serially in topological (= the old serial loop's)
-  // order, keeping the floating-point sum bit-identical at any thread count.
-  const auto& topo = nl_.combinational();
-  util::ThreadPool& pool = util::global_pool();
-  std::vector<power::EnergyBreakdown> per_gate(topo.size());
-  pool.parallel_for(topo.size(), [&](std::size_t i) {
-    const netlist::GateId id = topo[i];
+  // Summed in topological order, so the floating-point total is the same on
+  // every run.
+  power::EnergyBreakdown total;
+  for (netlist::GateId id : nl_.combinational()) {
     // Dynamic energy at nominal threshold (capacitances are Vt-independent
     // here), leakage at the low-Vt corner.
-    const power::EnergyBreakdown nominal =
+    power::EnergyBreakdown e =
         energy_.gate_energy(id, state.widths, state.vdd, state.vts[id]);
-    if (settings_.vts_tolerance == 0.0) {
-      per_gate[i] = nominal;
-    } else {
-      const power::EnergyBreakdown leaky = energy_.gate_energy(
-          id, state.widths, state.vdd, leakage_vts(state.vts[id]));
-      per_gate[i].dynamic_energy = nominal.dynamic_energy;
-      per_gate[i].static_energy = leaky.static_energy;
+    if (settings_.vts_tolerance != 0.0) {
+      e.static_energy = energy_
+                            .gate_energy(id, state.widths, state.vdd,
+                                         leakage_vts(state.vts[id]))
+                            .static_energy;
     }
-  });
-  power::EnergyBreakdown total;
-  for (const power::EnergyBreakdown& e : per_gate) total += e;
+    total += e;
+  }
   if (settings_.include_short_circuit) {
     // Input transition times come from the gate delays of the driving
     // stage: one STA at the delay corner.
     const timing::TimingReport report = sta(state, cycle_time());
-    std::vector<double> sc(topo.size(), 0.0);
-    pool.parallel_for(topo.size(), [&](std::size_t i) {
-      const netlist::GateId id = topo[i];
+    for (netlist::GateId id : nl_.combinational()) {
       double slowest_fanin = 0.0;
       bool source_driven_only = true;
       for (netlist::GateId f : nl_.gate(id).fanins) {
@@ -187,10 +177,9 @@ power::EnergyBreakdown CircuitEvaluator::energy(
       }
       const double tau_in = source_driven_only ? settings_.input_slew
                                                : 2.0 * slowest_fanin;
-      sc[i] = energy_.short_circuit_energy(id, state.widths, state.vdd,
-                                           state.vts[id], tau_in);
-    });
-    for (double e : sc) total.short_circuit_energy += e;
+      total.short_circuit_energy += energy_.short_circuit_energy(
+          id, state.widths, state.vdd, state.vts[id], tau_in);
+    }
   }
   // Boundary guard: a single corrupt per-gate term poisons the sum, so on a
   // non-finite total re-walk the gates to name the culprit.

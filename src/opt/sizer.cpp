@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "timing/sta.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace minergy::opt {
 
@@ -29,64 +28,50 @@ SizingResult GateSizer::size(std::span<const double> t_max, double vdd,
   r.widths.assign(nl.size(), tech.w_min);
   r.all_budgets_met = true;
 
-  // Reverse level order, each level fanned across the pool. A gate's width
-  // search touches only its own widths slot; the delay model additionally
-  // reads the widths of the gate's fanouts (load), which sit at strictly
-  // later levels and are final by the time their level is processed. Same
-  // inputs per gate as the serial loop -> bit-identical widths. Miss flags
-  // are collected per slot and reduced serially in bucket order.
-  util::ThreadPool& pool = util::global_pool();
-  const auto& groups = nl.level_groups();
-  for (auto git = groups.rbegin(); git != groups.rend(); ++git) {
-    const auto& bucket = *git;
-    std::vector<char> missed(bucket.size(), 0);
-    pool.parallel_for(bucket.size(), [&](std::size_t bi) {
-      const netlist::GateId id = bucket[bi];
-      const netlist::Gate& g = nl.gate(id);
+  // Reverse topological order: the delay model reads the widths of the
+  // gate's fanouts (load), which are final by the time the gate is sized.
+  const auto& topo = nl.combinational();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const netlist::GateId id = *it;
+    const netlist::Gate& g = nl.gate(id);
 
-      // Worst-case input-edge contribution from the fanins' budgets.
-      double slope_in = 0.0;
-      for (netlist::GateId f : g.fanins) {
-        if (netlist::is_combinational(nl.gate(f).type)) {
-          slope_in = std::max(slope_in, t_max[f]);
-        }
-      }
-
-      auto delay_at = [&](double w) {
-        r.widths[id] = w;
-        return calc_.gate_delay(id, r.widths, vdd, vts[id], slope_in);
-      };
-
-      const double budget = t_max[id];
-      if (delay_at(tech.w_min) <= budget) {
-        r.widths[id] = tech.w_min;
-        return;
-      }
-      if (delay_at(tech.w_max) > budget) {
-        // Unreachable even at maximum drive; take the fastest width.
-        r.widths[id] = tech.w_max;
-        missed[bi] = 1;
-        return;
-      }
-      // Binary search the smallest width meeting the budget.
-      double lo = tech.w_min, hi = tech.w_max;
-      for (int s = 0; s < steps; ++s) {
-        const double mid = 0.5 * (lo + hi);
-        if (delay_at(mid) <= budget) {
-          hi = mid;
-        } else {
-          lo = mid;
-        }
-      }
-      r.widths[id] = hi;  // hi always meets the budget
-      (void)delay_at(hi);
-    });
-    for (char m : missed) {
-      if (m) {
-        r.all_budgets_met = false;
-        ++r.gates_missed;
+    // Worst-case input-edge contribution from the fanins' budgets.
+    double slope_in = 0.0;
+    for (netlist::GateId f : g.fanins) {
+      if (netlist::is_combinational(nl.gate(f).type)) {
+        slope_in = std::max(slope_in, t_max[f]);
       }
     }
+
+    auto delay_at = [&](double w) {
+      r.widths[id] = w;
+      return calc_.gate_delay(id, r.widths, vdd, vts[id], slope_in);
+    };
+
+    const double budget = t_max[id];
+    if (delay_at(tech.w_min) <= budget) {
+      r.widths[id] = tech.w_min;
+      continue;
+    }
+    if (delay_at(tech.w_max) > budget) {
+      // Unreachable even at maximum drive; take the fastest width.
+      r.widths[id] = tech.w_max;
+      r.all_budgets_met = false;
+      ++r.gates_missed;
+      continue;
+    }
+    // Binary search the smallest width meeting the budget.
+    double lo = tech.w_min, hi = tech.w_max;
+    for (int s = 0; s < steps; ++s) {
+      const double mid = 0.5 * (lo + hi);
+      if (delay_at(mid) <= budget) {
+        hi = mid;
+      } else {
+        lo = mid;
+      }
+    }
+    r.widths[id] = hi;  // hi always meets the budget
+    (void)delay_at(hi);
   }
   return r;
 }
@@ -117,52 +102,48 @@ SizingResult GateSizer::recover(std::span<const double> widths, double vdd,
   r.widths.assign(widths.begin(), widths.end());
   r.all_budgets_met = true;
 
-  // Same level-parallel structure (and the same safety argument) as size().
-  util::ThreadPool& pool = util::global_pool();
-  const auto& groups = nl.level_groups();
-  for (auto git = groups.rbegin(); git != groups.rend(); ++git) {
-    const auto& bucket = *git;
-    pool.parallel_for(bucket.size(), [&](std::size_t bi) {
-      const netlist::GateId id = bucket[bi];
-      const netlist::Gate& g = nl.gate(id);
-      const double w_old = r.widths[id];
-      if (w_old <= tech.w_min * (1.0 + 1e-12)) return;
+  // Same reverse topological order (and the same argument) as size().
+  const auto& topo = nl.combinational();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const netlist::GateId id = *it;
+    const netlist::Gate& g = nl.gate(id);
+    const double w_old = r.widths[id];
+    if (w_old <= tech.w_min * (1.0 + 1e-12)) continue;
 
-      // Conservative slope input: the fanins' relaxed budgets.
-      double slope_in = 0.0;
-      for (netlist::GateId f : g.fanins) {
-        if (netlist::is_combinational(nl.gate(f).type)) {
-          slope_in = std::max(slope_in, t_rec[f]);
-        }
+    // Conservative slope input: the fanins' relaxed budgets.
+    double slope_in = 0.0;
+    for (netlist::GateId f : g.fanins) {
+      if (netlist::is_combinational(nl.gate(f).type)) {
+        slope_in = std::max(slope_in, t_rec[f]);
       }
-      auto delay_at = [&](double w) {
-        r.widths[id] = w;
-        return calc_.gate_delay(id, r.widths, vdd, vts[id], slope_in);
-      };
+    }
+    auto delay_at = [&](double w) {
+      r.widths[id] = w;
+      return calc_.gate_delay(id, r.widths, vdd, vts[id], slope_in);
+    };
 
-      const double budget = t_rec[id];
-      if (delay_at(tech.w_min) <= budget) {
-        r.widths[id] = tech.w_min;
-        return;
+    const double budget = t_rec[id];
+    if (delay_at(tech.w_min) <= budget) {
+      r.widths[id] = tech.w_min;
+      continue;
+    }
+    if (delay_at(w_old) > budget) {
+      // The relaxed slope input exceeds what this gate can absorb even at
+      // its current width: never upsize during recovery.
+      r.widths[id] = w_old;
+      continue;
+    }
+    double lo = tech.w_min, hi = w_old;
+    for (int s = 0; s < steps; ++s) {
+      const double mid = 0.5 * (lo + hi);
+      if (delay_at(mid) <= budget) {
+        hi = mid;
+      } else {
+        lo = mid;
       }
-      if (delay_at(w_old) > budget) {
-        // The relaxed slope input exceeds what this gate can absorb even at
-        // its current width: never upsize during recovery.
-        r.widths[id] = w_old;
-        return;
-      }
-      double lo = tech.w_min, hi = w_old;
-      for (int s = 0; s < steps; ++s) {
-        const double mid = 0.5 * (lo + hi);
-        if (delay_at(mid) <= budget) {
-          hi = mid;
-        } else {
-          lo = mid;
-        }
-      }
-      r.widths[id] = hi;
-      (void)delay_at(hi);
-    });
+    }
+    r.widths[id] = hi;
+    (void)delay_at(hi);
   }
   return r;
 }

@@ -374,7 +374,8 @@ pid_t Supervisor::spawn_worker(const Job& job, std::uint64_t seed) {
       "--job-id=" + job.id,
       "--attempt-seed=" + std::to_string(seed),
   };
-  // Per-worker evaluation parallelism rides in as a flag, like brownout.
+  // Per-worker pool lanes (multi-chain anneal) ride in as a flag, like
+  // brownout.
   if (opts_.worker_threads > 0) {
     args.push_back("--threads=" + std::to_string(opts_.worker_threads));
   }

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace minergy::timing {
 
@@ -36,33 +35,27 @@ TimingReport run_sta(const DelayCalculator& calc,
   r.arrival.assign(nl.size(), 0.0);
   r.slack.assign(nl.size(), 0.0);
 
-  // Forward pass: delays and arrivals together (slope coupling). Gates
-  // within one topological level read only earlier-level results and write
-  // only their own slots, so a level can be fanned across the pool; every
-  // per-gate value is identical to the serial loop's, at any thread count.
-  util::ThreadPool& pool = util::global_pool();
+  // Forward pass: delays and arrivals together (slope coupling), in
+  // topological order so every fanin is final before it is read.
   std::vector<netlist::GateId> worst_fanin(nl.size(), netlist::kInvalidGate);
-  for (const auto& bucket : nl.level_groups()) {
-    pool.parallel_for(bucket.size(), [&](std::size_t bi) {
-      const netlist::GateId id = bucket[bi];
-      const netlist::Gate& g = nl.gate(id);
-      double max_fanin_delay = 0.0;
-      double max_fanin_arrival = 0.0;
-      netlist::GateId argmax = netlist::kInvalidGate;
-      for (netlist::GateId f : g.fanins) {
-        max_fanin_delay = std::max(max_fanin_delay, r.gate_delay[f]);
-        if (r.arrival[f] >= max_fanin_arrival) {
-          max_fanin_arrival = r.arrival[f];
-          argmax = netlist::is_combinational(nl.gate(f).type)
-                       ? f
-                       : netlist::kInvalidGate;
-        }
+  for (netlist::GateId id : nl.combinational()) {
+    const netlist::Gate& g = nl.gate(id);
+    double max_fanin_delay = 0.0;
+    double max_fanin_arrival = 0.0;
+    netlist::GateId argmax = netlist::kInvalidGate;
+    for (netlist::GateId f : g.fanins) {
+      max_fanin_delay = std::max(max_fanin_delay, r.gate_delay[f]);
+      if (r.arrival[f] >= max_fanin_arrival) {
+        max_fanin_arrival = r.arrival[f];
+        argmax = netlist::is_combinational(nl.gate(f).type)
+                     ? f
+                     : netlist::kInvalidGate;
       }
-      r.gate_delay[id] =
-          calc.gate_delay(id, widths, vdd[id], vts[id], max_fanin_delay);
-      r.arrival[id] = max_fanin_arrival + r.gate_delay[id];
-      worst_fanin[id] = argmax;
-    });
+    }
+    r.gate_delay[id] =
+        calc.gate_delay(id, widths, vdd[id], vts[id], max_fanin_delay);
+    r.arrival[id] = max_fanin_arrival + r.gate_delay[id];
+    worst_fanin[id] = argmax;
   }
 
   // Critical endpoint.
@@ -85,29 +78,23 @@ TimingReport run_sta(const DelayCalculator& calc,
   // Backward pass: required times -> slack. Pull form of the classic
   // push-form relaxation: a gate's required time is the min over its
   // combinational fanouts of (their required - their delay), seeded with
-  // cycle_time at sink drivers. Equivalent because every fanout sits at a
-  // strictly later level and is final before its level is pulled from, and
-  // a floating-point min over the same operand multiset is
-  // order-independent for non-NaN values — so the per-level fan-out across
-  // the pool is bit-identical to the serial sweep.
+  // cycle_time at sink drivers. Reverse topological order makes every
+  // fanout final before it is pulled from.
   std::vector<double> required(nl.size(),
                                std::numeric_limits<double>::infinity());
   std::vector<char> is_sink(nl.size(), 0);
   for (netlist::GateId id : nl.sink_drivers()) is_sink[id] = 1;
-  const auto& groups = nl.level_groups();
-  for (auto git = groups.rbegin(); git != groups.rend(); ++git) {
-    const auto& bucket = *git;
-    pool.parallel_for(bucket.size(), [&](std::size_t bi) {
-      const netlist::GateId id = bucket[bi];
-      double req = is_sink[id] ? cycle_time
-                               : std::numeric_limits<double>::infinity();
-      for (netlist::GateId o : nl.gate(id).fanouts) {
-        if (netlist::is_combinational(nl.gate(o).type)) {
-          req = std::min(req, required[o] - r.gate_delay[o]);
-        }
+  const auto& topo = nl.combinational();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const netlist::GateId id = *it;
+    double req = is_sink[id] ? cycle_time
+                             : std::numeric_limits<double>::infinity();
+    for (netlist::GateId o : nl.gate(id).fanouts) {
+      if (netlist::is_combinational(nl.gate(o).type)) {
+        req = std::min(req, required[o] - r.gate_delay[o]);
       }
-      required[id] = req;
-    });
+    }
+    required[id] = req;
   }
   for (netlist::GateId id : nl.combinational()) {
     r.slack[id] = std::isinf(required[id]) ? cycle_time - r.arrival[id]

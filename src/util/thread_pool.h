@@ -1,4 +1,8 @@
-// Fixed-size thread pool for the evaluation hot path.
+// Fixed-size thread pool for coarse, independent units of work: today the
+// chains of a multi-chain anneal (AnnealingOptimizer). The evaluation
+// kernels (STA, the width search, the energy sum) are plain serial loops;
+// per-level dispatch of a few gates cost more in wake-ups than the gates
+// themselves (DESIGN.md, "Parallel evaluation & determinism").
 //
 // Deliberately simple: no work stealing, no futures, no task graph. The one
 // primitive is parallel_for(n, fn) — run fn(i) for every i in [0, n) across
@@ -9,10 +13,9 @@
 // evaluation & determinism").
 //
 // The calling thread always participates in the work. That guarantees
-// forward progress under nesting (an annealing chain running on the pool can
-// itself call parallel STA): a nested parallel_for simply runs inline on the
-// worker it was issued from, never waiting on pool capacity it might be
-// occupying.
+// forward progress under nesting: a nested parallel_for simply runs inline
+// on the worker it was issued from, never waiting on pool capacity it might
+// be occupying.
 //
 // Exceptions thrown by fn are captured per index; after all indices finish,
 // the exception with the lowest index is rethrown — the same one a serial
@@ -48,7 +51,7 @@ class ThreadPool {
   Impl* impl_;
 };
 
-// Process-wide pool shared by STA, the width search and the optimizers.
+// Process-wide pool that schedules the multi-chain anneal's chains.
 // Lazily constructed on first use with the thread count last requested via
 // set_global_threads (default: hardware concurrency).
 ThreadPool& global_pool();

@@ -140,10 +140,18 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-std::vector<std::string> fast_daemon_flags(const std::string& spool) {
-  return {"--spool=" + spool, "--once",        "--workers=2",
-          "--poll=0.005",     "--timeout=20",  "--retries=1",
-          "--backoff=0.01",   "--drain-grace=0.05",
+// `timeout` is the per-job supervisor limit in seconds. The 800k-move anneal
+// tests pass 120 so their runs are bounded by move count, not machine speed.
+std::vector<std::string> fast_daemon_flags(const std::string& spool,
+                                           int timeout = 20) {
+  return {"--spool=" + spool,
+          "--once",
+          "--workers=2",
+          "--poll=0.005",
+          "--timeout=" + std::to_string(timeout),
+          "--retries=1",
+          "--backoff=0.01",
+          "--drain-grace=0.05",
           "--breaker-threshold=99"};
 }
 
@@ -338,13 +346,13 @@ TEST(DiskFault, TornNewestCheckpointGenerationResumesBitExactly) {
     out << intact.substr(0, intact.size() / 2);
   }
 
-  ASSERT_EQ(run_served(fast_daemon_flags(interrupted.root)), 0);
+  ASSERT_EQ(run_served(fast_daemon_flags(interrupted.root, 120)), 0);
   ASSERT_TRUE(fs::exists(qa.job_path("done", ida)));
   const util::JsonValue ra = read_record(qa, "done", ida);
   EXPECT_TRUE(ra.at("result").get_bool("resumed", false))
       << "worker did not resume from a fallback generation";
 
-  ASSERT_EQ(run_served(fast_daemon_flags(reference.root)), 0);
+  ASSERT_EQ(run_served(fast_daemon_flags(reference.root, 120)), 0);
   ASSERT_TRUE(fs::exists(qb.job_path("done", idb)));
   const util::JsonValue rb = read_record(qb, "done", idb);
 

@@ -196,13 +196,16 @@ void expect_exact_partition(const SpoolQueue& q,
       << "minergy_served --status --verify rejected the spool";
 }
 
+// `timeout` is the per-job supervisor limit in seconds; the 800k-move anneal
+// test passes 120 so its run is bounded by move count, not machine speed.
 std::vector<std::string> ha_flags(const std::string& spool, double ttl,
-                                  double margin, bool once, bool standby) {
+                                  double margin, bool once, bool standby,
+                                  int timeout = 20) {
   std::vector<std::string> f = {
       "--spool=" + spool,
       "--workers=2",
       "--poll=0.005",
-      "--timeout=20",
+      "--timeout=" + std::to_string(timeout),
       "--retries=1",
       "--backoff=0.01",
       "--drain-grace=0.05",
@@ -720,7 +723,8 @@ TEST(HaFailover, StandbyTakeoverResumesAnnealBitExactly) {
   fs::remove(events);
 
   std::vector<std::string> leader =
-      ha_flags(failed_over.root, 0.5, 0.1, /*once=*/false, /*standby=*/false);
+      ha_flags(failed_over.root, 0.5, 0.1, /*once=*/false, /*standby=*/false,
+               /*timeout=*/120);
   leader[1] = "--workers=1";
   const pid_t lp = spawn_served(leader);
   // Let the leader win the election before the standby starts observing.
@@ -729,7 +733,8 @@ TEST(HaFailover, StandbyTakeoverResumesAnnealBitExactly) {
     sleep_seconds(0.005);
   }
   std::vector<std::string> standby =
-      ha_flags(failed_over.root, 0.5, 0.1, /*once=*/true, /*standby=*/true);
+      ha_flags(failed_over.root, 0.5, 0.1, /*once=*/true, /*standby=*/true,
+               /*timeout=*/120);
   standby[1] = "--workers=1";
   standby.push_back("--event-log=" + events);
   const pid_t sp = spawn_served(standby);
@@ -767,7 +772,8 @@ TEST(HaFailover, StandbyTakeoverResumesAnnealBitExactly) {
 
   // Reference: the same job, never interrupted.
   std::vector<std::string> ref =
-      ha_flags(reference.root, 0.5, 0.1, /*once=*/true, /*standby=*/false);
+      ha_flags(reference.root, 0.5, 0.1, /*once=*/true, /*standby=*/false,
+               /*timeout=*/120);
   ref[1] = "--workers=1";
   ASSERT_EQ(run_served(ref), 0);
   ASSERT_TRUE(fs::exists(qb.job_path("done", idb)));

@@ -5,8 +5,9 @@
 //
 // These are the `par` CTest label's determinism oracles; scripts/ci.sh runs
 // them in Release and again under TSan, where the concurrent sections double
-// as the data-race oracle for the pool, the levelized STA, the parallel
-// width search and the multi-chain anneal.
+// as the data-race oracle for the pool and the multi-chain anneal. The
+// evaluation kernels themselves are serial; a guard below keeps them off the
+// pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -203,6 +204,46 @@ TEST_F(ParallelTest, SizerAndEnergyAreBitIdenticalAtAnyThreadCount) {
     EXPECT_EQ(e.static_energy, ref_e.static_energy) << threads;
     EXPECT_EQ(e.short_circuit_energy, ref_e.short_circuit_energy) << threads;
   }
+}
+
+// The kernels are serial loops: at any lane count, STA, both width searches
+// and the energy sum (short-circuit pass included) must leave the pool's
+// dispatch counters untouched.
+TEST_F(ParallelTest, EvaluationKernelsNeverTouchThePool) {
+  const netlist::Netlist nl = make_random(29);
+  const opt::CircuitEvaluator eval(
+      nl, tech::Technology::generic350(), profile(),
+      {.clock_frequency = 200e6, .include_short_circuit = true});
+  opt::set_eval_cache_enabled(false);
+  const timing::BudgetResult budgets =
+      eval.budgeter().assign(0.95 * eval.cycle_time());
+  const std::vector<double> vts(nl.size(), 0.25);
+  const opt::GateSizer sizer(eval.delay_calculator());
+
+  util::set_global_threads(4);
+  (void)util::global_pool();  // build the pool before taking the baseline
+  obs::Counter& jobs = obs::counter("util.pool.jobs");
+  obs::Counter& inline_jobs = obs::counter("util.pool.inline_jobs");
+  const std::int64_t jobs0 = jobs.value();
+  const std::int64_t inline0 = inline_jobs.value();
+
+  const opt::SizingResult sized = sizer.size(budgets.t_max, 2.8, vts);
+  const timing::TimingReport report =
+      timing::run_sta(eval.delay_calculator(), sized.widths, 2.8,
+                      std::span<const double>(vts), eval.cycle_time());
+  (void)sizer.recover(sized.widths, 2.8, vts, eval.cycle_time(), report);
+  opt::CircuitState state;
+  state.vdd = 2.8;
+  state.vts = vts;
+  state.widths = sized.widths;
+  EXPECT_GT(eval.energy(state).short_circuit_energy, 0.0);
+
+  EXPECT_EQ(jobs.value(), jobs0);
+  EXPECT_EQ(inline_jobs.value(), inline0);
+
+  // The counters are live: a real dispatch does move them.
+  util::global_pool().parallel_for(8, [](std::size_t) {});
+  EXPECT_EQ(jobs.value(), jobs0 + 1);
 }
 
 void expect_same_result(const opt::OptimizationResult& a,

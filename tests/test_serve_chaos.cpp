@@ -159,10 +159,18 @@ void expect_exact_partition(const SpoolQueue& q,
       << "minergy_served --status --verify rejected the spool";
 }
 
-std::vector<std::string> fast_daemon_flags(const std::string& spool) {
-  return {"--spool=" + spool, "--once",        "--workers=2",
-          "--poll=0.005",     "--timeout=20",  "--retries=1",
-          "--backoff=0.01",   "--drain-grace=0.05",
+// `timeout` is the per-job supervisor limit in seconds. The 800k-move anneal
+// tests pass 120 so their runs are bounded by move count, not machine speed.
+std::vector<std::string> fast_daemon_flags(const std::string& spool,
+                                           int timeout = 20) {
+  return {"--spool=" + spool,
+          "--once",
+          "--workers=2",
+          "--poll=0.005",
+          "--timeout=" + std::to_string(timeout),
+          "--retries=1",
+          "--backoff=0.01",
+          "--drain-grace=0.05",
           "--breaker-threshold=99"};
 }
 
@@ -339,14 +347,14 @@ TEST(ServeChaos, DrainedAnnealResumesBitExactlyAfterRestart) {
   EXPECT_EQ(requeued.failed_attempts(), 0);
 
   // Restart: resumes from the snapshot and finishes.
-  ASSERT_EQ(run_served(fast_daemon_flags(interrupted.root)), 0);
+  ASSERT_EQ(run_served(fast_daemon_flags(interrupted.root, 120)), 0);
   ASSERT_TRUE(fs::exists(qa.job_path("done", ida)));
   const util::JsonValue ra = read_record(qa, "done", ida);
   EXPECT_TRUE(ra.at("result").get_bool("resumed", false))
       << "restarted worker did not resume from the checkpoint";
 
   // Reference: the same job, never interrupted.
-  ASSERT_EQ(run_served(fast_daemon_flags(reference.root)), 0);
+  ASSERT_EQ(run_served(fast_daemon_flags(reference.root, 120)), 0);
   ASSERT_TRUE(fs::exists(qb.job_path("done", idb)));
   const util::JsonValue rb = read_record(qb, "done", idb);
 
