@@ -14,12 +14,11 @@
 
 #include "activity/activity.h"
 #include "activity/exact.h"
+#include "bench_suite/experiment.h"
 #include "bench_suite/iscas.h"
 #include "sim/logic_sim.h"
 #include "obs/session.h"
-#include "opt/eval_cache.h"
 #include "util/cli.h"
-#include "util/thread_pool.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -27,11 +26,7 @@ using namespace minergy;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  // Evaluation engine knobs, shared by every driver: --threads=N
-  // (0 = hardware concurrency; 1 = bit-exact serial path) and
-  // --eval-cache=0/1 (memoized evaluator results, default on).
-  util::set_global_threads(cli.get("threads", 0));
-  opt::set_eval_cache_enabled(cli.get("eval-cache", 1) != 0);
+  bench_suite::apply_engine_flags(cli);
   const obs::Session session(cli, "activity_accuracy");
   const double density = cli.get("activity", 0.1);
   const int cycles = cli.get("cycles", 40000);

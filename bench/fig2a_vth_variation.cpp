@@ -11,22 +11,16 @@
 #include <iostream>
 
 #include "bench_suite/experiment.h"
-#include "opt/eval_cache.h"
 #include "opt/variation.h"
 #include "obs/session.h"
 #include "util/cli.h"
-#include "util/thread_pool.h"
 #include "util/table.h"
 
 using namespace minergy;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  // Evaluation engine knobs, shared by every driver: --threads=N
-  // (0 = hardware concurrency; 1 = bit-exact serial path) and
-  // --eval-cache=0/1 (memoized evaluator results, default on).
-  util::set_global_threads(cli.get("threads", 0));
-  opt::set_eval_cache_enabled(cli.get("eval-cache", 1) != 0);
+  bench_suite::apply_engine_flags(cli);
   const obs::Session session(cli, "fig2a_vth_variation");
   const std::string circuit = cli.get("circuit", std::string("s298*"));
   const double requested_fc = cli.get("fc", 300e6);

@@ -3,8 +3,9 @@
 # robustness (-L fault), observability (-L obs), service (-L serve),
 # durable-I/O (-L diskfault) and overload-protection (-L overload) test
 # labels, and finishes with a certified
-# minergy_batch run over real circuits — every completed result must be
-# independently certified (exit 1 otherwise). The serve label includes the
+# minergy_batch run over real circuits — the batch runs on the serve
+# Supervisor, and every completed result must be independently certified
+# (exit 1 otherwise). The serve label includes the
 # chaos harness, which SIGKILLs the daemon/worker binaries at randomized
 # protocol points; the diskfault label does the same with storage faults
 # (scheduled ENOSPC/EIO, torn writes, short reads). A final leg serves a
@@ -72,10 +73,12 @@ cmake -B build-ci-tsan -S . -DMINERGY_SANITIZE=thread
 cmake --build build-ci-tsan -j "$JOBS"
 run_labelled_tests build-ci-tsan serve obs overload ha par
 
-# Certified batch run: each circuit optimizes in its own subprocess and the
-# parent re-derives every verdict with opt::Certifier. minergy_batch exits
-# non-zero if any completed result is infeasible or uncertified, and
-# --verify-report re-checks the written report the way CI consumers would.
+# Certified batch run: minergy_batch submits each circuit to a private spool
+# and drains it with the serve Supervisor, so every circuit optimizes in its
+# own worker subprocess and every verdict is re-derived with opt::Certifier.
+# minergy_batch exits non-zero if any job fails (infeasible, uncertified or
+# a typed worker error), and --verify-report re-checks the written report
+# the way CI consumers would.
 step "certified batch run (s27, s298*)"
 report=build-ci-release/ci_batch_report.json
 build-ci-release/tools/minergy_batch \

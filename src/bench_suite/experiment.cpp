@@ -4,11 +4,18 @@
 
 #include "netlist/stats.h"
 #include "opt/baseline_optimizer.h"
+#include "opt/eval_cache.h"
 #include "opt/evaluator.h"
 #include "opt/joint_optimizer.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace minergy::bench_suite {
+
+void apply_engine_flags(const util::Cli& cli) {
+  util::set_global_threads(cli.get("threads", 0));
+  opt::set_eval_cache_enabled(cli.get("eval-cache", 1) != 0);
+}
 
 double choose_cycle_time(const netlist::Netlist& nl,
                          const ExperimentConfig& cfg, bool* scaled) {

@@ -15,8 +15,14 @@
 #include "opt/certifier.h"
 #include "opt/result.h"
 #include "tech/technology.h"
+#include "util/cli.h"
 
 namespace minergy::bench_suite {
+
+// Applies the evaluation-engine flags every driver shares: --threads=N
+// (0 = hardware concurrency; 1 = bit-exact serial path) and
+// --eval-cache=0/1 (memoized evaluator results, default on).
+void apply_engine_flags(const util::Cli& cli);
 
 struct ExperimentConfig {
   tech::Technology tech = tech::Technology::generic350();

@@ -1,7 +1,7 @@
 // Crash-safe, checksummed, generational checkpoint files.
 //
-// The durable successor of util::Checkpoint (which forwards here). A
-// checkpoint is the JSON envelope
+// The snapshot store behind the optimizers' checkpoints (opt/checkpoint.h).
+// A checkpoint is the JSON envelope
 //
 //   { "schema": "minergy.anneal_checkpoint.v1", "payload": { ... } }
 //

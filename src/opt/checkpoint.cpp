@@ -5,9 +5,10 @@
 #include <cstdlib>
 #include <limits>
 
+#include "io/checkpoint.h"
+#include "io/durable.h"
 #include "obs/metrics.h"
 #include "util/check.h"
-#include "util/checkpoint.h"
 #include "util/json.h"
 
 namespace minergy::opt {
@@ -106,7 +107,7 @@ obs::RunReport read_report(const JsonValue& payload, const std::string& path) {
 void save_or_warn(const std::string& path, const std::string& schema,
                   const std::string& payload_json) {
   try {
-    util::Checkpoint::save(path, schema, payload_json);
+    io::Checkpoint::save(path, schema, payload_json);
   } catch (const io::IoError& e) {
     static obs::Counter& failed = obs::counter("opt.checkpoint.save_failed");
     failed.add();
@@ -169,7 +170,7 @@ void AnnealCheckpoint::save(const std::string& path) const {
 }
 
 AnnealCheckpoint AnnealCheckpoint::load(const std::string& path) {
-  const JsonValue p = util::Checkpoint::load(path, kAnnealCheckpointSchema);
+  const JsonValue p = io::Checkpoint::load(path, kAnnealCheckpointSchema);
   return read_anneal_payload(p, path);
 }
 
@@ -196,7 +197,7 @@ void MultiAnnealCheckpoint::save(const std::string& path) const {
 MultiAnnealCheckpoint MultiAnnealCheckpoint::load(const std::string& path) {
   try {
     const JsonValue p =
-        util::Checkpoint::load(path, kAnnealCheckpointSchemaV2);
+        io::Checkpoint::load(path, kAnnealCheckpointSchemaV2);
     MultiAnnealCheckpoint mck;
     mck.circuit = p.get_string("circuit", "");
     for (const JsonValue& c : p.at("chains").items()) {
@@ -243,7 +244,7 @@ void JointCheckpoint::save(const std::string& path) const {
 }
 
 JointCheckpoint JointCheckpoint::load(const std::string& path) {
-  const JsonValue p = util::Checkpoint::load(path, kJointCheckpointSchema);
+  const JsonValue p = io::Checkpoint::load(path, kJointCheckpointSchema);
   JointCheckpoint ck;
   ck.circuit = p.get_string("circuit", "");
   ck.next_step = static_cast<int>(p.get_number("next_step", 0.0));

@@ -1,4 +1,4 @@
-// Optimizer checkpoint payloads (see util/checkpoint.h for the envelope).
+// Optimizer checkpoint payloads (see io/checkpoint.h for the envelope).
 //
 // Two snapshot formats, both JSON, both written atomically and restored
 // bit-exactly:

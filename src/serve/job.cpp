@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 
 #include "util/check.h"
@@ -154,6 +155,10 @@ std::uint64_t attempt_seed(const Job& job, int failed_attempt_index) {
   }
   return util::hash_mix(job.seed ^ name_hash ^
                         static_cast<std::uint64_t>(failed_attempt_index));
+}
+
+double retry_backoff_seconds(double base_seconds, int failed_attempts) {
+  return std::ldexp(base_seconds, failed_attempts - 1);
 }
 
 double unix_now() { return util::Clock::system().unix_monotone(); }

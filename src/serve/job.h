@@ -110,9 +110,13 @@ std::string make_job_id();
 
 // The deterministic per-(circuit, attempt) seed schedule: attempt 0 runs the
 // submitted seed, retry k runs hash_mix(seed ^ fnv1a(circuit) ^ k) so a
-// retry is a genuinely different stochastic run (same scheme as
-// minergy_batch).
+// retry is a genuinely different stochastic run.
 std::uint64_t attempt_seed(const Job& job, int failed_attempt_index);
+
+// Exponential retry backoff: base * 2^(failed_attempts - 1). Computed in
+// floating point, so any retry budget (--retries is user input) yields a
+// finite, non-negative delay instead of an overflowing integer shift.
+double retry_backoff_seconds(double base_seconds, int failed_attempts);
 
 // Unix-epoch seconds for backoff eligibility, shed windows and lease
 // timestamps. Backoff must survive daemon restarts, so the LEVEL is wall

@@ -347,8 +347,7 @@ void Supervisor::handle_death(Job job, const std::string& outcome,
     return;
   }
   obs::counter("serve.jobs.retries").add();
-  const double backoff =
-      opts_.backoff_seconds * static_cast<double>(1 << (failed - 1));
+  const double backoff = retry_backoff_seconds(opts_.backoff_seconds, failed);
   if (obs::EventLog::instance().armed()) {
     obs::Event ev;
     ev.kind = "retry_scheduled";

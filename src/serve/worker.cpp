@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <filesystem>
 #include <thread>
 
@@ -22,6 +23,7 @@
 #include "util/check.h"
 #include "util/guard.h"
 #include "util/json.h"
+#include "util/thread_pool.h"
 
 namespace minergy::serve {
 
@@ -44,6 +46,31 @@ void write_error_envelope(const Job& job, const std::string& result_path,
 }
 
 }  // namespace
+
+int run_worker_mode(const util::Cli& cli, const SpoolQueue& queue) {
+  // Evaluation parallelism for this job (forwarded by the supervisor's
+  // --worker-threads; 0 = hardware concurrency).
+  util::set_global_threads(cli.get("threads", 0));
+  const std::string id = cli.get("job-id", std::string());
+  if (id.empty()) {
+    std::fprintf(stderr, "worker: --job-id is required\n");
+    return 2;
+  }
+  const std::string path = queue.job_path("running", id);
+  Job job;
+  try {
+    job = Job::from_json(io::read_artifact(path, kJobSchema), path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "worker: %s\n", e.what());
+    return 2;
+  }
+  const std::uint64_t seed = static_cast<std::uint64_t>(
+      cli.get("attempt-seed", static_cast<double>(job.seed)));
+  return run_worker_job(job, seed, queue.result_path(id),
+                        queue.checkpoint_path(id),
+                        cli.get("brownout-level", 0),
+                        cli.get("lease-path", std::string()));
+}
 
 int run_worker_job(const Job& job, std::uint64_t seed,
                    const std::string& result_path,

@@ -1,10 +1,10 @@
 // In-process execution of one queued job (the worker side of the service).
 //
-// The daemon never optimizes in its own address space: each claimed job is
-// handed to a fresh subprocess (minergy_served --worker) that calls
-// run_worker_job() — the same subprocess-isolation discipline as
-// minergy_batch, so a crash, hang or NaN-storm in one netlist can only ever
-// cost one worker. The worker's entire observable output is ONE atomic
+// The supervisor never optimizes in its own address space: each claimed job
+// is handed to a fresh subprocess (minergy_served --worker or
+// minergy_batch --worker, both entering run_worker_mode()) that calls
+// run_worker_job(), so a crash, hang or NaN-storm in one netlist can only
+// ever cost one worker. The worker's entire observable output is ONE atomic
 // file: the result envelope (schema minergy.job_result.v1) dropped into
 // results/<id>.json. The parent judges the envelope; the worker's exit code
 // only distinguishes "envelope written" (0) from "died before writing one".
@@ -23,8 +23,17 @@
 #include <string>
 
 #include "serve/job.h"
+#include "serve/queue.h"
+#include "util/cli.h"
 
 namespace minergy::serve {
+
+// The `--worker` entry point of every binary the supervisor execs: loads
+// the running/ job named by --job-id from `queue` and runs it under
+// --attempt-seed, --brownout-level and --lease-path, with --threads
+// evaluation lanes (0 = hardware concurrency). Returns the worker exit code
+// (2 when the job cannot be loaded).
+int run_worker_mode(const util::Cli& cli, const SpoolQueue& queue);
 
 // Runs `job`, certifies the result, writes the envelope to `result_path`.
 // `checkpoint_path` is used for periodic snapshots and (when the file

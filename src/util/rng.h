@@ -12,7 +12,7 @@
 namespace minergy::util {
 
 // Complete generator state, exposed so checkpoint/resume flows can freeze a
-// stream mid-run and continue it bit-exactly (see util/checkpoint.h). The
+// stream mid-run and continue it bit-exactly (see io/checkpoint.h). The
 // spare normal from the Marsaglia polar method is part of the state: without
 // it a restored stream would diverge on the first normal() draw.
 struct RngState {

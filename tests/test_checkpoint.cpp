@@ -10,6 +10,8 @@
 #include <limits>
 #include <string>
 
+#include "io/checkpoint.h"
+#include "io/durable.h"
 #include "netlist/generator.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -17,7 +19,6 @@
 #include "opt/checkpoint.h"
 #include "opt/evaluator.h"
 #include "opt/joint_optimizer.h"
-#include "util/checkpoint.h"
 #include "util/guard.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -74,26 +75,26 @@ struct ScratchFile {
   std::string path;
 };
 
-// ------------------------------------------------------- util::Checkpoint
+// --------------------------------------------------------- io::Checkpoint
 
-TEST(UtilCheckpoint, AtomicWriteThenLoadRoundTrips) {
+TEST(IoCheckpoint, AtomicWriteThenLoadRoundTrips) {
   ScratchFile f("util_ck");
-  util::Checkpoint::save(f.path, "minergy.test.v1", R"({"x": 1.5})");
+  io::Checkpoint::save(f.path, "minergy.test.v1", R"({"x": 1.5})");
   const util::JsonValue payload =
-      util::Checkpoint::load(f.path, "minergy.test.v1");
+      io::Checkpoint::load(f.path, "minergy.test.v1");
   EXPECT_DOUBLE_EQ(payload.at("x").as_number(), 1.5);
 }
 
-TEST(UtilCheckpoint, SchemaMismatchThrows) {
+TEST(IoCheckpoint, SchemaMismatchThrows) {
   ScratchFile f("util_ck_schema");
-  util::Checkpoint::save(f.path, "minergy.test.v1", "{}");
-  EXPECT_THROW(util::Checkpoint::load(f.path, "minergy.other.v1"),
+  io::Checkpoint::save(f.path, "minergy.test.v1", "{}");
+  EXPECT_THROW(io::Checkpoint::load(f.path, "minergy.other.v1"),
                util::ParseError);
 }
 
-TEST(UtilCheckpoint, MissingFileThrows) {
+TEST(IoCheckpoint, MissingFileThrows) {
   EXPECT_THROW(
-      util::Checkpoint::load("/nonexistent/minergy_nope.json", "s"),
+      io::Checkpoint::load("/nonexistent/minergy_nope.json", "s"),
       util::ParseError);
 }
 
@@ -294,7 +295,7 @@ TEST(ResumeRejection, AnnealFallsBackToFreshRunOnCorruptSnapshot) {
   snap.checkpoint_path = real.path;
   snap.checkpoint_every_moves = 50;
   AnnealingOptimizer(s.eval, snap).run();
-  const std::string intact = util::read_file_or_throw(real.path);
+  const std::string intact = io::read_file_or_throw(real.path);
   ASSERT_GT(intact.size(), 64u);
 
   obs::set_enabled(true);
@@ -340,7 +341,7 @@ TEST(ResumeRejection, AnnealFallsBackToFreshRunOnCorruptSnapshot) {
   }
 
   // Wrong schema (someone else's checkpoint file): same rejection path.
-  util::Checkpoint::save(bad.path, "minergy.other_checkpoint.v1", "{}");
+  io::Checkpoint::save(bad.path, "minergy.other_checkpoint.v1", "{}");
   EXPECT_THROW(AnnealCheckpoint::load(bad.path), util::ParseError);
   const std::int64_t before = rejected.value();
   AnnealingOptions opts = base;
@@ -396,7 +397,7 @@ TEST(MultiAnnealCheckpoint, V2RoundTripsChainsIncludingAbsentOnes) {
   ScratchFile f("multi_ck");
   mck.save(f.path);
   // The file on disk is schema v2.
-  EXPECT_NO_THROW(util::Checkpoint::load(f.path, kAnnealCheckpointSchemaV2));
+  EXPECT_NO_THROW(io::Checkpoint::load(f.path, kAnnealCheckpointSchemaV2));
 
   const MultiAnnealCheckpoint back = MultiAnnealCheckpoint::load(f.path);
   EXPECT_EQ(back.circuit, "s27");
@@ -491,7 +492,7 @@ TEST(AnnealResume, V1SnapshotMigratesIntoChainZeroOfMultiChainRun) {
   const OptimizationResult partial = AnnealingOptimizer(s.eval, v1run).run();
   ASSERT_TRUE(partial.truncated);
   ASSERT_TRUE(std::filesystem::exists(f.path));
-  EXPECT_NO_THROW(util::Checkpoint::load(f.path, kAnnealCheckpointSchema));
+  EXPECT_NO_THROW(io::Checkpoint::load(f.path, kAnnealCheckpointSchema));
 
   AnnealingOptions multi = base;
   multi.chains = 2;

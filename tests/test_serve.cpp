@@ -6,12 +6,14 @@
 // protocol points. Both run under `ctest -L serve`.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <set>
 #include <string>
 
+#include "io/durable.h"
 #include "io/envelope.h"
 #include "obs/eventlog.h"
 #include "obs/metrics.h"
@@ -20,7 +22,6 @@
 #include "serve/queue.h"
 #include "serve/supervisor.h"
 #include "util/check.h"
-#include "util/checkpoint.h"
 #include "util/json.h"
 
 namespace minergy::serve {
@@ -156,6 +157,16 @@ TEST(ServeJob, AttemptSeedScheduleIsDeterministicAndPerturbed) {
   EXPECT_NE(attempt_seed(other, 1), r1);  // circuit-dependent
 }
 
+TEST(ServeJob, RetryBackoffDoublesAndStaysFiniteForLargeBudgets) {
+  EXPECT_DOUBLE_EQ(retry_backoff_seconds(0.5, 1), 0.5);
+  EXPECT_DOUBLE_EQ(retry_backoff_seconds(0.5, 3), 2.0);
+  // --retries is user input: 40 failures must not overflow an integer
+  // shift into a negative (immediate) or undefined backoff.
+  const double late = retry_backoff_seconds(0.5, 40);
+  EXPECT_TRUE(std::isfinite(late));
+  EXPECT_GT(late, 0.0);
+}
+
 TEST(ServeJob, IdsAreUniqueAndSortInSubmissionOrder) {
   std::string prev;
   for (int i = 0; i < 50; ++i) {
@@ -248,7 +259,7 @@ TEST(SpoolQueue, DoneIsFirstWriteWinsForLateRetries) {
   Job job = *q.claim(unix_now());
   q.finalize_done(job, fake_envelope(id, true, true, true));
   const std::string winner =
-      util::read_file_or_throw(q.job_path("done", id));
+      io::read_file_or_throw(q.job_path("done", id));
 
   // A late duplicate attempt (recovery replay) lands while done/ already
   // holds the result: counted, dropped, running/ and scratch cleared.
@@ -261,7 +272,7 @@ TEST(SpoolQueue, DoneIsFirstWriteWinsForLateRetries) {
   q.finalize_done(job, fake_envelope(id, true, true, true));
   EXPECT_EQ(obs::counter("serve.queue.duplicate_results").value(),
             dupes_before + 1);
-  EXPECT_EQ(util::read_file_or_throw(q.job_path("done", id)), winner);
+  EXPECT_EQ(io::read_file_or_throw(q.job_path("done", id)), winner);
   EXPECT_FALSE(fs::exists(q.job_path("running", id)));
   EXPECT_FALSE(fs::exists(q.result_path(id)));
   EXPECT_FALSE(fs::exists(q.checkpoint_path(id)));

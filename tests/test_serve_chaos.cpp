@@ -8,6 +8,9 @@
 // Kill points are deterministic (serve/inject.h): --inject-kill=POINT@K
 // raises SIGKILL at the K-th visit of POINT, so every iteration is exactly
 // reproducible; only the iteration order is shuffled.
+//
+// minergy_batch drives the same supervisor over a private spool; its
+// interruption and typed-failure paths are exercised at the end.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -27,11 +30,13 @@
 #include "io/envelope.h"
 #include "serve/job.h"
 #include "serve/queue.h"
-#include "util/checkpoint.h"
 #include "util/json.h"
 
 #ifndef MINERGY_SERVED_BIN
 #error "MINERGY_SERVED_BIN must point at the minergy_served executable"
+#endif
+#ifndef MINERGY_BATCH_BIN
+#error "MINERGY_BATCH_BIN must point at the minergy_batch executable"
 #endif
 
 namespace minergy::serve {
@@ -52,9 +57,9 @@ void sleep_seconds(double s) {
   std::this_thread::sleep_for(std::chrono::duration<double>(s));
 }
 
-// fork+exec minergy_served with the given flags, stdout/stderr silenced.
-pid_t spawn_served(const std::vector<std::string>& flags) {
-  std::vector<std::string> args = {MINERGY_SERVED_BIN};
+// fork+exec `binary` with the given flags, stdout/stderr silenced.
+pid_t spawn_binary(const char* binary, const std::vector<std::string>& flags) {
+  std::vector<std::string> args = {binary};
   args.insert(args.end(), flags.begin(), flags.end());
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
@@ -72,6 +77,10 @@ pid_t spawn_served(const std::vector<std::string>& flags) {
     _exit(127);
   }
   return pid;
+}
+
+pid_t spawn_served(const std::vector<std::string>& flags) {
+  return spawn_binary(MINERGY_SERVED_BIN, flags);
 }
 
 // Waits for `pid` with a wall-clock cap; SIGKILLs on timeout. Returns the
@@ -254,7 +263,7 @@ TEST(ServeChaos, HangingWorkerIsTimedOutRetriedThenQuarantined) {
   for (const util::JsonValue& a : attempts) {
     EXPECT_EQ(a.get_string("outcome", ""), "timeout");
   }
-  // Retries ran under perturbed seeds (same schedule as minergy_batch).
+  // Retries ran under perturbed seeds.
   EXPECT_NE(attempts[0].get_number("seed", 0),
             attempts[1].get_number("seed", 0));
 }
@@ -384,6 +393,83 @@ TEST(ServeChaos, HealthFileTracksDaemonLifecycle) {
   EXPECT_EQ(h.get_string("schema", ""), "minergy.health.v1");
   EXPECT_EQ(h.get_string("state", ""), "stopped");
   EXPECT_DOUBLE_EQ(h.at("queue").get_number("done", -1), 1.0);
+}
+
+// ----------------------------------------------------------- batch runner
+
+// Runs minergy_batch to completion; returns its exit code (-1 if signaled).
+int run_batch(const std::vector<std::string>& flags) {
+  bool timed_out = false;
+  const int status =
+      wait_exit(spawn_binary(MINERGY_BATCH_BIN, flags), 120.0, &timed_out);
+  EXPECT_FALSE(timed_out) << "minergy_batch did not exit within the cap";
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+util::JsonValue read_batch_report(const std::string& path) {
+  return util::JsonValue::parse(
+      io::read_artifact(path, "minergy.batch_report.v1"), path);
+}
+
+std::size_t count_records(const fs::path& dir) {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    if (it->path().extension() == ".json") ++n;
+  }
+  return n;
+}
+
+TEST(BatchRunner, SigtermMidBatchFlushesAnInterruptedReport) {
+  ScratchSpool dir("batch_sigterm");
+  fs::create_directories(dir.root);
+  const std::string report = dir.root + "/report.json";
+  const fs::path spool = report + ".spool";
+  const pid_t batch = spawn_binary(
+      MINERGY_BATCH_BIN, {"--circuits=s27,s344*", "--inject-hang=s344*",
+                          "--timeout=60", "--report=" + report});
+  // Interrupt once s27 is done and the hung s344* worker is in flight.
+  bool in_flight = false;
+  for (int i = 0; i < 6000 && !in_flight; ++i) {
+    in_flight = count_records(spool / "done") == 1 &&
+                count_records(spool / "running") == 1;
+    if (!in_flight) sleep_seconds(0.01);
+  }
+  EXPECT_TRUE(in_flight) << "batch never reached its hung second job";
+  kill(batch, SIGTERM);
+  const int status = wait_exit(batch, 60.0);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 3);
+
+  const util::JsonValue root = read_batch_report(report);
+  EXPECT_TRUE(root.get_bool("interrupted", false));
+  const auto& circuits = root.at("circuits").items();
+  ASSERT_EQ(circuits.size(), 2u);
+  EXPECT_EQ(circuits[0].get_string("status", ""), "ok");
+  EXPECT_EQ(circuits[1].get_string("status", ""), "interrupted");
+  EXPECT_FALSE(fs::exists(spool)) << "batch spool left behind";
+
+  EXPECT_EQ(run_batch({"--verify-report=" + report}), 1);
+  EXPECT_EQ(run_batch({"--verify-report=" + report, "--allow-interrupted"}),
+            0);
+}
+
+TEST(BatchRunner, TypedWorkerFailureFailsTheBatchAfterOneAttempt) {
+  ScratchSpool dir("batch_typed_failure");
+  fs::create_directories(dir.root);
+  const std::string report = dir.root + "/report.json";
+  EXPECT_EQ(run_batch({"--circuits=s27,nosuch", "--timeout=60",
+                       "--report=" + report}),
+            1);
+  const util::JsonValue root = read_batch_report(report);
+  const auto& circuits = root.at("circuits").items();
+  ASSERT_EQ(circuits.size(), 2u);
+  EXPECT_EQ(circuits[0].get_string("status", ""), "ok");
+  EXPECT_EQ(circuits[1].get_string("circuit", ""), "nosuch");
+  EXPECT_EQ(circuits[1].get_string("status", ""), "failed");
+  EXPECT_EQ(circuits[1].at("attempts").items().size(), 1u);
+  EXPECT_TRUE(root.at("quarantined").items().empty());
+  EXPECT_EQ(run_batch({"--verify-report=" + report}), 1);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
-// minergy_batch: crash-safe batch driver for the optimizer portfolio.
+// minergy_batch: certified batch runner for the optimizer portfolio.
 //
-// Runs each circuit of a suite in its own subprocess (a crash, hang or
-// NaN-storm in one netlist cannot take the batch down), certifies every
-// result independently (opt/certifier.h), retries failed attempts with
-// perturbed seeds under exponential backoff, and quarantines circuits that
-// exhaust their retries. The machine-readable report (schema
-// minergy.batch_report.v1) records every attempt, the per-circuit
-// certificates, and the quarantine list.
+// A client of the service engine (src/serve/): the batch submits one job
+// per (circuit, optimizer) to a private spool at <report>.spool/, drains it
+// with one serve::Supervisor pass (--once, one worker subprocess at a time,
+// certified results, perturbed-seed retries, quarantine), and builds its
+// report (schema minergy.batch_report.v1) from the terminal job records:
+// every attempt, each job's result envelope, and the quarantine list. The
+// spool is removed once the report is written.
 //
 //   $ minergy_batch --circuits=s27,s298*,s344* --report=batch.json
 //   $ minergy_batch --circuits=s27 --optimizers=robust,anneal --timeout=60
@@ -20,8 +20,10 @@
 //   --seed=S              base seed; retries perturb it (default 1)
 //   --retries=N           extra attempts after the first (default 2)
 //   --timeout=SECONDS     per-attempt wall clock (default 300)
-//   --backoff=SECONDS     base backoff; attempt k sleeps backoff * 2^(k-1)
+//   --backoff=SECONDS     base backoff; retry k waits backoff * 2^(k-1)
 //                         (default 0.5)
+//   --threads=N           evaluation threads per worker (0 = hardware
+//                         concurrency)
 //   --report=FILE         batch report JSON (default minergy_batch.json)
 //   --inject-hang=NAME    test hook: the worker for NAME sleeps forever,
 //                         exercising timeout -> retry -> quarantine
@@ -32,82 +34,45 @@
 // list; --min-circuits=N requires at least N circuit entries;
 // --allow-interrupted accepts a report flushed by an interrupted batch.
 //
-// SIGTERM/SIGINT interrupt the batch gracefully: the in-flight worker is
-// killed and reaped, the report is still flushed (valid schema, top-level
-// "interrupted": true, the cut-short circuit marked status "interrupted"),
-// and the process exits with the distinct code 3.
+// SIGTERM/SIGINT drain the batch: the in-flight worker gets the
+// supervisor's 2 s grace and is then SIGKILLed, the report is still flushed
+// (valid schema, top-level "interrupted": true, every unfinished job marked
+// status "interrupted"), and the process exits with the distinct code 3.
 //
-// Exit codes: 0 success (quarantines alone do not fail the batch),
-// 1 a completed result is infeasible/uncertified or verification failed,
-// 2 bad arguments / unreadable input, 3 interrupted by SIGTERM/SIGINT.
-#include <sys/types.h>
-#include <sys/wait.h>
-
-#include <csignal>
-#include <cstdio>
-#include <cstring>
+// Exit codes: 0 success (quarantines alone do not fail the batch), 1 a job
+// failed (typed worker error, infeasible or uncertified result) or
+// verification failed, 2 bad arguments / unreadable input, 3 interrupted.
 #include <chrono>
-#include <fstream>
+#include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <unistd.h>
-
-#include "activity/activity.h"
-#include "bench_suite/experiment.h"
-#include "bench_suite/iscas.h"
+#include "io/envelope.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
-#include "obs/trace.h"
-#include "opt/annealing_optimizer.h"
-#include "opt/baseline_optimizer.h"
-#include "opt/eval_cache.h"
-#include "opt/certifier.h"
-#include "opt/evaluator.h"
-#include "opt/joint_optimizer.h"
-#include "opt/robust_optimizer.h"
-#include "io/envelope.h"
-#include "util/checkpoint.h"
+#include "serve/queue.h"
+#include "serve/supervisor.h"
+#include "serve/worker.h"
 #include "util/cli.h"
-#include "util/thread_pool.h"
 #include "util/json.h"
-#include "util/rng.h"
 
 using namespace minergy;
 
 namespace {
 
 constexpr const char* kReportSchema = "minergy.batch_report.v1";
-constexpr const char* kWorkerSchema = "minergy.batch_worker.v1";
 
 constexpr const char* kUsage =
     "usage: minergy_batch [--circuits=A,B,...] [--optimizers=K,...]\n"
     "                     [--seed=S] [--retries=N] [--timeout=S]\n"
     "                     [--backoff=S] [--fc=HZ] [--activity=D]\n"
-    "                     [--report=FILE] [--inject-hang=NAME]\n"
-    "                     [--threads=N] [--eval-cache=0|1]\n"
+    "                     [--report=FILE] [--inject-hang=NAME] [--threads=N]\n"
     "       minergy_batch --verify-report=FILE [--min-circuits=N]\n"
     "                     [--expect-quarantined=NAME] [--allow-interrupted]\n"
-    "  exit codes: 0 ok, 1 validation failure, 2 usage error,\n"
+    "  exit codes: 0 ok, 1 failed job or validation failure, 2 usage error,\n"
     "              3 interrupted (SIGTERM/SIGINT; partial report flushed)\n";
-
-// Set from the SIGTERM/SIGINT handler; polled by the babysitting loop and
-// between attempts so the batch stops at the next safe point, kills and
-// reaps the in-flight worker, and still flushes a valid (partial) report.
-volatile std::sig_atomic_t g_interrupt_requested = 0;
-
-void on_interrupt_signal(int) { g_interrupt_requested = 1; }
-
-void install_interrupt_handlers() {
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof sa);
-  sa.sa_handler = on_interrupt_signal;
-  sigemptyset(&sa.sa_mask);
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-}
 
 std::vector<std::string> split_list(const std::string& csv) {
   std::vector<std::string> out;
@@ -119,253 +84,97 @@ std::vector<std::string> split_list(const std::string& csv) {
   return out;
 }
 
-void sleep_seconds(double s) {
-  std::this_thread::sleep_for(std::chrono::duration<double>(s));
-}
-
-// ----------------------------------------------------------------- worker
-
-// Child process: optimize one circuit, certify, write the result file.
-// Exit 0 when the result file was written (feasibility and certification
-// ride in the file; the parent judges them), nonzero on any error.
-int run_worker(const util::Cli& cli) {
-  const std::string circuit = cli.get("circuit", std::string());
-  const std::string out_path = cli.get("out", std::string());
-  const std::string kind = cli.get("optimizer", std::string("robust"));
-  if (circuit.empty() || out_path.empty()) {
-    std::fprintf(stderr, "worker: --circuit and --out are required\n");
-    return 2;
-  }
-  if (cli.get("inject-hang", std::string()) == circuit) {
-    // Test hook: simulate a wedged optimization so the parent's timeout,
-    // retry and quarantine paths can be exercised quickly and reliably.
-    sleep_seconds(3600.0);
-    return 1;
-  }
-
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(cli.get("seed", 1.0));
-  netlist::Netlist nl = bench_suite::make_circuit(circuit);
-  bench_suite::ExperimentConfig cfg;
-  cfg.clock_frequency = cli.get("fc", 300e6);
-  bool tc_scaled = false;
-  const double tc = bench_suite::choose_cycle_time(nl, cfg, &tc_scaled);
-
-  opt::EvalSettings settings;
-  settings.clock_frequency = 1.0 / tc;
-  activity::ActivityProfile profile;
-  profile.input_density = cli.get("activity", 0.3);
-  const opt::CircuitEvaluator eval(nl, cfg.tech, profile, settings);
-
-  opt::OptimizationResult result;
-  double skew_b = 0.95;
-  if (kind == "robust") {
-    opt::RobustOptions ropts;
-    result = opt::RobustOptimizer(eval, ropts).run();
-    skew_b = ropts.joint.skew_b;
-  } else if (kind == "joint") {
-    opt::OptimizerOptions opts;
-    result = opt::JointOptimizer(eval, opts).run();
-    skew_b = opts.skew_b;
-  } else if (kind == "baseline") {
-    opt::OptimizerOptions opts;
-    result = opt::BaselineOptimizer(eval, opts).run();
-    skew_b = opts.skew_b;
-  } else if (kind == "anneal") {
-    const opt::OptimizationResult warm =
-        opt::BaselineOptimizer(eval, {}).run();
-    opt::AnnealingOptions aopts;
-    aopts.seed = seed;
-    result = opt::AnnealingOptimizer(eval, aopts)
-                 .run(warm.feasible ? warm.state : opt::CircuitState{});
-    skew_b = aopts.skew_b;
-  } else {
-    std::fprintf(stderr, "worker: unknown --optimizer=%s\n", kind.c_str());
-    return 2;
-  }
-
-  // Independent certification; the RobustOptimizer certifies internally but
-  // the batch report wants the certificate for every portfolio member.
-  opt::CertifyOptions copts;
-  copts.skew_b = skew_b;
-  const opt::Certificate cert = opt::Certifier(eval, copts).certify(result);
-
-  util::JsonWriter w(2);
-  w.begin_object();
-  w.kv("schema", kWorkerSchema);
-  w.kv("circuit", circuit);
-  w.kv("optimizer", kind);
-  w.kv("seed", static_cast<double>(seed));
-  w.kv("feasible", result.feasible);
-  w.kv("certified", cert.certified);
-  w.kv("tier", opt::to_string(result.tier));
-  w.kv("truncated", result.truncated);
-  w.kv("vdd", result.vdd);
-  w.kv("vts_primary", result.vts_primary);
-  w.kv("energy_total", result.energy.total());
-  w.kv("static_energy", result.energy.static_energy);
-  w.kv("dynamic_energy", result.energy.dynamic_energy);
-  w.kv("critical_delay", result.critical_delay);
-  w.kv("cycle_time", tc);
-  w.kv("tc_scaled", tc_scaled);
-  w.kv("circuit_evaluations", result.circuit_evaluations);
-  w.kv("runtime_seconds", result.runtime_seconds);
-  w.key("certificate");
-  util::emit(w, util::JsonValue::parse(cert.to_json(0), "<certificate>"));
-  w.end_object();
-  // Atomic, fsynced, CRC-footed drop: the parent never sees a half-written
-  // result file, even if this worker is SIGKILLed mid-write — and a torn or
-  // bit-rotted file is rejected at read time, not trusted.
-  io::write_artifact(out_path, kWorkerSchema, w.str() + "\n");
-  return 0;
-}
-
-// ------------------------------------------------------------------ parent
-
-struct Attempt {
-  std::uint64_t seed = 0;
-  std::string outcome;  // "ok" | "timeout" | "crash" | "error"
-  int exit_code = 0;
-  double wall_seconds = 0.0;
-  double backoff_seconds = 0.0;  // slept before this attempt
-};
-
-struct CircuitRun {
-  std::string circuit;
-  std::string optimizer;
-  std::string status;  // "ok" | "quarantined"
-  std::vector<Attempt> attempts;
-  std::string result_json;  // worker payload when status == "ok"
-};
-
-// Launches one worker and babysits it against the wall-clock timeout.
-Attempt run_attempt(const std::string& self, const util::Cli& cli,
-                    const std::string& circuit, const std::string& optimizer,
-                    std::uint64_t seed, double timeout_s,
-                    const std::string& out_path) {
-  Attempt a;
-  a.seed = seed;
-  std::remove(out_path.c_str());
-
-  std::vector<std::string> args = {
-      self,
-      "--worker",
-      "--circuit=" + circuit,
-      "--optimizer=" + optimizer,
-      "--seed=" + std::to_string(seed),
-      "--out=" + out_path,
-      "--fc=" + std::to_string(cli.get("fc", 300e6)),
-      "--activity=" + std::to_string(cli.get("activity", 0.3)),
-      "--threads=" + std::to_string(cli.get("threads", 0)),
-      "--eval-cache=" + std::to_string(cli.get("eval-cache", 1)),
-  };
-  const std::string hang = cli.get("inject-hang", std::string());
-  if (!hang.empty()) args.push_back("--inject-hang=" + hang);
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& s : args) argv.push_back(s.data());
-  argv.push_back(nullptr);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const pid_t pid = fork();
-  if (pid < 0) {
-    a.outcome = "error";
-    a.exit_code = -1;
-    return a;
-  }
-  if (pid == 0) {
-    execv(self.c_str(), argv.data());
-    std::fprintf(stderr, "exec failed: %s\n", std::strerror(errno));
-    _exit(127);
-  }
-
-  int status = 0;
-  for (;;) {
-    const pid_t r = waitpid(pid, &status, WNOHANG);
-    if (r == pid) break;
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (g_interrupt_requested) {
-      // Graceful interruption: never leave an orphaned worker computing.
-      kill(pid, SIGKILL);
-      waitpid(pid, &status, 0);  // reap
-      a.outcome = "interrupted";
-      a.exit_code = -SIGTERM;
-      a.wall_seconds = elapsed;
-      obs::counter("batch.interrupted").add();
-      return a;
-    }
-    if (elapsed > timeout_s) {
-      kill(pid, SIGKILL);
-      waitpid(pid, &status, 0);  // reap
-      a.outcome = "timeout";
-      a.exit_code = -SIGKILL;
-      a.wall_seconds = elapsed;
-      obs::counter("batch.timeouts").add();
-      return a;
-    }
-    sleep_seconds(0.01);
-  }
-  a.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (WIFSIGNALED(status)) {
-    a.outcome = "crash";
-    a.exit_code = -WTERMSIG(status);
-    obs::counter("batch.crashes").add();
-  } else if (WEXITSTATUS(status) != 0) {
-    a.outcome = "error";
-    a.exit_code = WEXITSTATUS(status);
-  } else {
-    a.outcome = "ok";
-    a.exit_code = 0;
-  }
-  return a;
-}
-
-void emit_report(const std::string& path,
-                 const std::vector<CircuitRun>& runs, double total_wall,
-                 bool interrupted) {
+// Writes the report, one entry per submitted job in submission order, and
+// returns the batch exit code. A job still pending or running after the
+// supervisor returned was cut short by a SIGTERM/SIGINT drain.
+int write_report(const serve::SpoolQueue& queue,
+                 const std::vector<std::string>& ids,
+                 const std::string& report_path, double total_wall) {
+  const serve::QueueCounts counts = queue.counts();
+  const bool interrupted = counts.pending + counts.running > 0;
   util::JsonWriter w(2);
   w.begin_object();
   w.kv("schema", kReportSchema);
   w.kv("total_wall_seconds", total_wall);
   w.kv("interrupted", interrupted);
   w.key("circuits").begin_array();
-  for (const CircuitRun& run : runs) {
+  std::vector<std::string> quarantined;
+  bool any_failed = false;
+  for (const std::string& id : ids) {
+    std::string dir = "running";
+    for (const char* d : {"done", "failed", "quarantined", "pending"}) {
+      if (std::filesystem::exists(queue.job_path(d, id))) dir = d;
+    }
+    std::string status = dir == "done" ? "ok" : dir;
+    if (dir == "pending" || dir == "running") status = "interrupted";
+    const std::string path = queue.job_path(dir, id);
+    const util::JsonValue rec = util::JsonValue::parse(
+        io::read_artifact(path, serve::kJobSchema), path);
+    serve::Job job;
+    job.circuit = rec.get_string("circuit", "");
+    job.seed = static_cast<std::uint64_t>(rec.get_number("seed", 1.0));
+    const std::string optimizer = rec.get_string("optimizer", "");
     w.begin_object();
-    w.kv("circuit", run.circuit);
-    w.kv("optimizer", run.optimizer);
-    w.kv("status", run.status);
+    w.kv("circuit", job.circuit);
+    w.kv("optimizer", optimizer);
+    w.kv("status", status);
     w.key("attempts").begin_array();
-    for (const Attempt& a : run.attempts) {
+    for (const util::JsonValue& a : rec.at("attempts").items()) {
+      // The journal stores seeds as signed 64-bit integers, which a JSON
+      // number cannot carry exactly; re-derive each attempt's seed from the
+      // schedule the supervisor spawned it with.
+      const std::string outcome = a.get_string("outcome", "");
       w.begin_object();
-      w.kv("seed", static_cast<double>(a.seed));
-      w.kv("outcome", a.outcome);
-      w.kv("exit_code", a.exit_code);
-      w.kv("wall_seconds", a.wall_seconds);
-      w.kv("backoff_seconds", a.backoff_seconds);
+      w.kv("seed", static_cast<double>(
+                       serve::attempt_seed(job, job.failed_attempts())));
+      w.kv("outcome", outcome);
+      w.kv("exit_code", static_cast<int>(a.get_number("exit_code", 0.0)));
+      w.kv("wall_seconds", a.get_number("wall_seconds", 0.0));
+      w.kv("backoff_seconds", a.get_number("backoff_seconds", 0.0));
       w.end_object();
+      job.attempts.push_back({.outcome = outcome});
     }
     w.end_array();
-    if (!run.result_json.empty()) {
+    if (rec.has("result")) {
       w.key("result");
-      util::emit(w, util::JsonValue::parse(run.result_json, "<worker>"));
+      util::emit(w, rec.at("result"));
     }
     w.end_object();
+
+    const char* name = job.circuit.c_str();
+    if (status == "quarantined") {
+      quarantined.push_back(job.circuit);
+      std::fprintf(stderr, "batch: QUARANTINED %s/%s after %zu attempts\n",
+                   name, optimizer.c_str(), job.attempts.size());
+    } else if (status == "failed") {
+      any_failed = true;
+      const util::JsonValue& failure = rec.at("failure");
+      std::printf("%-8s %-9s FAILED %s: %s\n", name, optimizer.c_str(),
+                  failure.get_string("type", "?").c_str(),
+                  failure.get_string("detail", "").c_str());
+    } else if (status == "ok") {  // done/ holds only certified results
+      const util::JsonValue& res = rec.at("result");
+      std::printf("%-8s %-9s ok     E %.4g J/cycle  tier %-11s certified\n",
+                  name, optimizer.c_str(), res.get_number("energy_total", 0.0),
+                  res.get_string("tier", "?").c_str());
+    }
   }
   w.end_array();
   w.key("quarantined").begin_array();
-  for (const CircuitRun& run : runs) {
-    if (run.status == "quarantined") w.value(run.circuit);
-  }
+  for (const std::string& c : quarantined) w.value(c);
   w.end_array();
   w.end_object();
-  io::write_artifact(path, kReportSchema, w.str() + "\n");
+  io::write_artifact(report_path, kReportSchema, w.str() + "\n");
+  std::printf("batch: %zu run(s), %zu quarantined%s, report %s\n", ids.size(),
+              quarantined.size(), interrupted ? ", INTERRUPTED" : "",
+              report_path.c_str());
+  // Quarantine is a contained failure (reported, not fatal); a failed job
+  // — a typed error or an infeasible/uncertified answer — fails the batch.
+  if (any_failed) return 1;
+  return interrupted ? 3 : 0;
 }
 
-int run_batch(const std::string& self, const util::Cli& cli) {
+int run_batch(const util::Cli& cli) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<std::string> circuits =
       split_list(cli.get("circuits", std::string("s27,s298*,s344*")));
@@ -375,120 +184,46 @@ int run_batch(const std::string& self, const util::Cli& cli) {
     std::fprintf(stderr, "error: empty --circuits or --optimizers\n");
     return 2;
   }
-  const std::uint64_t base_seed =
-      static_cast<std::uint64_t>(cli.get("seed", 1.0));
-  const int retries = cli.get("retries", 2);
-  const double timeout_s = cli.get("timeout", 300.0);
-  const double backoff_s = cli.get("backoff", 0.5);
   const std::string report_path =
       cli.get("report", std::string("minergy_batch.json"));
-  const std::string scratch = report_path + ".worker.tmp";
+  const std::string hang = cli.get("inject-hang", std::string());
 
-  install_interrupt_handlers();
-  std::vector<CircuitRun> runs;
-  bool any_bad_result = false;
+  const std::string spool = report_path + ".spool";
+  std::filesystem::remove_all(spool);
+  serve::SpoolOptions spool_opts;
+  spool_opts.max_pending = circuits.size() * optimizers.size();
+  serve::SpoolQueue queue(spool, spool_opts);
+  std::vector<std::string> ids;
   for (const std::string& circuit : circuits) {
-    if (g_interrupt_requested) break;
     for (const std::string& optimizer : optimizers) {
-      if (g_interrupt_requested) break;
-      const obs::Span span("batch.circuit");
-      obs::Tracer::instance().instant("batch.start", circuit);
-      CircuitRun run;
-      run.circuit = circuit;
-      run.optimizer = optimizer;
-      // Attempt seeds are decorrelated per (circuit, attempt): a retry is a
-      // genuinely different stochastic run, not the same failure replayed.
-      constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-      std::uint64_t name_hash = 1469598103934665603ULL;
-      for (const char c : circuit) {
-        name_hash =
-            (name_hash ^ static_cast<unsigned char>(c)) * kFnvPrime;
-      }
-      for (int attempt = 0; attempt <= retries; ++attempt) {
-        if (g_interrupt_requested) break;
-        obs::counter("batch.attempts").add();
-        std::uint64_t seed = base_seed;
-        double backoff = 0.0;
-        if (attempt > 0) {
-          seed = util::hash_mix(base_seed ^ name_hash ^
-                                static_cast<std::uint64_t>(attempt));
-          backoff = backoff_s * static_cast<double>(1 << (attempt - 1));
-          obs::counter("batch.retries").add();
-          std::fprintf(stderr,
-                       "batch: retrying %s/%s (attempt %d, seed %llu) after "
-                       "%.2f s backoff\n",
-                       circuit.c_str(), optimizer.c_str(), attempt + 1,
-                       static_cast<unsigned long long>(seed), backoff);
-          sleep_seconds(backoff);
-        }
-        Attempt a = run_attempt(self, cli, circuit, optimizer, seed,
-                                timeout_s, scratch);
-        a.backoff_seconds = backoff;
-        const bool ok = a.outcome == "ok";
-        run.attempts.push_back(a);
-        if (a.outcome == "interrupted") break;
-        if (ok) {
-          try {
-            run.result_json = io::read_artifact(scratch, kWorkerSchema);
-            run.status = "ok";
-            break;
-          } catch (const io::IntegrityError& e) {
-            // The worker exited 0 but its result file fails verification
-            // (torn write, bit rot): treat the attempt as an error and let
-            // the normal retry schedule re-run it.
-            obs::counter("batch.corrupt_results").add();
-            run.attempts.back().outcome = "error";
-            std::fprintf(stderr, "batch: corrupt result for %s/%s: %s\n",
-                         circuit.c_str(), optimizer.c_str(), e.what());
-          }
-        }
-      }
-      if (run.status.empty() && g_interrupt_requested) {
-        // Cut short by SIGTERM/SIGINT, not a failure of the circuit itself.
-        run.status = "interrupted";
-        std::fprintf(stderr, "batch: interrupted during %s/%s\n",
-                     circuit.c_str(), optimizer.c_str());
-      } else if (run.status.empty()) {
-        run.status = "quarantined";
-        obs::counter("batch.quarantines").add();
-        obs::Tracer::instance().instant("batch.quarantined", circuit);
-        std::fprintf(stderr, "batch: QUARANTINED %s/%s after %zu attempts\n",
-                     circuit.c_str(), optimizer.c_str(),
-                     run.attempts.size());
-      } else {
-        const util::JsonValue res =
-            util::JsonValue::parse(run.result_json, "<worker>");
-        const bool feasible = res.get_bool("feasible", false);
-        const bool certified = res.get_bool("certified", false);
-        if (!feasible || !certified) any_bad_result = true;
-        std::printf("%-8s %-9s %-6s E %.4g J/cycle  tier %-11s %s\n",
-                    circuit.c_str(), optimizer.c_str(),
-                    feasible ? "ok" : "INFEAS",
-                    res.get_number("energy_total", 0.0),
-                    res.get_string("tier", "?").c_str(),
-                    certified ? "certified" : "UNCERTIFIED");
-      }
-      runs.push_back(std::move(run));
+      serve::Job job;
+      job.circuit = circuit;
+      job.optimizer = optimizer;
+      job.seed = static_cast<std::uint64_t>(cli.get("seed", 1.0));
+      job.clock_frequency = cli.get("fc", 300e6);
+      job.activity = cli.get("activity", 0.3);
+      if (circuit == hang) job.inject = "hang";
+      ids.push_back(queue.submit(std::move(job)));
     }
   }
-  std::remove(scratch.c_str());
+
+  serve::SupervisorOptions opts;
+  // Workers re-exec this binary in --worker mode.
+  opts.worker_binary = "/proc/self/exe";
+  opts.workers = 1;
+  opts.once = true;
+  opts.worker_threads = cli.get("threads", 0);
+  opts.timeout_seconds = cli.get("timeout", 300.0);
+  opts.max_retries = cli.get("retries", 2);
+  opts.backoff_seconds = cli.get("backoff", 0.5);
+  serve::Supervisor(queue, opts).run();
 
   const double total_wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  const bool interrupted = g_interrupt_requested != 0;
-  emit_report(report_path, runs, total_wall, interrupted);
-  std::size_t quarantined = 0;
-  for (const CircuitRun& r : runs) {
-    if (r.status == "quarantined") ++quarantined;
-  }
-  std::printf("batch: %zu run(s), %zu quarantined%s, report %s\n",
-              runs.size(), quarantined, interrupted ? ", INTERRUPTED" : "",
-              report_path.c_str());
-  // Quarantine is a contained failure (reported, not fatal); a completed
-  // but infeasible/uncertified result is a wrong answer and fails the batch.
-  if (any_bad_result) return 1;
-  return interrupted ? 3 : 0;
+  const int rc = write_report(queue, ids, report_path, total_wall);
+  std::filesystem::remove_all(spool);
+  return rc;
 }
 
 // ------------------------------------------------------------ verification
@@ -532,7 +267,7 @@ int verify_report(const util::Cli& cli) {
       const std::string status = c.get_string("status", "");
       if (status == "quarantined" || status == "interrupted") continue;
       if (status != "ok" || !c.has("result")) {
-        std::fprintf(stderr, "verify: %s has status '%s' and no result\n",
+        std::fprintf(stderr, "verify: %s has status '%s'\n",
                      c.get_string("circuit", "?").c_str(), status.c_str());
         return 1;
       }
@@ -570,30 +305,18 @@ int verify_report(const util::Cli& cli) {
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
-  // Evaluation engine knobs, parsed before mode dispatch so both the batch
-  // parent and re-exec'd --worker children honor them: --threads=N
-  // (0 = hardware concurrency; 1 = bit-exact serial path) and
-  // --eval-cache=0/1 (memoized evaluator results, default on).
-  util::set_global_threads(cli.get("threads", 0));
-  opt::set_eval_cache_enabled(cli.get("eval-cache", 1) != 0);
   if (cli.has("help")) {
     std::printf("%s", kUsage);
     return 0;
   }
-  if (cli.has("worker")) return run_worker(cli);
+  if (cli.has("worker")) {
+    return serve::run_worker_mode(
+        cli, serve::SpoolQueue(cli.get("spool", std::string())));
+  }
   if (cli.has("verify-report")) return verify_report(cli);
   obs::Session session(cli, "minergy_batch");
   obs::set_enabled(true);
-  // Workers re-exec this binary; resolve the real path so the batch works
-  // regardless of how (and from where) it was invoked.
-  char self_buf[4096];
-  const ssize_t n = readlink("/proc/self/exe", self_buf, sizeof self_buf - 1);
-  std::string self = argv[0];
-  if (n > 0) {
-    self_buf[n] = '\0';
-    self = self_buf;
-  }
-  return run_batch(self, cli);
+  return run_batch(cli);
 } catch (const std::invalid_argument& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 2;

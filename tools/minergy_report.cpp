@@ -44,12 +44,10 @@
 #include "opt/annealing_optimizer.h"
 #include "opt/baseline_optimizer.h"
 #include "opt/certifier.h"
-#include "opt/eval_cache.h"
 #include "opt/evaluator.h"
 #include "opt/joint_optimizer.h"
 #include "opt/robust_optimizer.h"
 #include "util/cli.h"
-#include "util/thread_pool.h"
 #include "util/strings.h"
 
 using namespace minergy;
@@ -67,11 +65,7 @@ util::WatchdogBudget budget_from(const util::Cli& cli) {
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
-  // Evaluation engine knobs shared with the bench drivers: --threads=N
-  // (0 = hardware concurrency; 1 = bit-exact serial path) and
-  // --eval-cache=0/1 (memoized evaluator results, default on).
-  util::set_global_threads(cli.get("threads", 0));
-  opt::set_eval_cache_enabled(cli.get("eval-cache", 1) != 0);
+  bench_suite::apply_engine_flags(cli);
   obs::Session session(cli, "minergy_report");
   const std::string report_path = cli.get("report", std::string());
   // Trajectories ride in the report regardless, but counters need the

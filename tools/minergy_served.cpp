@@ -120,9 +120,7 @@
 #include "serve/queue.h"
 #include "serve/supervisor.h"
 #include "serve/worker.h"
-#include "util/thread_pool.h"
 #include "util/check.h"
-#include "util/checkpoint.h"
 #include "util/cli.h"
 #include "util/json.h"
 
@@ -205,32 +203,6 @@ int run_submit(const util::Cli& cli, serve::SpoolQueue& queue) {
                  e.retry_after_seconds());
     return 1;
   }
-}
-
-int run_worker_mode(const util::Cli& cli, serve::SpoolQueue& queue) {
-  // Evaluation parallelism for this job (forwarded by the supervisor's
-  // --worker-threads; 0 = hardware concurrency).
-  util::set_global_threads(cli.get("threads", 0));
-  const std::string id = cli.get("job-id", std::string());
-  if (id.empty()) {
-    std::fprintf(stderr, "worker: --job-id is required\n");
-    return 2;
-  }
-  const std::string path = queue.job_path("running", id);
-  serve::Job job;
-  try {
-    job = serve::Job::from_json(io::read_artifact(path, serve::kJobSchema),
-                                path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "worker: %s\n", e.what());
-    return 2;
-  }
-  const std::uint64_t seed = static_cast<std::uint64_t>(
-      cli.get("attempt-seed", static_cast<double>(job.seed)));
-  return serve::run_worker_job(job, seed, queue.result_path(id),
-                               queue.checkpoint_path(id),
-                               cli.get("brownout-level", 0),
-                               cli.get("lease-path", std::string()));
 }
 
 // Offline anti-entropy pass: one scrubber sweep, a human-readable summary,
@@ -417,7 +389,7 @@ int main(int argc, char** argv) try {
     return 2;
   }
   serve::SpoolQueue queue(spool, spool_options(cli));
-  if (cli.has("worker")) return run_worker_mode(cli, queue);
+  if (cli.has("worker")) return serve::run_worker_mode(cli, queue);
   if (cli.has("submit")) return run_submit(cli, queue);
   if (cli.has("status")) return run_status(cli, queue);
   if (cli.has("scrub")) return run_scrub(queue);
