@@ -343,11 +343,16 @@ cp "$traj" bench/trajectory/BENCH_table1_baseline.latest.json
 # Table-2 trajectory: the heuristic on the largest bundled circuit, once
 # with --threads=1 --eval-cache=0 and once at the defaults (hardware
 # threads + cache). Both perf records, each with its own wall_seconds, land
-# in one archived document together with the machine's
-# hardware_concurrency. The evaluation kernels are serial, so the default
-# run must dispatch no pool job at all (util.pool.jobs is a deterministic
-# counter, absent from the record when zero); wall time is archived, never
-# gated. The `par` oracles above already prove both flows bit-identical.
+# in one document together with the machine's hardware_concurrency. The
+# evaluation kernels are serial, so the default run must dispatch no pool
+# job at all (util.pool.jobs is a deterministic counter, absent from the
+# record when zero). The fresh document is then diffed against the
+# committed one: the work counters are deterministic, so any drift fails
+# the leg (trace_check --diff-perf; wall time and histograms are printed,
+# never gated). The fresh file replaces the committed one either way, so
+# a change that moves the counters on purpose commits the regenerated
+# file with it. The `par` oracles above already prove both flows
+# bit-identical.
 step "perf trajectory (table2_heuristic, serial vs defaults)"
 t2_serial=build-ci-release/BENCH_table2_serial.json
 t2_default=build-ci-release/BENCH_table2_default.json
@@ -358,6 +363,8 @@ build-ci-release/bench/table2_heuristic --circuit='s832*' \
 pool_jobs=$(sed -n 's/^ *"util\.pool\.jobs": *\([0-9]*\).*/\1/p' "$t2_default")
 [ "${pool_jobs:-0}" -eq 0 ] \
   || { echo "default table2 run dispatched $pool_jobs pool jobs; the evaluation kernels must stay serial"; exit 1; }
+t2_fresh=build-ci-release/BENCH_table2_heuristic.json
+t2_committed=bench/trajectory/BENCH_table2_heuristic.latest.json
 {
   printf '{\n'
   printf '"schema": "minergy.perf_trajectory.v1",\n'
@@ -369,7 +376,12 @@ pool_jobs=$(sed -n 's/^ *"util\.pool\.jobs": *\([0-9]*\).*/\1/p' "$t2_default")
   printf ',\n"defaults": '
   cat "$t2_default"
   printf '}\n'
-} > bench/trajectory/BENCH_table2_heuristic.latest.json
-grep -H '"wall_seconds"' "$t2_serial" "$t2_default"
+} > "$t2_fresh"
+t2_drift=0
+build-ci-release/tools/trace_check --diff-perf="$t2_committed" "$t2_fresh" \
+  || t2_drift=$?
+cp "$t2_fresh" "$t2_committed"
+[ "$t2_drift" -eq 0 ] \
+  || { echo "work counters drifted from $t2_committed (trace_check rc $t2_drift); the regenerated file is in place: commit it with the change that explains the drift"; exit 1; }
 
 step "OK: all builds green, fault+obs+serve+diskfault+overload+ha+par labels pass (and on one core), batch results certified, exposition scraped live, overload shed+browned out+recovered, standby survived kill -9 of its leader"

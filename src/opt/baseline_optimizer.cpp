@@ -61,8 +61,7 @@ OptimizationResult BaselineOptimizer::run() const {
   auto probe = [&](double vdd) {
     dog.note_evaluation();
     c_probes.add();
-    SizingResult sized =
-        sizer.size(budgets.t_max, vdd, vts_corner, opts_.sizing_steps);
+    SizingResult sized = sizer.size(budgets.t_max, vdd, vts_corner);
     CircuitState state;
     state.vdd = vdd;
     state.vts.assign(nl.size(), fixed_vts_);
@@ -74,8 +73,8 @@ OptimizationResult BaselineOptimizer::run() const {
       // Same post-processing width recovery as the joint flow (the two
       // flows must share sizing machinery for a fair comparison).
       for (int pass = 0; pass < opts_.recovery_passes; ++pass) {
-        SizingResult recovered = sizer.recover(
-            state.widths, vdd, vts_corner, limit, report, opts_.sizing_steps);
+        SizingResult recovered =
+            sizer.recover(state.widths, vdd, vts_corner, limit, report);
         CircuitState candidate = state;
         candidate.widths = std::move(recovered.widths);
         const timing::TimingReport check = eval_.sta(candidate, limit);

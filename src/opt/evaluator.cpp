@@ -149,16 +149,18 @@ power::EnergyBreakdown CircuitEvaluator::energy(
   // Summed in topological order, so the floating-point total is the same on
   // every run.
   power::EnergyBreakdown total;
+  tech::OperatingPointMemo nominal(dev_), leaky(dev_);
   for (netlist::GateId id : nl_.combinational()) {
     // Dynamic energy at nominal threshold (capacitances are Vt-independent
     // here), leakage at the low-Vt corner.
-    power::EnergyBreakdown e =
-        energy_.gate_energy(id, state.widths, state.vdd, state.vts[id]);
+    power::EnergyBreakdown e = energy_.gate_energy(
+        id, state.widths, nominal.at(state.vdd, state.vts[id]));
     if (settings_.vts_tolerance != 0.0) {
-      e.static_energy = energy_
-                            .gate_energy(id, state.widths, state.vdd,
-                                         leakage_vts(state.vts[id]))
-                            .static_energy;
+      e.static_energy =
+          energy_
+              .gate_energy(id, state.widths,
+                           leaky.at(state.vdd, leakage_vts(state.vts[id])))
+              .static_energy;
     }
     total += e;
   }

@@ -34,7 +34,6 @@ JointOptimizer::JointOptimizer(const CircuitEvaluator& eval,
                                OptimizerOptions options)
     : eval_(eval), opts_(options) {
   MINERGY_CHECK(opts_.steps >= 1);
-  MINERGY_CHECK(opts_.sizing_steps >= 1);
   MINERGY_CHECK(opts_.num_thresholds >= 1);
   MINERGY_CHECK(opts_.skew_b > 0.0 && opts_.skew_b <= 1.0);
 }
@@ -58,8 +57,7 @@ JointOptimizer::Probe JointOptimizer::probe(
     vts_corner[i] = eval_.delay_vts(vts[i]);
   }
   const GateSizer sizer(eval_.delay_calculator());
-  SizingResult sized =
-      sizer.size(budgets.t_max, vdd, vts_corner, opts_.sizing_steps);
+  SizingResult sized = sizer.size(budgets.t_max, vdd, vts_corner);
   p.state.widths = std::move(sized.widths);
   MINERGY_CHECK(p.state.widths.size() == nl.size());
 
@@ -74,9 +72,8 @@ JointOptimizer::Probe JointOptimizer::probe(
     // circuit's real slack (each pass verified by a fresh STA; a pass that
     // breaks timing is reverted and iteration stops).
     for (int pass = 0; pass < opts_.recovery_passes; ++pass) {
-      SizingResult recovered = sizer.recover(p.state.widths, vdd, vts_corner,
-                                             limit, report,
-                                             opts_.sizing_steps);
+      SizingResult recovered =
+          sizer.recover(p.state.widths, vdd, vts_corner, limit, report);
       CircuitState candidate = p.state;
       candidate.widths = std::move(recovered.widths);
       const timing::TimingReport check = eval_.sta(candidate, limit);

@@ -51,9 +51,8 @@ OptimizationResult RobustOptimizer::last_resort() const {
   const std::vector<double> vts_corner(nl.size(),
                                        eval_.delay_vts(tech.vts_min));
   const GateSizer sizer(eval_.delay_calculator());
-  SizingResult sized =
-      sizer.size(budgets.t_max, tech.vdd_max,
-                 std::span<const double>(vts_corner), opts_.joint.sizing_steps);
+  SizingResult sized = sizer.size(budgets.t_max, tech.vdd_max,
+                                  std::span<const double>(vts_corner));
 
   OptimizationResult result;
   result.tier = ResultTier::kLastResort;

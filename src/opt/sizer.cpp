@@ -1,23 +1,81 @@
 #include "opt/sizer.h"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "timing/sta.h"
 #include "util/check.h"
 
 namespace minergy::opt {
+namespace {
+
+struct WidthSolve {
+  double width = 0.0;
+  bool met = false;  // gate_delay at `width` meets the budget
+};
+
+// Confirming evals allowed after the first, each with twice the previous
+// nudge, before the last one tries the upper bound itself.
+constexpr int kMaxNudges = 4;
+
+// The smallest width in [w_min, w_hi] whose gate_delay meets `budget`, or
+// {w_hi, false} when none does. Overwrites widths[id].
+WidthSolve solve_width(const timing::DelayCalculator& calc, netlist::GateId id,
+                       std::vector<double>& widths,
+                       const tech::OperatingPoint& op, double slope_in,
+                       double budget, double w_min, double w_hi) {
+  widths[id] = w_min;
+  const timing::WidthTerms t = calc.width_terms(id, widths, op, slope_in);
+  if (t.delay <= budget) return {w_min, true};
+  // No width reaches a budget at or below the width-independent part
+  // (this also covers drive k <= 0, where a = +inf).
+  if (!(budget > t.a)) return {w_hi, false};
+  const double w_star = t.b / (budget - t.a);
+  if (!(w_star <= w_hi)) return {w_hi, false};
+
+  // gate_delay rounds differently from a + b/w, so w* itself can miss the
+  // budget by an ulp or two of it. Raising w by the relative amount nudge
+  // lowers b/w by nudge * (budget - a): start at 2 ulps of the budget.
+  double nudge =
+      2.0 * std::numeric_limits<double>::epsilon() * budget / (budget - t.a);
+  const double w = std::max(w_min, w_star);
+  for (int i = 0;; ++i) {
+    const double cand =
+        i < kMaxNudges ? std::min(w_hi, w * (1.0 + nudge)) : w_hi;
+    widths[id] = cand;
+    if (calc.gate_delay(id, widths, op, slope_in) <= budget) {
+      return {cand, true};
+    }
+    if (cand >= w_hi) return {w_hi, false};
+    nudge *= 2.0;
+  }
+}
+
+// Worst-case input-edge contribution: the largest budget among the gate's
+// logic fanins.
+double slope_input(const netlist::Netlist& nl, netlist::GateId id,
+                   std::span<const double> budgets) {
+  double slope_in = 0.0;
+  for (netlist::GateId f : nl.gate(id).fanins) {
+    if (netlist::is_combinational(nl.gate(f).type)) {
+      slope_in = std::max(slope_in, budgets[f]);
+    }
+  }
+  return slope_in;
+}
+
+}  // namespace
 
 GateSizer::GateSizer(const timing::DelayCalculator& calc) : calc_(calc) {}
 
 SizingResult GateSizer::size(std::span<const double> t_max, double vdd,
-                             std::span<const double> vts, int steps) const {
+                             std::span<const double> vts,
+                             [[maybe_unused]] int steps) const {
   const netlist::Netlist& nl = calc_.netlist();
   const tech::Technology& tech = calc_.device().technology();
   MINERGY_CHECK(t_max.size() == nl.size());
   MINERGY_CHECK(vts.size() == nl.size());
-  MINERGY_CHECK(steps >= 1);
 
   static obs::Counter& c_calls = obs::counter("opt.sizer.size_calls");
   static obs::Counter& c_gates = obs::counter("opt.sizer.width_searches");
@@ -30,48 +88,20 @@ SizingResult GateSizer::size(std::span<const double> t_max, double vdd,
 
   // Reverse topological order: the delay model reads the widths of the
   // gate's fanouts (load), which are final by the time the gate is sized.
+  tech::OperatingPointMemo op(calc_.device());
   const auto& topo = nl.combinational();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const netlist::GateId id = *it;
-    const netlist::Gate& g = nl.gate(id);
-
-    // Worst-case input-edge contribution from the fanins' budgets.
-    double slope_in = 0.0;
-    for (netlist::GateId f : g.fanins) {
-      if (netlist::is_combinational(nl.gate(f).type)) {
-        slope_in = std::max(slope_in, t_max[f]);
-      }
-    }
-
-    auto delay_at = [&](double w) {
-      r.widths[id] = w;
-      return calc_.gate_delay(id, r.widths, vdd, vts[id], slope_in);
-    };
-
-    const double budget = t_max[id];
-    if (delay_at(tech.w_min) <= budget) {
-      r.widths[id] = tech.w_min;
-      continue;
-    }
-    if (delay_at(tech.w_max) > budget) {
-      // Unreachable even at maximum drive; take the fastest width.
-      r.widths[id] = tech.w_max;
+    const WidthSolve s =
+        solve_width(calc_, id, r.widths, op.at(vdd, vts[id]),
+                    slope_input(nl, id, t_max), t_max[id], tech.w_min,
+                    tech.w_max);
+    // A miss takes the fastest width.
+    r.widths[id] = s.width;
+    if (!s.met) {
       r.all_budgets_met = false;
       ++r.gates_missed;
-      continue;
     }
-    // Binary search the smallest width meeting the budget.
-    double lo = tech.w_min, hi = tech.w_max;
-    for (int s = 0; s < steps; ++s) {
-      const double mid = 0.5 * (lo + hi);
-      if (delay_at(mid) <= budget) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-    }
-    r.widths[id] = hi;  // hi always meets the budget
-    (void)delay_at(hi);
   }
   return r;
 }
@@ -80,7 +110,7 @@ SizingResult GateSizer::recover(std::span<const double> widths, double vdd,
                                 std::span<const double> vts,
                                 double cycle_limit,
                                 const timing::TimingReport& report,
-                                int steps) const {
+                                [[maybe_unused]] int steps) const {
   const netlist::Netlist& nl = calc_.netlist();
   const tech::Technology& tech = calc_.device().technology();
   MINERGY_CHECK(widths.size() == nl.size());
@@ -102,48 +132,20 @@ SizingResult GateSizer::recover(std::span<const double> widths, double vdd,
   r.widths.assign(widths.begin(), widths.end());
   r.all_budgets_met = true;
 
-  // Same reverse topological order (and the same argument) as size().
+  // Same reverse topological order (and the same argument) as size(), with
+  // the fanins' relaxed budgets as the conservative slope input.
+  tech::OperatingPointMemo op(calc_.device());
   const auto& topo = nl.combinational();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const netlist::GateId id = *it;
-    const netlist::Gate& g = nl.gate(id);
     const double w_old = r.widths[id];
     if (w_old <= tech.w_min * (1.0 + 1e-12)) continue;
-
-    // Conservative slope input: the fanins' relaxed budgets.
-    double slope_in = 0.0;
-    for (netlist::GateId f : g.fanins) {
-      if (netlist::is_combinational(nl.gate(f).type)) {
-        slope_in = std::max(slope_in, t_rec[f]);
-      }
-    }
-    auto delay_at = [&](double w) {
-      r.widths[id] = w;
-      return calc_.gate_delay(id, r.widths, vdd, vts[id], slope_in);
-    };
-
-    const double budget = t_rec[id];
-    if (delay_at(tech.w_min) <= budget) {
-      r.widths[id] = tech.w_min;
-      continue;
-    }
-    if (delay_at(w_old) > budget) {
-      // The relaxed slope input exceeds what this gate can absorb even at
-      // its current width: never upsize during recovery.
-      r.widths[id] = w_old;
-      continue;
-    }
-    double lo = tech.w_min, hi = w_old;
-    for (int s = 0; s < steps; ++s) {
-      const double mid = 0.5 * (lo + hi);
-      if (delay_at(mid) <= budget) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-    }
-    r.widths[id] = hi;
-    (void)delay_at(hi);
+    // A miss means the relaxed slope input exceeds what this gate can
+    // absorb even at its current width: it keeps w_old, never upsizing.
+    r.widths[id] = solve_width(calc_, id, r.widths, op.at(vdd, vts[id]),
+                               slope_input(nl, id, t_rec), t_rec[id],
+                               tech.w_min, w_old)
+                       .width;
   }
   return r;
 }

@@ -2,8 +2,10 @@
 //
 // Given per-gate delay budgets t_MAX,i and a candidate (Vdd, Vts), each
 // gate's width is the smallest w in [w_min, w_max] whose worst-case delay
-// meets its budget, found by binary search (power is monotone increasing
-// and delay monotone decreasing in w, other variables fixed). Gates are
+// meets its budget. With the fanout widths and the slope input fixed, the
+// Appendix A.2 delay is exactly d(w) = a + b/w (DelayCalculator::
+// width_terms), so that width has a closed form, w* = b / (t_MAX - a):
+// one decomposition eval, one confirming eval at w*, no search. Gates are
 // processed output-side first so every gate sees its final fanout loads;
 // the slope term conservatively uses the fanins' *budgets* (their actual
 // delays can only be smaller).
@@ -28,7 +30,9 @@ class GateSizer {
   explicit GateSizer(const timing::DelayCalculator& calc);
 
   // t_max indexed by gate id; vts is the *delay-corner* threshold per gate.
-  // `steps` is the paper's M binary-search iterations.
+  // Every returned width meets its budget under DelayCalculator::gate_delay;
+  // a gate that cannot, even at w_max, gets w_max and counts as missed.
+  // `steps` is ignored and stays only for source compatibility.
   SizingResult size(std::span<const double> t_max, double vdd,
                     std::span<const double> vts, int steps = 10) const;
 
@@ -39,9 +43,11 @@ class GateSizer {
   // a relaxed budget
   //     t_rec(g) = d(g) * limit / (limit - slack(g))
   // (the zero-slack rule: since slack(g) <= slack(p) for every path p
-  // through g, all path budget sums stay <= limit) and re-run the
-  // minimum-width search against it, never increasing any width. Callers
-  // must re-verify with a full STA; recovery is monotone in energy.
+  // through g, all path budget sums stay <= limit) and re-solve the
+  // minimum width against it, never increasing any width (a gate whose
+  // relaxed budget its current width cannot meet keeps that width).
+  // Callers must re-verify with a full STA; recovery is monotone in
+  // energy. `steps` is ignored, as in size().
   SizingResult recover(std::span<const double> widths, double vdd,
                        std::span<const double> vts, double cycle_limit,
                        const timing::TimingReport& report,

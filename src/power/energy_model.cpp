@@ -22,6 +22,18 @@ EnergyModel::EnergyModel(const netlist::Netlist& nl,
 EnergyBreakdown EnergyModel::gate_energy(netlist::GateId id,
                                          std::span<const double> widths,
                                          double vdd, double vts) const {
+  return gate_energy_at(id, widths, vdd, dev_.ioff_per_wunit(vts));
+}
+
+EnergyBreakdown EnergyModel::gate_energy(netlist::GateId id,
+                                         std::span<const double> widths,
+                                         const tech::OperatingPoint& op) const {
+  return gate_energy_at(id, widths, op.vdd, op.ioff);
+}
+
+EnergyBreakdown EnergyModel::gate_energy_at(netlist::GateId id,
+                                            std::span<const double> widths,
+                                            double vdd, double ioff) const {
   const netlist::Gate& g = nl_.gate(id);
   MINERGY_CHECK(netlist::is_combinational(g.type));
   const double w = widths[id];
@@ -31,7 +43,7 @@ EnergyBreakdown EnergyModel::gate_energy(netlist::GateId id,
 
   EnergyBreakdown e;
   // E_s = Vdd * w * Ioff / f_c (leakage flows for the full cycle).
-  e.static_energy = vdd * w * dev_.ioff_per_wunit(vts) / fc_;
+  e.static_energy = vdd * w * ioff / fc_;
 
   // Switched capacitance: own parasitics + stack internals + receiver
   // inputs + wire.
@@ -72,8 +84,9 @@ EnergyBreakdown EnergyModel::total_energy(std::span<const double> widths,
   MINERGY_CHECK(widths.size() == nl_.size());
   MINERGY_CHECK(vts.size() == nl_.size());
   EnergyBreakdown total;
+  tech::OperatingPointMemo op(dev_);
   for (netlist::GateId id : nl_.combinational()) {
-    total += gate_energy(id, widths, vdd, vts[id]);
+    total += gate_energy(id, widths, op.at(vdd, vts[id]));
   }
   return total;
 }

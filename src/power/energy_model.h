@@ -59,6 +59,11 @@ class EnergyModel {
   EnergyBreakdown gate_energy(netlist::GateId id,
                               std::span<const double> widths, double vdd,
                               double vts) const;
+  // Same, with the device terms precomputed (DeviceModel::operating_point);
+  // bit-identical to the (vdd, vts) form, which wraps it.
+  EnergyBreakdown gate_energy(netlist::GateId id,
+                              std::span<const double> widths,
+                              const tech::OperatingPoint& op) const;
 
   // Short-circuit energy per cycle for an input transition time tau_in (s).
   double short_circuit_energy(netlist::GateId id,
@@ -76,6 +81,11 @@ class EnergyModel {
                      double vts) const;
 
  private:
+  // gate_energy with the leakage current per width unit already evaluated.
+  EnergyBreakdown gate_energy_at(netlist::GateId id,
+                                 std::span<const double> widths, double vdd,
+                                 double ioff) const;
+
   const netlist::Netlist& nl_;
   const tech::DeviceModel& dev_;
   const interconnect::WireLoads& wires_;

@@ -3,9 +3,11 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <system_error>
 
 #include "util/check.h"
 #include "util/clock.h"
@@ -37,7 +39,7 @@ std::string Job::to_json(const std::string& result_json) const {
   w.kv("id", id);
   w.kv("circuit", circuit);
   w.kv("optimizer", optimizer);
-  w.kv("seed", static_cast<std::int64_t>(seed));
+  w.kv("seed", format_seed(seed));
   w.kv("clock_frequency", clock_frequency);
   w.kv("activity", activity);
   w.kv("deadline_seconds", deadline_seconds);
@@ -58,7 +60,7 @@ std::string Job::to_json(const std::string& result_json) const {
   w.key("attempts").begin_array();
   for (const JobAttempt& a : attempts) {
     w.begin_object();
-    w.kv("seed", static_cast<std::int64_t>(a.seed));
+    w.kv("seed", format_seed(a.seed));
     w.kv("outcome", a.outcome);
     w.kv("exit_code", a.exit_code);
     w.kv("wall_seconds", a.wall_seconds);
@@ -80,6 +82,38 @@ std::string Job::to_json(const std::string& result_json) const {
   return w.str() + "\n";
 }
 
+namespace {
+
+// The "seed" member of `obj`: a decimal string, or a legacy number that was
+// written as a signed 64-bit integer (seeds >= 2^63 wrapped negative).
+std::uint64_t read_seed(const util::JsonValue& obj, std::uint64_t fallback,
+                        const std::string& source) {
+  if (!obj.has("seed")) return fallback;
+  const util::JsonValue& v = obj.at("seed");
+  if (v.is_string()) return parse_seed(v.as_string(), source);
+  const double d = v.as_number();
+  if (d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d)) {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(d));
+  }
+  throw util::ParseError("seed is not a 64-bit integer", source, 0);
+}
+
+}  // namespace
+
+std::uint64_t parse_seed(std::string_view text, const std::string& source) {
+  std::uint64_t seed = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), seed);
+  if (text.empty() || ec != std::errc() || end != text.data() + text.size()) {
+    throw util::ParseError("seed '" + std::string(text) +
+                               "' is not a decimal integer in [0, 2^64)",
+                           source, 0);
+  }
+  return seed;
+}
+
+std::string format_seed(std::uint64_t seed) { return std::to_string(seed); }
+
 Job Job::from_json(const std::string& text, const std::string& source) {
   const util::JsonValue root = util::JsonValue::parse(text, source);
   if (!root.is_object() || root.get_string("schema", "") != kJobSchema) {
@@ -93,7 +127,7 @@ Job Job::from_json(const std::string& text, const std::string& source) {
   if (j.id.empty()) throw util::ParseError("job has no id", source, 0);
   j.circuit = root.get_string("circuit", j.circuit);
   j.optimizer = root.get_string("optimizer", j.optimizer);
-  j.seed = static_cast<std::uint64_t>(root.get_number("seed", 1.0));
+  j.seed = read_seed(root, 1, source);
   j.clock_frequency = root.get_number("clock_frequency", j.clock_frequency);
   j.activity = root.get_number("activity", j.activity);
   j.deadline_seconds = root.get_number("deadline_seconds", 0.0);
@@ -115,7 +149,7 @@ Job Job::from_json(const std::string& text, const std::string& source) {
   if (root.has("attempts")) {
     for (const util::JsonValue& a : root.at("attempts").items()) {
       JobAttempt at;
-      at.seed = static_cast<std::uint64_t>(a.get_number("seed", 0.0));
+      at.seed = read_seed(a, 0, source);
       at.outcome = a.get_string("outcome", "running");
       at.exit_code = static_cast<int>(a.get_number("exit_code", 0.0));
       at.wall_seconds = a.get_number("wall_seconds", 0.0);

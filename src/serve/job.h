@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/sched.h"
@@ -107,6 +108,15 @@ struct Job {
 // sort lexicographically in submission order and two submitters cannot
 // collide.
 std::string make_job_id();
+
+// Seeds are full 64-bit values (retry seeds are hash_mix outputs), which a
+// JSON number, read as a double, cannot carry. minergy.job.v1 and
+// minergy.job_result.v1 therefore hold them as decimal strings. parse_seed
+// reads one exactly and throws util::ParseError on anything but a plain
+// decimal in [0, 2^64). Job::from_json also still accepts the legacy
+// number form (written as a signed 64-bit integer), so old spools load.
+std::uint64_t parse_seed(std::string_view text, const std::string& source);
+std::string format_seed(std::uint64_t seed);
 
 // The deterministic per-(circuit, attempt) seed schedule: attempt 0 runs the
 // submitted seed, retry k runs hash_mix(seed ^ fnv1a(circuit) ^ k) so a

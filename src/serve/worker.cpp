@@ -58,14 +58,17 @@ int run_worker_mode(const util::Cli& cli, const SpoolQueue& queue) {
   }
   const std::string path = queue.job_path("running", id);
   Job job;
+  std::uint64_t seed = 0;
   try {
     job = Job::from_json(io::read_artifact(path, kJobSchema), path);
+    seed = cli.has("attempt-seed")
+               ? parse_seed(cli.get("attempt-seed", std::string()),
+                            "--attempt-seed")
+               : job.seed;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "worker: %s\n", e.what());
     return 2;
   }
-  const std::uint64_t seed = static_cast<std::uint64_t>(
-      cli.get("attempt-seed", static_cast<double>(job.seed)));
   return run_worker_job(job, seed, queue.result_path(id),
                         queue.checkpoint_path(id),
                         cli.get("brownout-level", 0),
@@ -193,7 +196,7 @@ int run_worker_job(const Job& job, std::uint64_t seed,
   w.kv("ok", true);
   w.kv("circuit", job.circuit);
   w.kv("optimizer", job.optimizer);
-  w.kv("seed", static_cast<std::int64_t>(seed));
+  w.kv("seed", format_seed(seed));
   w.kv("resumed", resuming);
   w.kv("feasible", result.feasible);
   w.kv("certified", cert.certified);

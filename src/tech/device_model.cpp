@@ -51,6 +51,14 @@ double DeviceModel::slope_coefficient(double vdd, double vts) const {
   return std::clamp(k, 0.0, 0.5);
 }
 
+OperatingPoint DeviceModel::operating_point(double vdd, double vts) const {
+  return {.vdd = vdd,
+          .vts = vts,
+          .idrive = idrive_per_wunit(vdd, vts),
+          .ioff = ioff_per_wunit(vts),
+          .k_slope = slope_coefficient(vdd, vts)};
+}
+
 double DeviceModel::stack_factor(int fanin) {
   return fanin <= 1 ? 1.0 : static_cast<double>(fanin);
 }

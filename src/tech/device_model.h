@@ -17,6 +17,18 @@
 
 namespace minergy::tech {
 
+// The device terms of one (Vdd, Vts) operating point. Every gate-delay and
+// leakage evaluation at that point reads these, and each costs a pow/exp,
+// so per-gate loops compute them once per distinct (vdd, vts) instead of
+// once per gate.
+struct OperatingPoint {
+  double vdd = 0.0;
+  double vts = 0.0;
+  double idrive = 0.0;   // idrive_per_wunit(vdd, vts)
+  double ioff = 0.0;     // ioff_per_wunit(vts)
+  double k_slope = 0.0;  // slope_coefficient(vdd, vts)
+};
+
 class DeviceModel {
  public:
   explicit DeviceModel(const Technology& tech);
@@ -52,6 +64,9 @@ class DeviceModel {
   // when the gate switches late in the swing).
   double slope_coefficient(double vdd, double vts) const;
 
+  // All of the above at one (vdd, vts).
+  OperatingPoint operating_point(double vdd, double vts) const;
+
   // Worst-case series-stack current-division factor for a gate with
   // fanin inputs (INV/BUF = 1, n-input NAND/NOR = n).
   static double stack_factor(int fanin);
@@ -63,6 +78,28 @@ class DeviceModel {
   double vov0_;       // blend overdrive (V)
   double i_at_vov0_;  // current per w unit at vov0 (A)
   double cin_, cpar_, cmid_;
+};
+
+// The operating point of the previous lookup, recomputed only when (vdd,
+// vts) differs from it. A per-gate loop keeps one as a local: uniform
+// flows compute the device terms once per loop, while per-gate
+// multi-Vdd/multi-Vt vectors still get each gate's exact terms.
+class OperatingPointMemo {
+ public:
+  explicit OperatingPointMemo(const DeviceModel& dev) : dev_(dev) {}
+
+  const OperatingPoint& at(double vdd, double vts) {
+    if (!valid_ || vdd != op_.vdd || vts != op_.vts) {
+      op_ = dev_.operating_point(vdd, vts);
+      valid_ = true;
+    }
+    return op_;
+  }
+
+ private:
+  const DeviceModel& dev_;
+  OperatingPoint op_;
+  bool valid_ = false;
 };
 
 }  // namespace minergy::tech

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "util/check.h"
 
@@ -40,19 +42,26 @@ BudgetResult DelayBudgeter::assign_impl(double cycle_time,
                            : weight_of;
   };
 
+  // Pivot order: through-criticality descending, ties to the earlier
+  // topological position. Each round's pivot is the first unassigned gate
+  // in this order (the most critical path that still contains an
+  // unassigned gate), and assignments only accumulate, so one cursor walks
+  // the order once per call.
+  std::vector<std::pair<std::int64_t, GateId>> order;
+  order.reserve(nl_.num_combinational());
+  for (GateId id : nl_.combinational()) {
+    order.emplace_back(paths_.through_criticality(id), id);
+  }
+  std::stable_sort(
+      order.begin(), order.end(),
+      [](const auto& x, const auto& y) { return x.first > y.first; });
+  auto cursor = order.begin();
+
   std::size_t remaining = nl_.num_combinational();
   while (remaining > 0) {
-    // Most critical path that still contains an unassigned gate.
-    GateId pivot = kInvalidGate;
-    for (GateId id : nl_.combinational()) {
-      if (assigned[id]) continue;
-      if (pivot == kInvalidGate ||
-          paths_.through_criticality(id) > paths_.through_criticality(pivot)) {
-        pivot = id;
-      }
-    }
-    MINERGY_CHECK(pivot != kInvalidGate);
-    const Path path = paths_.most_critical_through(pivot);
+    while (cursor != order.end() && assigned[cursor->second]) ++cursor;
+    MINERGY_CHECK(cursor != order.end());
+    const Path path = paths_.most_critical_through(cursor->second);
     ++result.rounds;
 
     // Eq. (3): distribute what the already-assigned gates left over.

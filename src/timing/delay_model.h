@@ -29,6 +29,17 @@ struct DelayComponents {
   double total() const { return slope + switching + wire_rc + flight; }
 };
 
+// The delay of one gate as a function of its own width w, with the fanout
+// widths, the slope input and the operating point held fixed. Eq. (A3) is
+// then exactly d(w) = a + b/w: the self-load part of C_L scales with w like
+// the drive does, the receiver and wire load do not.
+struct WidthTerms {
+  double a = 0.0;  // slope + self-load switching + wire RC + flight (s)
+  double b = 0.0;  // (Vdd/2) * (C_receivers + C_INT) / k  (s * width)
+  // gate_delay(...) at the width the terms were taken at, bit for bit.
+  double delay = 0.0;
+};
+
 // Bound to one netlist / technology / wire model; stateless over the
 // optimization variables (widths, Vdd, Vts), which are passed per call so
 // the optimizer can probe candidate states cheaply.
@@ -54,11 +65,23 @@ class DelayCalculator {
   // current is non-positive (leakage exceeds drive).
   double gate_delay(netlist::GateId id, std::span<const double> widths,
                     double vdd, double vts, double max_fanin_delay) const;
+  // Same, with the device terms precomputed (DeviceModel::operating_point);
+  // bit-identical to the (vdd, vts) form, which wraps it.
+  double gate_delay(netlist::GateId id, std::span<const double> widths,
+                    const tech::OperatingPoint& op,
+                    double max_fanin_delay) const;
 
   DelayComponents gate_delay_components(netlist::GateId id,
                                         std::span<const double> widths,
                                         double vdd, double vts,
                                         double max_fanin_delay) const;
+
+  // The (a, b) of d(w) = a + b/w for gate id, from one delay evaluation at
+  // widths[id] (counted as one gate eval). With drive k = I_D/s_stack -
+  // f_in*I_off <= 0 no width helps: a = b = +inf.
+  WidthTerms width_terms(netlist::GateId id, std::span<const double> widths,
+                         const tech::OperatingPoint& op,
+                         double max_fanin_delay) const;
 
   // Best-case (contamination) delay for min-delay/hold analysis: the
   // fastest of the two output transitions switches through the *parallel*
@@ -77,6 +100,15 @@ class DelayCalculator {
                                double vts) const;
 
  private:
+  // C_PD + (f_in - 1) * C_m: the output-node self-load per width unit.
+  double self_cap_per_wunit(int fanin) const;
+  // gate_delay_components; also stores the receiver capacitance it summed
+  // in *c_recv (when non-null and the drive is positive).
+  DelayComponents components(netlist::GateId id,
+                             std::span<const double> widths,
+                             const tech::OperatingPoint& op,
+                             double max_fanin_delay, double* c_recv) const;
+
   const netlist::Netlist& nl_;
   const tech::DeviceModel& dev_;
   const interconnect::WireLoads& wires_;

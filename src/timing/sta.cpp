@@ -38,6 +38,7 @@ TimingReport run_sta(const DelayCalculator& calc,
   // Forward pass: delays and arrivals together (slope coupling), in
   // topological order so every fanin is final before it is read.
   std::vector<netlist::GateId> worst_fanin(nl.size(), netlist::kInvalidGate);
+  tech::OperatingPointMemo op(calc.device());
   for (netlist::GateId id : nl.combinational()) {
     const netlist::Gate& g = nl.gate(id);
     double max_fanin_delay = 0.0;
@@ -52,8 +53,8 @@ TimingReport run_sta(const DelayCalculator& calc,
                      : netlist::kInvalidGate;
       }
     }
-    r.gate_delay[id] =
-        calc.gate_delay(id, widths, vdd[id], vts[id], max_fanin_delay);
+    r.gate_delay[id] = calc.gate_delay(id, widths, op.at(vdd[id], vts[id]),
+                                       max_fanin_delay);
     r.arrival[id] = max_fanin_arrival + r.gate_delay[id];
     worst_fanin[id] = argmax;
   }

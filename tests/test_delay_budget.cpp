@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "bench_suite/iscas.h"
 #include "netlist/bench_io.h"
 #include "netlist/generator.h"
 #include "timing/delay_budget.h"
@@ -200,6 +202,124 @@ TEST_P(BudgetInvariant, NoBudgetPathExceedsSkewedCycleTime) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BudgetInvariant,
                          ::testing::Values(1, 2, 3, 4, 5, 11, 22, 33, 44, 55));
+
+// ------------------------------------------------------ pivot-walk oracle
+
+// Reference Procedure 1 with the literal pivot rule: every round rescans
+// all gates for the most critical unassigned one (O(N^2) over a call).
+// Post-processing and the safety rescale are the budgeter's, so budgets
+// must match its sorted pivot walk bit for bit.
+BudgetResult rescan_assign(const Netlist& nl, double cycle_time,
+                           const BudgetOptions& opts, bool fanout_weighted) {
+  const PathAnalyzer paths(nl);
+  const double budget_cap = opts.clock_skew_b * cycle_time;
+  BudgetResult result;
+  result.t_max.assign(nl.size(), 0.0);
+  std::vector<char> assigned(nl.size(), 0);
+  auto gate_weight = [&](GateId id) {
+    return fanout_weighted ? static_cast<double>(nl.gate(id).branch_count())
+                           : 1.0;
+  };
+  std::size_t remaining = nl.num_combinational();
+  while (remaining > 0) {
+    GateId pivot = netlist::kInvalidGate;
+    for (GateId id : nl.combinational()) {
+      if (assigned[id]) continue;
+      if (pivot == netlist::kInvalidGate ||
+          paths.through_criticality(id) > paths.through_criticality(pivot)) {
+        pivot = id;
+      }
+    }
+    const Path path = paths.most_critical_through(pivot);
+    ++result.rounds;
+    double consumed = 0.0, open_weight = 0.0;
+    for (GateId id : path.gates) {
+      if (assigned[id]) {
+        consumed += result.t_max[id];
+      } else {
+        open_weight += gate_weight(id);
+      }
+    }
+    double available = budget_cap - consumed;
+    if (available <= 0.0) {
+      ++result.exhausted_paths;
+      available = 0.01 * budget_cap;
+    }
+    for (GateId id : path.gates) {
+      if (assigned[id]) continue;
+      result.t_max[id] = gate_weight(id) * available / open_weight;
+      assigned[id] = 1;
+      --remaining;
+    }
+  }
+  if (opts.postprocess) {
+    for (GateId id : nl.combinational()) {
+      GateId slowest = netlist::kInvalidGate;
+      for (GateId f : nl.gate(id).fanins) {
+        if (!netlist::is_combinational(nl.gate(f).type)) continue;
+        if (slowest == netlist::kInvalidGate ||
+            result.t_max[f] > result.t_max[slowest]) {
+          slowest = f;
+        }
+      }
+      if (slowest == netlist::kInvalidGate) continue;
+      const double need = opts.slope_reserve * result.t_max[slowest];
+      if (result.t_max[id] >= need) continue;
+      const double shortfall =
+          std::min(need - result.t_max[id], 0.5 * result.t_max[slowest]);
+      result.t_max[slowest] -= shortfall;
+      result.t_max[id] += shortfall;
+      ++result.slope_adjustments;
+    }
+  }
+  const DelayBudgeter budgeter(nl);
+  const double longest = budgeter.longest_budget_path(result.t_max);
+  if (longest > budget_cap && longest > 0.0) {
+    result.rescale_factor = budget_cap / longest;
+    for (double& t : result.t_max) t *= result.rescale_factor;
+  }
+  result.longest_budget_path = budgeter.longest_budget_path(result.t_max);
+  return result;
+}
+
+void expect_same_budgets(const Netlist& nl) {
+  const DelayBudgeter budgeter(nl);
+  for (bool fanout : {true, false}) {
+    for (bool post : {true, false}) {
+      SCOPED_TRACE(nl.name() + (fanout ? " fanout" : " uniform") +
+                   (post ? " postprocess" : ""));
+      BudgetOptions opts;
+      opts.postprocess = post;
+      const BudgetResult got = fanout ? budgeter.assign(kTc, opts)
+                                      : budgeter.assign_uniform(kTc, opts);
+      const BudgetResult want = rescan_assign(nl, kTc, opts, fanout);
+      EXPECT_EQ(got.t_max, want.t_max);
+      EXPECT_EQ(got.rounds, want.rounds);
+      EXPECT_EQ(got.exhausted_paths, want.exhausted_paths);
+      EXPECT_EQ(got.slope_adjustments, want.slope_adjustments);
+      EXPECT_EQ(got.rescale_factor, want.rescale_factor);
+      EXPECT_EQ(got.longest_budget_path, want.longest_budget_path);
+    }
+  }
+}
+
+TEST(DelayBudgeterPivotWalk, MatchesTheRescanOnPaperCircuits) {
+  for (const bench_suite::CircuitSpec& spec : bench_suite::paper_circuits()) {
+    expect_same_budgets(bench_suite::make_circuit(spec));
+  }
+}
+
+TEST(DelayBudgeterPivotWalk, MatchesTheRescanOnA1600GateNetlist) {
+  netlist::GeneratorSpec spec;
+  spec.name = "gen1600";
+  spec.num_gates = 1600;
+  spec.depth = 1600 / 64;
+  spec.num_dffs = 1600 / 12;
+  spec.num_inputs = 1600 / 50;
+  spec.num_outputs = 1600 / 50;
+  spec.seed = 7;
+  expect_same_budgets(netlist::generate_random_logic(spec));
+}
 
 }  // namespace
 }  // namespace minergy::timing

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
@@ -117,6 +118,51 @@ TEST(ServeJob, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(back.attempts[0].exit_code, a.exit_code);
   EXPECT_DOUBLE_EQ(back.attempts[0].wall_seconds, a.wall_seconds);
   EXPECT_DOUBLE_EQ(back.attempts[0].backoff_seconds, a.backoff_seconds);
+}
+
+TEST(ServeJob, SeedsRoundTripExactlyAsDecimalStrings) {
+  constexpr std::uint64_t k2p53p1 = (std::uint64_t{1} << 53) + 1;
+  constexpr std::uint64_t k2p63p5 = (std::uint64_t{1} << 63) + 5;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  Job job;
+  job.id = "j-seeds";
+  job.seed = k2p53p1;
+  for (std::uint64_t seed : {k2p63p5, kMax}) {
+    JobAttempt a;
+    a.seed = seed;
+    job.attempts.push_back(a);
+  }
+  const std::string text = job.to_json();
+  EXPECT_NE(text.find("\"9007199254740993\""), std::string::npos) << text;
+  const Job back = Job::from_json(text, "<test>");
+  EXPECT_EQ(back.seed, k2p53p1);
+  ASSERT_EQ(back.attempts.size(), 2u);
+  EXPECT_EQ(back.attempts[0].seed, k2p63p5);
+  EXPECT_EQ(back.attempts[1].seed, kMax);
+
+  EXPECT_EQ(parse_seed("18446744073709551615", "<t>"), kMax);
+  for (const char* bad : {"", "-1", "18446744073709551616", "12x", " 7",
+                          "1e3"}) {
+    EXPECT_THROW(parse_seed(bad, "<t>"), util::ParseError) << bad;
+  }
+}
+
+TEST(ServeJob, LegacyNumericSeedsStillLoad) {
+  // Spools written before seeds became strings hold them as signed 64-bit
+  // integers: a seed >= 2^63 was journaled negative.
+  const Job j = Job::from_json(R"({"schema": "minergy.job.v1", "id": "old",
+      "seed": 12345,
+      "attempts": [{"seed": 99, "outcome": "crash"},
+                   {"seed": -3, "outcome": "ok"}]})",
+                               "<legacy>");
+  EXPECT_EQ(j.seed, 12345u);
+  ASSERT_EQ(j.attempts.size(), 2u);
+  EXPECT_EQ(j.attempts[0].seed, 99u);
+  EXPECT_EQ(j.attempts[1].seed, std::numeric_limits<std::uint64_t>::max() - 2);
+  EXPECT_THROW(Job::from_json(R"({"schema": "minergy.job.v1", "id": "x",
+                                  "seed": 1.5})",
+                              "<t>"),
+               util::ParseError);
 }
 
 TEST(ServeJob, FromJsonRejectsWrongOrMissingSchema) {
@@ -527,6 +573,43 @@ TEST(Supervisor, RecoveryQuarantinesEndlesslyInterruptedJobs) {
   const util::JsonValue rec = read_record(q.job_path("quarantined", id));
   EXPECT_NE(rec.at("failure").get_string("detail", "").find("interrupted"),
             std::string::npos);
+}
+
+TEST(Supervisor, RetriedAttemptRunsAndReportsItsJournaledSeed) {
+  ScratchSpool spool("retry_seed");
+  SpoolQueue q(spool.root);
+  Job submitted;
+  submitted.circuit = "c17";
+  submitted.optimizer = "baseline";
+  submitted.seed = (std::uint64_t{1} << 63) + 5;
+  const std::string id = q.submit(submitted);
+
+  // A worker that dies without an envelope on its first run (outcome
+  // "error", a failed attempt) and is the real worker after that.
+  const std::string marker = spool.root + "/first-attempt-ran";
+  const std::string script = spool.root + "/worker.sh";
+  write_file(script, "#!/bin/sh\nif [ ! -e '" + marker + "' ]; then : > '" +
+                         marker + "'; exit 0; fi\nexec '" MINERGY_SERVED_BIN
+                         "' \"$@\"\n");
+  fs::permissions(script, fs::perms::owner_all);
+  SupervisorOptions opts = fast_supervisor_options();
+  opts.worker_binary = script;
+  opts.max_retries = 1;
+  Supervisor supervisor(q, opts);
+  EXPECT_EQ(supervisor.run(), 0);
+
+  ASSERT_TRUE(fs::exists(q.job_path("done", id)));
+  const std::string text = io::read_artifact(q.job_path("done", id), "");
+  const Job done = Job::from_json(text, "<done>");
+  ASSERT_EQ(done.attempts.size(), 2u);
+  EXPECT_EQ(done.attempts[0].outcome, "error");
+  EXPECT_EQ(done.attempts[0].seed, submitted.seed);
+  EXPECT_EQ(done.attempts[1].outcome, "ok");
+  EXPECT_EQ(done.attempts[1].seed, attempt_seed(done, 1));
+  const util::JsonValue result =
+      util::JsonValue::parse(text, "<done>").at("result");
+  EXPECT_EQ(parse_seed(result.get_string("seed", ""), "<result>"),
+            done.attempts[1].seed);
 }
 
 TEST(Supervisor, TypedWorkerFailureLandsInFailedWithEnvelope) {

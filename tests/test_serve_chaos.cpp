@@ -263,9 +263,9 @@ TEST(ServeChaos, HangingWorkerIsTimedOutRetriedThenQuarantined) {
   for (const util::JsonValue& a : attempts) {
     EXPECT_EQ(a.get_string("outcome", ""), "timeout");
   }
-  // Retries ran under perturbed seeds.
-  EXPECT_NE(attempts[0].get_number("seed", 0),
-            attempts[1].get_number("seed", 0));
+  // Retries ran under perturbed seeds (journaled as decimal strings).
+  EXPECT_NE(attempts[0].get_string("seed", ""),
+            attempts[1].get_string("seed", ""));
 }
 
 TEST(ServeChaos, CrashLoopingCircuitTripsBreakerAndShortCircuits) {

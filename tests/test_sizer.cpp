@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <string>
 
+#include "bench_suite/iscas.h"
 #include "interconnect/wire_model.h"
 #include "netlist/generator.h"
+#include "obs/metrics.h"
 #include "opt/sizer.h"
 #include "timing/delay_budget.h"
 #include "timing/sta.h"
@@ -222,6 +226,209 @@ TEST_P(SizerProperty, BudgetsMetImpliesStaFeasible) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SizerProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ------------------------------------------- closed form vs. bisection
+
+// Worst-case slope input: the largest budget among the logic fanins.
+double slope_input(const Netlist& nl, GateId id, std::span<const double> t) {
+  double slope_in = 0.0;
+  for (GateId f : nl.gate(id).fanins) {
+    if (netlist::is_combinational(nl.gate(f).type)) {
+      slope_in = std::max(slope_in, t[f]);
+    }
+  }
+  return slope_in;
+}
+
+// The reference width search: bisection on the monotone delay, run to 60
+// steps (past double resolution on [w_min, w_max]). In sizing mode
+// every gate starts at w_min and a miss takes w_max; in recovery mode the
+// upper bound is the gate's current width, which a miss keeps, and gates
+// already at w_min are skipped. `met` is per gate id.
+struct OracleResult {
+  std::vector<double> widths;
+  std::vector<char> met;
+  int gates_missed = 0;
+};
+
+OracleResult bisection_oracle(const timing::DelayCalculator& calc,
+                              std::span<const double> start,
+                              std::span<const double> budgets, double vdd,
+                              std::span<const double> vts, bool recovery) {
+  const Netlist& nl = calc.netlist();
+  const tech::Technology& tech = calc.device().technology();
+  OracleResult r;
+  r.widths.assign(start.begin(), start.end());
+  r.met.assign(nl.size(), 1);
+  const auto& topo = nl.combinational();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const GateId id = *it;
+    const double w_hi = recovery ? r.widths[id] : tech.w_max;
+    if (recovery && w_hi <= tech.w_min * (1.0 + 1e-12)) continue;
+    const double slope_in = slope_input(nl, id, budgets);
+    auto meets = [&](double w) {
+      r.widths[id] = w;
+      return calc.gate_delay(id, r.widths, vdd, vts[id], slope_in) <=
+             budgets[id];
+    };
+    if (meets(tech.w_min)) continue;
+    if (!meets(w_hi)) {
+      r.met[id] = 0;
+      if (!recovery) ++r.gates_missed;
+      continue;
+    }
+    double lo = tech.w_min, hi = w_hi;
+    for (int s = 0; s < 60; ++s) {
+      const double mid = 0.5 * (lo + hi);
+      (meets(mid) ? hi : lo) = mid;
+    }
+    r.widths[id] = hi;
+  }
+  return r;
+}
+
+// The relaxed budgets GateSizer::recover derives from a report.
+std::vector<double> recovery_budgets(const Netlist& nl,
+                                     const timing::TimingReport& report,
+                                     double limit) {
+  std::vector<double> t_rec(nl.size(), 0.0);
+  for (GateId id : nl.combinational()) {
+    const double slack = std::max(0.0, report.slack[id]);
+    const double denom = std::max(limit - slack, 1e-3 * limit);
+    t_rec[id] = report.gate_delay[id] * limit / denom;
+  }
+  return t_rec;
+}
+
+struct PaperCase {
+  Netlist nl;
+  tech::Technology tech = tech::Technology::generic350();
+  tech::DeviceModel dev{tech};
+  interconnect::WireModel wires;
+  timing::DelayCalculator calc;
+  timing::DelayBudgeter budgeter;
+
+  explicit PaperCase(const bench_suite::CircuitSpec& spec)
+      : nl(bench_suite::make_circuit(spec)),
+        wires(tech, nl),
+        calc(nl, dev, wires),
+        budgeter(nl) {}
+
+  // A cycle time `factor` times the critical delay with every gate at
+  // w_min, so that the budgets leave some gates at w_min, size others and
+  // (when tight) make a few unreachable.
+  double cycle_time(double vdd, std::span<const double> vts,
+                    double factor) const {
+    const std::vector<double> w(nl.size(), tech.w_min);
+    return factor *
+           timing::run_sta(calc, w, vdd, vts, 1.0).critical_delay;
+  }
+};
+
+// (Vdd, delay-corner Vts) above, near and below threshold.
+constexpr std::array<std::array<double, 2>, 3> kOperatingPoints = {
+    {{2.0, 0.3}, {0.45, 0.35}, {0.25, 0.35}}};
+
+TEST(GateSizerOracle, ClosedFormMatchesBisectionOnPaperCircuits) {
+  int sized_between = 0, missed = 0;
+  for (const bench_suite::CircuitSpec& spec : bench_suite::paper_circuits()) {
+    const PaperCase pc(spec);
+    const Netlist& nl = pc.nl;
+    const tech::Technology& tech = pc.tech;
+    const GateSizer sizer(pc.calc);
+    for (const auto& [vdd, vts0] : kOperatingPoints) {
+      const std::vector<double> vts(nl.size(), vts0);
+      for (double factor : {0.5, 1.2}) {
+        SCOPED_TRACE(spec.name + " vdd=" + std::to_string(vdd) +
+                     " factor=" + std::to_string(factor));
+        const double tc = pc.cycle_time(vdd, vts, factor);
+        const timing::BudgetResult budgets = pc.budgeter.assign(tc);
+        const std::vector<double> w_min(nl.size(), tech.w_min);
+
+        // size() against the oracle.
+        const SizingResult r = sizer.size(budgets.t_max, vdd, vts);
+        const OracleResult o = bisection_oracle(pc.calc, w_min, budgets.t_max,
+                                                vdd, vts, false);
+        EXPECT_EQ(r.gates_missed, o.gates_missed);
+        EXPECT_EQ(r.all_budgets_met, o.gates_missed == 0);
+        for (GateId id : nl.combinational()) {
+          EXPECT_NEAR(r.widths[id], o.widths[id], 1e-12 * tech.w_max)
+              << nl.gate(id).name;
+          if (o.met[id]) {
+            EXPECT_LE(pc.calc.gate_delay(id, r.widths, vdd, vts[id],
+                                         slope_input(nl, id, budgets.t_max)),
+                      budgets.t_max[id])
+                << nl.gate(id).name;
+          }
+          if (r.widths[id] > tech.w_min && r.widths[id] < tech.w_max) {
+            ++sized_between;
+          }
+        }
+        missed += r.gates_missed;
+
+        // recover() against the oracle, from the sized state.
+        const double limit = 0.95 * tc;
+        const timing::TimingReport report = timing::run_sta(
+            pc.calc, r.widths, vdd, std::span<const double>(vts), limit);
+        const std::vector<double> t_rec =
+            recovery_budgets(nl, report, limit);
+        const SizingResult rec =
+            sizer.recover(r.widths, vdd, vts, limit, report);
+        const OracleResult ro =
+            bisection_oracle(pc.calc, r.widths, t_rec, vdd, vts, true);
+        EXPECT_EQ(rec.gates_missed, ro.gates_missed);
+        EXPECT_TRUE(rec.all_budgets_met);
+        for (GateId id : nl.combinational()) {
+          EXPECT_NEAR(rec.widths[id], ro.widths[id], 1e-12 * tech.w_max)
+              << nl.gate(id).name;
+          EXPECT_LE(rec.widths[id], r.widths[id]);
+          // A gate recovery could not relax keeps its width (and its old
+          // budget); every width recovery chose meets the relaxed one.
+          if (rec.widths[id] < r.widths[id]) {
+            EXPECT_LE(pc.calc.gate_delay(id, rec.widths, vdd, vts[id],
+                                         slope_input(nl, id, t_rec)),
+                      t_rec[id])
+                << nl.gate(id).name;
+          }
+        }
+      }
+    }
+  }
+  // The sweep exercised all three outcomes, not just w_min.
+  EXPECT_GT(sized_between, 0);
+  EXPECT_GT(missed, 0);
+}
+
+TEST(GateSizerOracle, AtMostTwoDelayEvalsPerGatePerCall) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& evals = obs::counter("timing.delay.gate_evals");
+  for (const bench_suite::CircuitSpec& spec : bench_suite::paper_circuits()) {
+    const PaperCase pc(spec);
+    const Netlist& nl = pc.nl;
+    const GateSizer sizer(pc.calc);
+    const auto bound = static_cast<std::int64_t>(2 * nl.num_combinational());
+    for (const auto& [vdd, vts0] : kOperatingPoints) {
+      const std::vector<double> vts(nl.size(), vts0);
+      for (double factor : {0.5, 1.2}) {
+        SCOPED_TRACE(spec.name + " vdd=" + std::to_string(vdd));
+        const double tc = pc.cycle_time(vdd, vts, factor);
+        const timing::BudgetResult budgets = pc.budgeter.assign(tc);
+        std::int64_t before = evals.value();
+        const SizingResult r = sizer.size(budgets.t_max, vdd, vts);
+        EXPECT_LE(evals.value() - before, bound);
+
+        const double limit = 0.95 * tc;
+        const timing::TimingReport report = timing::run_sta(
+            pc.calc, r.widths, vdd, std::span<const double>(vts), limit);
+        before = evals.value();
+        (void)sizer.recover(r.widths, vdd, vts, limit, report);
+        EXPECT_LE(evals.value() - before, bound);
+      }
+    }
+  }
+  obs::set_enabled(was_enabled);
+}
 
 }  // namespace
 }  // namespace minergy::opt

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <limits>
 
+#include "activity/activity.h"
 #include "interconnect/wire_model.h"
 #include "netlist/bench_io.h"
 #include "netlist/generator.h"
+#include "power/energy_model.h"
 #include "timing/delay_model.h"
 #include "timing/sta.h"
 
@@ -282,6 +286,154 @@ TEST_P(StaMonotonicity, CriticalDelayMonotoneInVddAndVts) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StaMonotonicity,
                          ::testing::Values(1, 7, 21, 77, 123));
+
+// ------------------------------------------------ precomputed device terms
+
+struct RandomFixture {
+  RandomFixture()
+      : nl(make()),
+        tech(tech::Technology::generic350()),
+        dev(tech),
+        wires(tech, nl),
+        calc(nl, dev, wires) {
+    // Deterministic, uneven widths so fanout loads differ gate to gate.
+    widths.assign(nl.size(), tech.w_min);
+    for (GateId id : nl.combinational()) {
+      widths[id] = 1.0 + static_cast<double>((id * 37) % 23);
+    }
+  }
+
+  static Netlist make() {
+    netlist::GeneratorSpec spec;
+    spec.num_inputs = 10;
+    spec.num_gates = 200;
+    spec.depth = 12;
+    spec.num_dffs = 8;
+    spec.seed = 5;
+    return netlist::generate_random_logic(spec);
+  }
+
+  // Reference Eq. (A3) with every device term evaluated per call.
+  double per_call_delay(GateId id, double vdd, double vts,
+                        double max_fanin_delay) const {
+    const int fin = nl.gate(id).fanin_count();
+    const double slope = dev.slope_coefficient(vdd, vts) * max_fanin_delay;
+    const double drive =
+        widths[id] * (dev.idrive_per_wunit(vdd, vts) /
+                          tech::DeviceModel::stack_factor(fin) -
+                      static_cast<double>(fin) * dev.ioff_per_wunit(vts));
+    if (drive <= 0.0) return slope + std::numeric_limits<double>::infinity();
+    const double switching = 0.5 * vdd * calc.load_cap(id, widths) / drive;
+    const double wire_rc =
+        wires.net_res(id) *
+        (0.5 * wires.net_cap(id) + calc.receiver_cap(id, widths));
+    return slope + switching + wire_rc + wires.flight_time(id);
+  }
+
+  Netlist nl;
+  tech::Technology tech;
+  tech::DeviceModel dev;
+  interconnect::WireModel wires;
+  DelayCalculator calc;
+  std::vector<double> widths;
+};
+
+// (Vdd, Vts) pairs above, near and below threshold, plus one where leakage
+// through the fanin off-devices can exceed a stacked gate's drive.
+constexpr std::array<std::array<double, 2>, 4> kPoints = {
+    {{3.3, 0.7}, {1.2, 0.2}, {0.45, 0.35}, {0.12, 0.1}}};
+
+TEST(OperatingPoint, GateDelayMatchesPerCallFormBitForBit) {
+  RandomFixture f;
+  for (const auto& [vdd, vts] : kPoints) {
+    const tech::OperatingPoint op = f.dev.operating_point(vdd, vts);
+    EXPECT_EQ(op.idrive, f.dev.idrive_per_wunit(vdd, vts));
+    EXPECT_EQ(op.ioff, f.dev.ioff_per_wunit(vts));
+    EXPECT_EQ(op.k_slope, f.dev.slope_coefficient(vdd, vts));
+    for (GateId id : f.nl.combinational()) {
+      for (double mfd : {0.0, 3e-10}) {
+        const double ref = f.per_call_delay(id, vdd, vts, mfd);
+        EXPECT_EQ(f.calc.gate_delay(id, f.widths, op, mfd), ref);
+        EXPECT_EQ(f.calc.gate_delay(id, f.widths, vdd, vts, mfd), ref);
+      }
+    }
+  }
+}
+
+TEST(OperatingPoint, WidthTermsReproduceTheDelayCurve) {
+  RandomFixture f;
+  for (const auto& [vdd, vts] : kPoints) {
+    const tech::OperatingPoint op = f.dev.operating_point(vdd, vts);
+    for (GateId id : f.nl.combinational()) {
+      const WidthTerms t = f.calc.width_terms(id, f.widths, op, 2e-10);
+      // The decomposition's own eval is gate_delay at widths[id].
+      EXPECT_EQ(t.delay, f.calc.gate_delay(id, f.widths, op, 2e-10));
+      if (std::isinf(t.delay)) {
+        EXPECT_TRUE(std::isinf(t.a));
+        continue;
+      }
+      // And d(w) = a + b/w holds at any other width.
+      auto w = f.widths;
+      for (double wi : {1.0, 7.5, 100.0}) {
+        w[id] = wi;
+        const double d = f.calc.gate_delay(id, w, op, 2e-10);
+        EXPECT_NEAR(t.a + t.b / wi, d, 1e-12 * d) << f.nl.gate(id).name;
+      }
+    }
+  }
+}
+
+TEST(OperatingPoint, EnergyMatchesPerCallFormBitForBit) {
+  RandomFixture f;
+  activity::ActivityProfile profile;
+  const activity::ActivityResult act =
+      activity::estimate_activity(f.nl, profile);
+  const power::EnergyModel em(f.nl, f.dev, f.wires, act, 300e6);
+  for (const auto& [vdd, vts] : kPoints) {
+    const tech::OperatingPoint op = f.dev.operating_point(vdd, vts);
+    for (GateId id : f.nl.combinational()) {
+      const power::EnergyBreakdown a = em.gate_energy(id, f.widths, op);
+      const power::EnergyBreakdown b = em.gate_energy(id, f.widths, vdd, vts);
+      EXPECT_EQ(a.static_energy, b.static_energy);
+      EXPECT_EQ(a.dynamic_energy, b.dynamic_energy);
+      EXPECT_EQ(a.static_energy,
+                vdd * f.widths[id] * f.dev.ioff_per_wunit(vts) / 300e6);
+    }
+  }
+}
+
+TEST(OperatingPoint, MixedPerGateStaMatchesPerGateReferenceLoop) {
+  RandomFixture f;
+  // Runs of equal (vdd, vts) and frequent switches, so the per-loop memo
+  // both reuses and recomputes its operating point.
+  std::vector<double> vdd(f.nl.size(), 1.0), vts(f.nl.size(), 0.3);
+  for (GateId id : f.nl.combinational()) {
+    vdd[id] = (id / 7) % 3 == 0 ? 0.45 : ((id / 7) % 3 == 1 ? 1.2 : 2.5);
+    vts[id] = id % 5 == 0 ? 0.15 : (id % 5 == 1 ? 0.45 : 0.3);
+  }
+  const double tc = 20e-9;
+  const TimingReport r = run_sta(f.calc, f.widths, std::span<const double>(vdd),
+                                 std::span<const double>(vts), tc);
+  std::vector<double> delay(f.nl.size(), 0.0), arrival(f.nl.size(), 0.0);
+  double critical = 0.0;
+  for (GateId id : f.nl.combinational()) {
+    double mfd = 0.0, mfa = 0.0;
+    for (GateId fi : f.nl.gate(id).fanins) {
+      mfd = std::max(mfd, delay[fi]);
+      mfa = std::max(mfa, arrival[fi]);
+    }
+    delay[id] = f.per_call_delay(id, vdd[id], vts[id], mfd);
+    arrival[id] = mfa + delay[id];
+  }
+  for (GateId id : f.nl.sink_drivers()) {
+    critical = std::max(critical, arrival[id]);
+  }
+  for (GateId id : f.nl.combinational()) {
+    EXPECT_EQ(r.gate_delay[id], delay[id]) << f.nl.gate(id).name;
+    EXPECT_EQ(r.arrival[id], arrival[id]) << f.nl.gate(id).name;
+  }
+  EXPECT_EQ(r.critical_delay, critical);
+}
 
 }  // namespace
 }  // namespace minergy::timing

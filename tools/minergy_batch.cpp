@@ -108,31 +108,23 @@ int write_report(const serve::SpoolQueue& queue,
     std::string status = dir == "done" ? "ok" : dir;
     if (dir == "pending" || dir == "running") status = "interrupted";
     const std::string path = queue.job_path(dir, id);
-    const util::JsonValue rec = util::JsonValue::parse(
-        io::read_artifact(path, serve::kJobSchema), path);
-    serve::Job job;
-    job.circuit = rec.get_string("circuit", "");
-    job.seed = static_cast<std::uint64_t>(rec.get_number("seed", 1.0));
-    const std::string optimizer = rec.get_string("optimizer", "");
+    const std::string text = io::read_artifact(path, serve::kJobSchema);
+    const serve::Job job = serve::Job::from_json(text, path);
+    const util::JsonValue rec = util::JsonValue::parse(text, path);
+    const std::string& optimizer = job.optimizer;
     w.begin_object();
     w.kv("circuit", job.circuit);
     w.kv("optimizer", optimizer);
     w.kv("status", status);
     w.key("attempts").begin_array();
-    for (const util::JsonValue& a : rec.at("attempts").items()) {
-      // The journal stores seeds as signed 64-bit integers, which a JSON
-      // number cannot carry exactly; re-derive each attempt's seed from the
-      // schedule the supervisor spawned it with.
-      const std::string outcome = a.get_string("outcome", "");
+    for (const serve::JobAttempt& a : job.attempts) {
       w.begin_object();
-      w.kv("seed", static_cast<double>(
-                       serve::attempt_seed(job, job.failed_attempts())));
-      w.kv("outcome", outcome);
-      w.kv("exit_code", static_cast<int>(a.get_number("exit_code", 0.0)));
-      w.kv("wall_seconds", a.get_number("wall_seconds", 0.0));
-      w.kv("backoff_seconds", a.get_number("backoff_seconds", 0.0));
+      w.kv("seed", serve::format_seed(a.seed));
+      w.kv("outcome", a.outcome);
+      w.kv("exit_code", a.exit_code);
+      w.kv("wall_seconds", a.wall_seconds);
+      w.kv("backoff_seconds", a.backoff_seconds);
       w.end_object();
-      job.attempts.push_back({.outcome = outcome});
     }
     w.end_array();
     if (rec.has("result")) {
@@ -148,10 +140,8 @@ int write_report(const serve::SpoolQueue& queue,
                    name, optimizer.c_str(), job.attempts.size());
     } else if (status == "failed") {
       any_failed = true;
-      const util::JsonValue& failure = rec.at("failure");
       std::printf("%-8s %-9s FAILED %s: %s\n", name, optimizer.c_str(),
-                  failure.get_string("type", "?").c_str(),
-                  failure.get_string("detail", "").c_str());
+                  job.failure_type.c_str(), job.failure_detail.c_str());
     } else if (status == "ok") {  // done/ holds only certified results
       const util::JsonValue& res = rec.at("result");
       std::printf("%-8s %-9s ok     E %.4g J/cycle  tier %-11s certified\n",
@@ -187,6 +177,13 @@ int run_batch(const util::Cli& cli) {
   const std::string report_path =
       cli.get("report", std::string("minergy_batch.json"));
   const std::string hang = cli.get("inject-hang", std::string());
+  std::uint64_t seed = 0;
+  try {
+    seed = serve::parse_seed(cli.get("seed", std::string("1")), "--seed");
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 
   const std::string spool = report_path + ".spool";
   std::filesystem::remove_all(spool);
@@ -199,7 +196,7 @@ int run_batch(const util::Cli& cli) {
       serve::Job job;
       job.circuit = circuit;
       job.optimizer = optimizer;
-      job.seed = static_cast<std::uint64_t>(cli.get("seed", 1.0));
+      job.seed = seed;
       job.clock_frequency = cli.get("fc", 300e6);
       job.activity = cli.get("activity", 0.3);
       if (circuit == hang) job.inject = "hang";

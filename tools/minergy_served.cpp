@@ -170,7 +170,12 @@ int run_submit(const util::Cli& cli, serve::SpoolQueue& queue) {
     return 2;
   }
   job.optimizer = cli.get("optimizer", std::string("robust"));
-  job.seed = static_cast<std::uint64_t>(cli.get("seed", 1.0));
+  try {
+    job.seed = serve::parse_seed(cli.get("seed", std::string("1")), "--seed");
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
+    return 2;
+  }
   job.clock_frequency = cli.get("fc", 300e6);
   job.activity = cli.get("activity", 0.3);
   job.deadline_seconds = cli.get("deadline", 0.0);

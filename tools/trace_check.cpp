@@ -4,6 +4,7 @@
 //   $ trace_check trace.json --min-spans=1    # and reject an empty capture
 //   $ trace_check trace.json --report=run.json
 //   $ trace_check --verify-eventlog=events.jsonl  # daemon event stream
+//   $ trace_check --diff-perf=COMMITTED.json FRESH.json  # counter drift
 //
 // Trace checks: the file parses, has a traceEvents array, every event
 // carries name/ph/ts (complete "X" events also dur >= 0), and within each
@@ -35,15 +36,27 @@
 // parsing; --verify-envelope makes the footer mandatory, so CI can insist
 // that a report really went through the durable write path.
 //
+// Perf drift (--diff-perf=COMMITTED FRESH): both files are
+// minergy.perf_trajectory.v1 documents (bench/trajectory/README.md), whose
+// minergy.perf_record.v1 members are compared record by record. The work
+// counters are deterministic, so any counter that differs, appears or
+// vanishes (or a whole record that does) is drift and fails the check;
+// wall_seconds and histogram count/sum deltas are printed for the reader
+// but never fail it.
+//
 // Exit codes are distinct by failure class so CI can tell them apart:
 // 0 everything holds, 1 a validation failed (malformed trace, broken
 // nesting, non-monotone or corrupt report, missing envelope under
-// --verify-envelope), 2 bad arguments or an unreadable input file. Used by
-// the `obs_smoke` CTest fixture (see tests/CMakeLists.txt).
+// --verify-envelope, counter drift), 2 bad arguments or an unreadable
+// input file (for --diff-perf also an unparseable file or a wrong schema).
+// Used by the `obs_smoke` CTest fixture (see tests/CMakeLists.txt) and
+// scripts/ci.sh.
 #include <algorithm>
 #include <cstdio>
 #include <cstdint>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -299,16 +312,141 @@ int check_eventlog(const std::string& path) {
   return 0;
 }
 
+// A minergy.perf_trajectory.v1 document, or nullopt (reported) when the
+// file cannot be read or parsed or carries another schema.
+std::optional<util::JsonValue> load_trajectory(const std::string& path) {
+  try {
+    util::JsonValue root = util::JsonValue::parse(slurp(path), path);
+    if (root.is_object() &&
+        root.get_string("schema", "") == "minergy.perf_trajectory.v1") {
+      return root;
+    }
+    std::fprintf(stderr, "%s: not a minergy.perf_trajectory.v1 document\n",
+                 path.c_str());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+  }
+  return std::nullopt;
+}
+
+bool is_perf_record(const util::JsonValue& doc, const std::string& key) {
+  if (!doc.has(key)) return false;
+  const util::JsonValue& v = doc.at(key);
+  return v.is_object() &&
+         v.get_string("schema", "") == "minergy.perf_record.v1";
+}
+
+// The object member `key` of `record`, or an empty map.
+const std::map<std::string, util::JsonValue>& section(
+    const util::JsonValue& record, const char* key) {
+  static const std::map<std::string, util::JsonValue> kEmpty;
+  return record.has(key) ? record.at(key).members() : kEmpty;
+}
+
+int diff_perf(const std::string& committed_path,
+              const std::string& fresh_path) {
+  const std::optional<util::JsonValue> committed =
+      load_trajectory(committed_path);
+  const std::optional<util::JsonValue> fresh = load_trajectory(fresh_path);
+  if (!committed || !fresh) return 2;
+
+  std::set<std::string> keys;
+  for (const util::JsonValue* doc : {&*committed, &*fresh}) {
+    for (const auto& [key, v] : doc->members()) {
+      if (is_perf_record(*doc, key)) keys.insert(key);
+    }
+  }
+  int drift = 0;
+  for (const std::string& key : keys) {
+    const char* k = key.c_str();
+    if (!is_perf_record(*committed, key) || !is_perf_record(*fresh, key)) {
+      std::printf("%s: record %s\n", k,
+                  is_perf_record(*fresh, key) ? "appears" : "vanishes");
+      ++drift;
+      continue;
+    }
+    const util::JsonValue& a = committed->at(key);
+    const util::JsonValue& b = fresh->at(key);
+    std::printf("%s: wall_seconds %.4g -> %.4g (not gated)\n", k,
+                a.get_number("wall_seconds", 0.0),
+                b.get_number("wall_seconds", 0.0));
+
+    const auto& ca = section(a, "counters");
+    const auto& cb = section(b, "counters");
+    std::set<std::string> names;
+    for (const auto* m : {&ca, &cb}) {
+      for (const auto& [name, v] : *m) names.insert(name);
+    }
+    for (const std::string& name : names) {
+      const auto ia = ca.find(name);
+      const auto ib = cb.find(name);
+      if (ia == ca.end()) {
+        std::printf("  counter %s appears: %.17g\n", name.c_str(),
+                    ib->second.as_number());
+      } else if (ib == cb.end()) {
+        std::printf("  counter %s vanishes: was %.17g\n", name.c_str(),
+                    ia->second.as_number());
+      } else if (ia->second.as_number() != ib->second.as_number()) {
+        std::printf("  counter %s: %.17g -> %.17g\n", name.c_str(),
+                    ia->second.as_number(), ib->second.as_number());
+      } else {
+        continue;
+      }
+      ++drift;
+    }
+
+    const auto& ha = section(a, "histograms");
+    const auto& hb = section(b, "histograms");
+    for (const auto& [name, h] : hb) {
+      const auto it = ha.find(name);
+      const double count = h.get_number("count", 0.0);
+      const double sum = h.get_number("sum", 0.0);
+      const double count0 =
+          it == ha.end() ? 0.0 : it->second.get_number("count", 0.0);
+      const double sum0 =
+          it == ha.end() ? 0.0 : it->second.get_number("sum", 0.0);
+      if (count != count0 || sum != sum0) {
+        std::printf("  histogram %s: count %.17g -> %.17g, sum %.17g -> "
+                    "%.17g (not gated)\n",
+                    name.c_str(), count0, count, sum0, sum);
+      }
+    }
+  }
+  if (drift > 0) {
+    std::fflush(stdout);
+    std::fprintf(stderr,
+                 "diff-perf: %d work counter(s) or record(s) drifted from "
+                 "%s\n",
+                 drift, committed_path.c_str());
+    return 1;
+  }
+  std::printf("diff-perf: OK (%zu records, work counters identical)\n",
+              keys.size());
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
+  if (cli.has("diff-perf")) {
+    if (cli.positional().size() != 1) {
+      std::fprintf(stderr,
+                   "usage: trace_check --diff-perf=COMMITTED.json "
+                   "FRESH.json\n");
+      return 2;
+    }
+    return diff_perf(cli.get("diff-perf", std::string()),
+                     cli.positional()[0]);
+  }
   if (cli.positional().empty() && !cli.has("report") &&
       !cli.has("verify-eventlog")) {
     std::fprintf(stderr,
                  "usage: trace_check [trace.json] [--min-spans=N] "
                  "[--report=FILE] [--verify-envelope] "
-                 "[--verify-eventlog=FILE]\n");
+                 "[--verify-eventlog=FILE]\n"
+                 "       trace_check --diff-perf=COMMITTED.json "
+                 "FRESH.json\n");
     return 2;
   }
   int rc = 0;
