@@ -23,6 +23,9 @@
 # live leader and requires its hot standby to take over and drain cleanly.
 # The par, serve, diskfault and ha labels run a second time pinned to one
 # core (taskset -c 0), so tier-1 is exercised at 1 core as well as at all.
+# A benchmark smoke leg then runs every bench/e2e workload at ~1/10 size,
+# serve_open against a live daemon, and fails on a missing metric or a
+# failed correctness check.
 #
 #   $ scripts/ci.sh                  # from the repo root
 #   $ CI_JOBS=4 scripts/ci.sh        # cap build parallelism
@@ -57,6 +60,13 @@ run_labelled_tests build-ci-release fault obs serve diskfault overload ha par
 step "build-ci-release: serve+diskfault+ha+par labels on one core (taskset -c 0)"
 taskset -c 0 ctest --test-dir build-ci-release -L 'par|serve|diskfault|ha' \
   --output-on-failure -j "$JOBS"
+
+# Benchmark smoke: all four bench/e2e workloads at ~1/10 size, built into
+# build-bench/ by run.sh itself. It exits non-zero when a metric is missing
+# or a correctness check fails: a failed job, a failed --status --verify
+# audit, or a served answer that differs from the in-process recompute.
+step "benchmark smoke (bench/e2e/run.sh --smoke)"
+bash bench/e2e/run.sh --smoke
 
 step "configure + build (AddressSanitizer)"
 cmake -B build-ci-asan -S . -DMINERGY_SANITIZE=address
@@ -384,4 +394,4 @@ cp "$t2_fresh" "$t2_committed"
 [ "$t2_drift" -eq 0 ] \
   || { echo "work counters drifted from $t2_committed (trace_check rc $t2_drift); the regenerated file is in place: commit it with the change that explains the drift"; exit 1; }
 
-step "OK: all builds green, fault+obs+serve+diskfault+overload+ha+par labels pass (and on one core), batch results certified, exposition scraped live, overload shed+browned out+recovered, standby survived kill -9 of its leader"
+step "OK: all builds green, fault+obs+serve+diskfault+overload+ha+par labels pass (and on one core), benchmark smoke correct, batch results certified, exposition scraped live, overload shed+browned out+recovered, standby survived kill -9 of its leader"

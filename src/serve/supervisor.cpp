@@ -1,5 +1,8 @@
 #include "serve/supervisor.h"
 
+#include <poll.h>
+#include <sys/inotify.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -13,8 +16,10 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <filesystem>
 #include <thread>
+#include <utility>
 
 #include <algorithm>
 
@@ -55,7 +60,41 @@ void sleep_seconds(double s) {
   std::this_thread::sleep_for(std::chrono::duration<double>(s));
 }
 
+// Non-blocking inotify descriptor that reports files renamed into `dir`;
+// -1 when the kernel refuses one (no inotify, watch or fd limit).
+int watch_renames_into(const std::string& dir) {
+  const int fd = inotify_init1(IN_CLOEXEC | IN_NONBLOCK);
+  if (fd < 0) return -1;
+  if (inotify_add_watch(fd, dir.c_str(), IN_MOVED_TO) < 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// pidfd of a child, close-on-exec by default; -1 when the kernel refuses
+// one. A child that exited before the call is still an unreaped zombie, so
+// its pidfd is readable at once.
+int open_pidfd(pid_t pid) {
+  return static_cast<int>(syscall(SYS_pidfd_open, pid, 0));
+}
+
 }  // namespace
+
+Supervisor::OwnedFd::OwnedFd(OwnedFd&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)) {}
+
+Supervisor::OwnedFd& Supervisor::OwnedFd::operator=(OwnedFd&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) close(fd_);
+    fd_ = std::exchange(other.fd_, -1);
+  }
+  return *this;
+}
+
+Supervisor::OwnedFd::~OwnedFd() {
+  if (fd_ >= 0) close(fd_);
+}
 
 Supervisor::Supervisor(SpoolQueue& queue, SupervisorOptions opts)
     : queue_(queue),
@@ -247,7 +286,7 @@ void Supervisor::recover() {
 // A worker left a result envelope: judge it and finalize. The breaker sees
 // every envelope as a supervision success — a typed optimization failure is
 // a verdict, not a worker death.
-void Supervisor::dispose_envelope(Job job) {
+void Supervisor::dispose_envelope(Job job, double worker_wall_seconds) {
   const std::string path = queue_.result_path(job.id);
   std::string envelope;
   util::JsonValue env;
@@ -267,6 +306,23 @@ void Supervisor::dispose_envelope(Job job) {
     // the job is retried rather than lost.
     handle_death(std::move(job), "error", 0, 0.0, unix_now());
     return;
+  }
+  // Where the attempt's time went: the worker's own load / optimize /
+  // certify split and, for a worker reaped live, the rest of its wall time
+  // (fork+exec, envelope commit, exit and the wait to reap it).
+  if (env.has("load_seconds")) {
+    const double load = env.get_number("load_seconds", 0.0);
+    const double optimize = env.get_number("runtime_seconds", 0.0);
+    const double certify = env.get_number("certify_seconds", 0.0);
+    obs::histogram("serve.job.load_micros").record(load * 1e6);
+    obs::histogram("serve.job.optimize_micros").record(optimize * 1e6);
+    obs::histogram("serve.job.certify_micros").record(certify * 1e6);
+    if (worker_wall_seconds > 0.0) {
+      obs::histogram("serve.job.process_micros")
+          .record(std::max(0.0, worker_wall_seconds - load - optimize -
+                                    certify) *
+                  1e6);
+    }
   }
   if (!job.attempts.empty() && job.attempts.back().outcome == "running") {
     job.attempts.back().outcome = "ok";
@@ -464,6 +520,7 @@ void Supervisor::spawn_ready(double now_unix) {
     }
     Slot slot;
     slot.pid = pid;
+    slot.pidfd = OwnedFd(open_pidfd(pid));
     slot.job = std::move(job);
     slot.started_monotonic = util::monotonic_seconds();
     slot.kill_after_seconds = opts_.timeout_seconds;
@@ -503,7 +560,7 @@ void Supervisor::reap() {
     if (std::filesystem::exists(queue_.result_path(job.id))) {
       if (!job.attempts.empty()) job.attempts.back().wall_seconds = wall;
       obs::counter("serve.worker.ok").add();
-      dispose_envelope(std::move(job));
+      dispose_envelope(std::move(job), wall);
       continue;
     }
     if (WIFSIGNALED(status)) {
@@ -513,6 +570,31 @@ void Supervisor::reap() {
       handle_death(std::move(job), "error", WEXITSTATUS(status), wall,
                    unix_now());
     }
+  }
+}
+
+void Supervisor::wait_for_event() {
+  // poll() skips negative descriptors, so an absent source needs no branch.
+  std::vector<pollfd> fds;
+  fds.reserve(slots_.size() + 1);
+  fds.push_back({pending_watch_.get(), POLLIN, 0});
+  for (const Slot& slot : slots_) {
+    fds.push_back({slot.pidfd.get(), POLLIN, 0});
+  }
+  const double cap = std::max(opts_.poll_seconds, 0.0);
+  timespec timeout{};
+  timeout.tv_sec = static_cast<std::time_t>(cap);
+  timeout.tv_nsec = static_cast<long>(
+      (cap - static_cast<double>(timeout.tv_sec)) * 1e9);
+  // A drain signal ends the wait with EINTR; the caller checks the flag.
+  if (ppoll(fds.data(), fds.size(), &timeout, nullptr) <= 0 ||
+      (fds[0].revents & POLLIN) == 0) {
+    return;
+  }
+  // The claim pass lists pending/ itself: the events only had to end the
+  // wait, so discard them.
+  alignas(inotify_event) char events[4096];
+  while (read(pending_watch_.get(), events, sizeof events) > 0) {
   }
 }
 
@@ -533,9 +615,10 @@ void Supervisor::drain() {
   const double t0 = util::monotonic_seconds();
   while (!slots_.empty() &&
          util::monotonic_seconds() - t0 < opts_.drain_grace_seconds) {
+    obs::counter("serve.loop.iterations").add();
     reap();
     refresh_health("draining");
-    if (!slots_.empty()) sleep_seconds(opts_.poll_seconds);
+    if (!slots_.empty()) wait_for_event();
   }
   for (Slot& slot : slots_) {
     kill(slot.pid, SIGKILL);
@@ -614,6 +697,7 @@ void Supervisor::on_lease_lost(const std::string& why) {
     waitpid(slot.pid, &status, 0);
   }
   slots_.clear();
+  pending_watch_ = OwnedFd();
   lease_.demote(why);  // no-op when renew() already noted the loss
   obs::gauge("serve.lease.is_leader").set(0.0);
   std::fprintf(stderr, "served: lease lost (%s); demoting to standby\n",
@@ -671,6 +755,10 @@ int Supervisor::run() {
   obs::histogram("serve.job.queue_wait_micros");
   obs::histogram("serve.job.exec_micros");
   obs::histogram("serve.job.e2e_micros");
+  obs::histogram("serve.job.load_micros");
+  obs::histogram("serve.job.optimize_micros");
+  obs::histogram("serve.job.certify_micros");
+  obs::histogram("serve.job.process_micros");
   obs::counter("serve.slo.violations");
   // Overload instruments too: CI asserts on serve_brownout_level and
   // serve_shed_level even for a daemon that never degrades.
@@ -700,9 +788,9 @@ int Supervisor::run() {
         if (!lease_.try_acquire()) {
           standby_tick();
           if (g_drain_requested) break;
-          if (opts_.once) {
-            const QueueCounts c = queue_.counts();
-            if (c.pending == 0 && c.running == 0) break;
+          if (opts_.once && queue_.ids_in("pending").empty() &&
+              queue_.ids_in("running").empty()) {
+            break;
           }
           sleep_seconds(std::max(opts_.poll_seconds,
                                  opts_.lease.ttl_seconds / 8.0));
@@ -715,8 +803,15 @@ int Supervisor::run() {
         refresh_health("starting");
         recover();
         started = true;
+        // Watch before the first claim pass lists pending/, so no arrival
+        // can fall between that listing and the wait.
+        if (pending_watch_.get() < 0) {
+          pending_watch_ = OwnedFd(watch_renames_into(
+              (std::filesystem::path(queue_.root()) / "pending").string()));
+        }
         refresh_health("serving");
       }
+      obs::counter("serve.loop.iterations").add();
       // Heartbeat before touching any work: a failed renew means some other
       // daemon owns the spool now — reap without writing and re-enter the
       // acquisition loop.
@@ -731,8 +826,9 @@ int Supervisor::run() {
       spawn_ready(unix_now());
       maybe_scrub();
       if (g_drain_requested) break;
-      const QueueCounts c = queue_.counts();
-      if (opts_.once && slots_.empty() && c.pending == 0) break;
+      if (opts_.once && slots_.empty() && queue_.ids_in("pending").empty()) {
+        break;
+      }
       if (util::monotonic_seconds() - last_health_monotonic_ >=
           opts_.health_interval_seconds) {
         refresh_health("serving");
@@ -743,7 +839,10 @@ int Supervisor::run() {
         last_snapshot_monotonic_ = util::monotonic_seconds();
         opts_.snapshot_hook();
       }
-      sleep_seconds(opts_.poll_seconds);
+      // A signal that landed after the check above (say, during the health
+      // write) has already run its handler: do not wait out the cap for it.
+      if (g_drain_requested) break;
+      wait_for_event();
     } catch (const FencedError& e) {
       // A mutating queue op lost the fencing race before renew() noticed:
       // identical reaction, the queue already refused the stale write.

@@ -22,6 +22,16 @@
 // period to finish, survivors are SIGKILLed and their jobs requeued with
 // their PR-3 checkpoint files preserved, so the restarted daemon resumes
 // each in-flight annealing/joint run bit-exactly from its last snapshot.
+//
+// The loop is event-driven: between passes it blocks in ppoll until a job
+// lands in pending/ (an inotify watch for IN_MOVED_TO: every submit and
+// requeue ends in a rename there), a worker exits (one pidfd per live
+// slot) or a signal arrives — and never longer than poll_seconds, so every
+// timer the loop owns (kill deadline, lease renewal, health, snapshot,
+// scrub, retry backoff, overload tick) still fires on time. A wake source
+// the kernel refuses (inotify_init1 or pidfd_open failing) is simply
+// absent, and the cap alone gives a plain poll. waitpid(WNOHANG) in reap()
+// is the only reaper; a pidfd only ends the wait.
 #pragma once
 
 #include <sys/types.h>
@@ -44,7 +54,9 @@ struct SupervisorOptions {
   // Evaluation threads inside each worker (forwarded as --threads=N;
   // 0 = leave the worker at its default, hardware concurrency).
   int worker_threads = 0;
-  double poll_seconds = 0.02;       // control-loop cadence
+  // Longest the control loop waits without an event (a job arriving in
+  // pending/, a worker exiting, a signal); the cadence of its timers.
+  double poll_seconds = 0.02;
   double timeout_seconds = 300.0;   // per-attempt wall clock before SIGKILL
   int max_retries = 2;              // extra attempts after the first
   double backoff_seconds = 0.5;     // retry k sleeps backoff * 2^(k-1)
@@ -89,8 +101,23 @@ class Supervisor {
   int run();
 
  private:
+  // Owns one file descriptor (-1 = none); closes it on destruction.
+  class OwnedFd {
+   public:
+    OwnedFd() = default;
+    explicit OwnedFd(int fd) : fd_(fd) {}
+    OwnedFd(OwnedFd&& other) noexcept;
+    OwnedFd& operator=(OwnedFd&& other) noexcept;
+    ~OwnedFd();
+    int get() const { return fd_; }
+
+   private:
+    int fd_ = -1;
+  };
+
   struct Slot {
     pid_t pid = -1;
+    OwnedFd pidfd;  // readable once the worker exits; a wake source only
     Job job;
     double started_monotonic = 0.0;
     double kill_after_seconds = 0.0;
@@ -98,6 +125,9 @@ class Supervisor {
 
   void recover();
   void reap();
+  // The loop's only wait: returns when a job lands in pending/, a worker
+  // exits, a signal interrupts it, or poll_seconds pass.
+  void wait_for_event();
   void spawn_ready(double now_unix);
   // Ticks the overload controller and (re)publishes <spool>/overload.json
   // on level changes or freshness expiry.
@@ -120,7 +150,10 @@ class Supervisor {
   // Leader-only anti-entropy pass at the configured cadence.
   void maybe_scrub();
 
-  void dispose_envelope(Job job);
+  // Judges and finalizes a committed result envelope. `worker_wall_seconds`
+  // is the attempt's wall time when the envelope comes from a worker reap()
+  // just collected, 0 otherwise (recovery, drain); it only feeds telemetry.
+  void dispose_envelope(Job job, double worker_wall_seconds = 0.0);
   void handle_death(Job job, const std::string& outcome, int exit_code,
                     double wall_seconds, double now_unix);
   pid_t spawn_worker(const Job& job, std::uint64_t seed);
@@ -131,6 +164,8 @@ class Supervisor {
   OverloadController overload_;
   LeaseManager lease_;
   std::vector<Slot> slots_;
+  // inotify watch on pending/, open while this daemon leads.
+  OwnedFd pending_watch_;
   double last_health_monotonic_ = -1.0;
   double last_scrub_monotonic_ = -1.0;
   double last_snapshot_monotonic_ = -1.0;

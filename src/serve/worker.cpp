@@ -21,6 +21,7 @@
 #include "serve/inject.h"
 #include "serve/lease.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/guard.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
@@ -91,6 +92,10 @@ int run_worker_job(const Job& job, std::uint64_t seed,
   }
   kill_point("worker.pre-run");
 
+  // Load: circuit build, cycle-time choice and evaluator set-up, timed on
+  // the steady clock like certification below; the envelope reports both
+  // next to the optimizer's runtime_seconds.
+  const double load_start = util::monotonic_seconds();
   netlist::Netlist nl = bench_suite::make_circuit(job.circuit);
   bench_suite::ExperimentConfig cfg;
   cfg.clock_frequency = job.clock_frequency;
@@ -102,6 +107,7 @@ int run_worker_job(const Job& job, std::uint64_t seed,
   activity::ActivityProfile profile;
   profile.input_density = job.activity;
   const opt::CircuitEvaluator eval(nl, cfg.tech, profile, settings);
+  const double load_seconds = util::monotonic_seconds() - load_start;
 
   // Deadline propagation: the job's wall-clock budget becomes the
   // optimizer's watchdog, so running out of time yields a best-seen
@@ -173,7 +179,9 @@ int run_worker_job(const Job& job, std::uint64_t seed,
   // own say-so.
   opt::CertifyOptions copts;
   copts.skew_b = skew_b;
+  const double certify_start = util::monotonic_seconds();
   const opt::Certificate cert = opt::Certifier(eval, copts).certify(result);
+  const double certify_seconds = util::monotonic_seconds() - certify_start;
 
   if (job.inject == "crash-pre-result") std::raise(SIGKILL);
   kill_point("worker.pre-result");
@@ -214,6 +222,8 @@ int run_worker_job(const Job& job, std::uint64_t seed,
   w.kv("tc_scaled", tc_scaled);
   w.kv("circuit_evaluations", result.circuit_evaluations);
   w.kv("runtime_seconds", result.runtime_seconds);
+  w.kv("load_seconds", load_seconds);
+  w.kv("certify_seconds", certify_seconds);
   w.key("certificate");
   util::emit(w, util::JsonValue::parse(cert.to_json(0), "<certificate>"));
   w.end_object();

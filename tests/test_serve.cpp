@@ -1,18 +1,29 @@
 // Spool-queue state machine, job serialization, breaker, and supervisor
-// recovery semantics for the optimization service (src/serve/).
+// recovery semantics for the optimization service (src/serve/), plus the
+// control loop's event-driven wait against the real daemon binary.
 //
-// Everything here is in-process and deterministic; the subprocess chaos
-// harness (test_serve_chaos.cpp) covers daemon/worker kills at randomized
-// protocol points. Both run under `ctest -L serve`.
+// Everything but the control-loop tests is in-process and deterministic;
+// the subprocess chaos harness (test_serve_chaos.cpp) covers daemon/worker
+// kills at randomized protocol points. Both run under `ctest -L serve`.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cmath>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "io/durable.h"
 #include "io/envelope.h"
@@ -631,6 +642,29 @@ TEST(Supervisor, TypedWorkerFailureLandsInFailedWithEnvelope) {
   EXPECT_EQ(rec.at("result").get_string("error_type", ""), "numeric-error");
 }
 
+TEST(Supervisor, CrashingWorkersAreReapedOnExit) {
+  ScratchSpool spool("reap_on_exit");
+  SpoolQueue q(spool.root);
+  const std::string id = q.submit(Job{});
+  // Three attempts under /bin/true: a loop that slept out its 10 s poll
+  // before each reap would take at least 20 s.
+  SupervisorOptions opts = fast_supervisor_options();
+  opts.poll_seconds = 10.0;
+  opts.lease.ttl_seconds = 60.0;
+  const auto start = std::chrono::steady_clock::now();
+  Supervisor supervisor(q, opts);
+  EXPECT_EQ(supervisor.run(), 0);
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(fs::exists(q.job_path("quarantined", id)));
+  EXPECT_EQ(read_record(q.job_path("quarantined", id))
+                .at("attempts")
+                .items()
+                .size(),
+            3u);
+  EXPECT_LT(elapsed.count(), 5.0);
+}
+
 TEST(Supervisor, UncertifiedEnvelopeIsARejectedResultNotARetry) {
   ScratchSpool spool("uncert");
   SpoolQueue q(spool.root);
@@ -648,6 +682,127 @@ TEST(Supervisor, UncertifiedEnvelopeIsARejectedResultNotARetry) {
   ASSERT_TRUE(fs::exists(q.job_path("failed", id)));
   const util::JsonValue rec = read_record(q.job_path("failed", id));
   EXPECT_EQ(rec.at("failure").get_string("type", ""), "uncertified");
+}
+
+// ------------------------------------------- control loop (real daemon)
+
+// fork+exec minergy_served with `flags`, its output silenced.
+pid_t spawn_served(const std::vector<std::string>& flags) {
+  std::vector<std::string> args = {MINERGY_SERVED_BIN};
+  args.insert(args.end(), flags.begin(), flags.end());
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  const pid_t pid = fork();
+  if (pid == 0) {
+    const int null_fd = open("/dev/null", O_WRONLY);
+    if (null_fd >= 0) {
+      dup2(null_fd, STDOUT_FILENO);
+      dup2(null_fd, STDERR_FILENO);
+    }
+    execv(argv[0], argv.data());
+    _exit(127);
+  }
+  return pid;
+}
+
+// Polls `done` every 5 ms for up to `seconds`; true once it holds.
+bool wait_until(const std::function<bool()>& done, double seconds) {
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+// Reaps `pid`, SIGKILLing it after `seconds`; true when it exited 0 alone.
+bool wait_exit(pid_t pid, double seconds) {
+  int status = 0;
+  const bool exited =
+      wait_until([&] { return waitpid(pid, &status, WNOHANG) == pid; },
+                 seconds);
+  if (!exited) {
+    kill(pid, SIGKILL);
+    waitpid(pid, &status, 0);
+  }
+  return exited && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+bool serving(const std::string& spool) {
+  return read_text(spool + "/health.json").find("\"state\": \"serving\"") !=
+         std::string::npos;
+}
+
+TEST(ServeLoop, JobArrivalAndWorkerExitWakeTheLoop) {
+  ScratchSpool spool("loop_wake");
+  SpoolQueue q(spool.root);
+  // A 10 s poll cap: sleeping it out once to claim and once to reap would
+  // blow the 5 s budget each job gets below.
+  const pid_t daemon =
+      spawn_served({"--spool=" + spool.root, "--poll=10", "--lease-ttl-s=60"});
+  const bool up = wait_until([&] { return serving(spool.root); }, 30.0);
+  EXPECT_TRUE(up) << "daemon never reported serving";
+  for (int k = 0; up && k < 2; ++k) {
+    Job job;
+    job.circuit = "c17";
+    const std::string id = q.submit(job);
+    EXPECT_TRUE(wait_until(
+        [&] { return fs::exists(q.job_path("done", id)); }, 5.0))
+        << "job " << k << " not done within 5 s";
+  }
+  kill(daemon, SIGTERM);
+  EXPECT_TRUE(wait_exit(daemon, 30.0));
+}
+
+TEST(ServeLoop, IdleLeaderWakesAtMostFiftyTimesASecond) {
+  ScratchSpool spool("loop_idle");
+  const std::string perf = spool.root + "/perf.json";
+  const auto start = std::chrono::steady_clock::now();
+  const pid_t daemon =
+      spawn_served({"--spool=" + spool.root, "--perf-record=" + perf});
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  kill(daemon, SIGTERM);
+  ASSERT_TRUE(wait_exit(daemon, 30.0));
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - start;
+  const double iterations =
+      util::JsonValue::parse(read_text(perf), perf)
+          .at("counters")
+          .get_number("serve.loop.iterations", 0.0);
+  // The default 20 ms cap allows 50 passes a second; a slower machine
+  // only passes less often.
+  EXPECT_GE(iterations, 1.0);
+  EXPECT_LE(iterations, 50.0 * wall.count() + 5.0);
+}
+
+TEST(ServeLoop, ServedJobSplitsWorkerTimeIntoFourHistograms) {
+  ScratchSpool spool("loop_split");
+  SpoolQueue q(spool.root);
+  Job job;
+  job.circuit = "c17";
+  q.submit(job);
+  const std::string perf = spool.root + "/perf.json";
+  const pid_t daemon = spawn_served(
+      {"--spool=" + spool.root, "--once", "--perf-record=" + perf});
+  ASSERT_TRUE(wait_exit(daemon, 120.0));
+  EXPECT_EQ(q.ids_in("done").size(), 1u);
+  const util::JsonValue hist =
+      util::JsonValue::parse(read_text(perf), perf).at("histograms");
+  for (const char* name :
+       {"serve.job.load_micros", "serve.job.optimize_micros",
+        "serve.job.certify_micros", "serve.job.process_micros"}) {
+    ASSERT_TRUE(hist.has(name)) << name;
+    EXPECT_EQ(hist.at(name).get_number("count", 0.0), 1.0) << name;
+  }
 }
 
 }  // namespace

@@ -16,7 +16,9 @@
 //   --spool=DIR           spool directory (required; created if missing)
 //   --workers=N           concurrent worker subprocesses (default 2)
 //   --once                exit when pending/ and the worker pool are empty
-//   --poll=S              control-loop cadence seconds (default 0.02)
+//   --poll=S              longest wait without an event, seconds (default
+//                         0.02): the loop wakes at once when a job arrives
+//                         or a worker exits, and at least this often
 //   --timeout=S           per-attempt wall clock before SIGKILL (default 300)
 //   --retries=N           extra attempts after the first (default 2)
 //   --backoff=S           base backoff; retry k waits backoff * 2^(k-1)
@@ -145,6 +147,7 @@ constexpr const char* kUsage =
     "          [--shed-target-ms=N] [--shed-window-ms=N]\n"
     "          [--quota=CLIENT:RPS[,...]] [--brownout]\n"
     "          [--brownout-dwell-s=S] [--brownout-recover-ratio=R]\n"
+    "          (--poll: longest wait without an event, default 0.02 s)\n"
     "  submit: --circuit=NAME [--optimizer=robust|joint|baseline|anneal]\n"
     "          [--seed=S] [--fc=HZ] [--activity=D] [--deadline=S]\n"
     "          [--max-evals=N] [--anneal-moves=N] [--max-pending=N]\n"
