@@ -21,7 +21,6 @@ using namespace minergy;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  bench_suite::apply_engine_flags(cli);
   const obs::Session session(cli, "ablation_multivdd_edp");
   bench_suite::ExperimentConfig cfg;
   cfg.clock_frequency = cli.get("fc", 300e6);

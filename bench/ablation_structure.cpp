@@ -39,7 +39,6 @@ double optimize(const netlist::Netlist& nl,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  bench_suite::apply_engine_flags(cli);
   const obs::Session session(cli, "ablation_structure");
   bench_suite::ExperimentConfig cfg;
   cfg.clock_frequency = cli.get("fc", 300e6);

@@ -26,7 +26,6 @@ using namespace minergy;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  bench_suite::apply_engine_flags(cli);
   const obs::Session session(cli, "activity_accuracy");
   const double density = cli.get("activity", 0.1);
   const int cycles = cli.get("cycles", 40000);

@@ -20,7 +20,6 @@ using namespace minergy;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  bench_suite::apply_engine_flags(cli);
   const obs::Session session(cli, "fig2b_slack");
   const std::string circuit = cli.get("circuit", std::string("s298*"));
   const double requested_fc = cli.get("fc", 300e6);

@@ -23,7 +23,6 @@ using namespace minergy;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  bench_suite::apply_engine_flags(cli);
   const obs::Session session(cli, "physics_balance");
   const std::string circuit = cli.get("circuit", std::string("s298*"));
 

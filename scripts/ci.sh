@@ -74,10 +74,9 @@ cmake --build build-ci-asan -j "$JOBS"
 run_labelled_tests build-ci-asan fault obs serve diskfault overload ha par
 
 # ThreadSanitizer pass: the serve daemon forks workers, the obs layer
-# shares atomics across threads, and the `par` label (thread pool,
-# multi-chain anneal over shared evaluators, evaluation cache) is the
-# hottest shared-state code in the tree — run all of them under TSan to
-# catch real races rather than relying on review.
+# shares atomics across threads, and the `par` label drives the thread pool
+# (which bench/e2e still links) from several threads — run all of them
+# under TSan to catch real races rather than relying on review.
 step "configure + build (ThreadSanitizer)"
 cmake -B build-ci-tsan -S . -DMINERGY_SANITIZE=thread
 cmake --build build-ci-tsan -j "$JOBS"
@@ -350,29 +349,23 @@ build-ci-release/bench/table1_baseline --circuit=s27 --perf-record="$traj"
 mkdir -p bench/trajectory
 cp "$traj" bench/trajectory/BENCH_table1_baseline.latest.json
 
-# Table-2 trajectory: the heuristic on the largest bundled circuit, once
-# with --threads=1 --eval-cache=0 and once at the defaults (hardware
-# threads + cache). Both perf records, each with its own wall_seconds, land
-# in one document together with the machine's hardware_concurrency. The
-# evaluation kernels are serial, so the default run must dispatch no pool
-# job at all (util.pool.jobs is a deterministic counter, absent from the
-# record when zero). The fresh document is then diffed against the
-# committed one: the work counters are deterministic, so any drift fails
-# the leg (trace_check --diff-perf; wall time and histograms are printed,
-# never gated). The fresh file replaces the committed one either way, so
-# a change that moves the counters on purpose commits the regenerated
-# file with it. The `par` oracles above already prove both flows
-# bit-identical.
-step "perf trajectory (table2_heuristic, serial vs defaults)"
-t2_serial=build-ci-release/BENCH_table2_serial.json
+# Table-2 trajectory: the heuristic on the largest bundled circuit, run
+# once at the defaults. Its perf record lands in one document together with
+# the machine's hardware_concurrency. The evaluation kernels are serial, so
+# the run must dispatch no pool job at all (util.pool.jobs is a
+# deterministic counter, absent from the record when zero). The fresh
+# document is then diffed against the committed one: the work counters are
+# deterministic, so any drift fails the leg (trace_check --diff-perf; wall
+# time and histograms are printed, never gated). The fresh file replaces
+# the committed one either way, so a change that moves the counters on
+# purpose commits the regenerated file with it.
+step "perf trajectory (table2_heuristic)"
 t2_default=build-ci-release/BENCH_table2_default.json
-build-ci-release/bench/table2_heuristic --circuit='s832*' \
-  --threads=1 --eval-cache=0 --perf-record="$t2_serial" >/dev/null
 build-ci-release/bench/table2_heuristic --circuit='s832*' \
   --perf-record="$t2_default" >/dev/null
 pool_jobs=$(sed -n 's/^ *"util\.pool\.jobs": *\([0-9]*\).*/\1/p' "$t2_default")
 [ "${pool_jobs:-0}" -eq 0 ] \
-  || { echo "default table2 run dispatched $pool_jobs pool jobs; the evaluation kernels must stay serial"; exit 1; }
+  || { echo "table2 run dispatched $pool_jobs pool jobs; the evaluation kernels must stay serial"; exit 1; }
 t2_fresh=build-ci-release/BENCH_table2_heuristic.json
 t2_committed=bench/trajectory/BENCH_table2_heuristic.latest.json
 {
@@ -381,9 +374,7 @@ t2_committed=bench/trajectory/BENCH_table2_heuristic.latest.json
   printf '"bench": "table2_heuristic",\n'
   printf '"circuit": "s832*",\n'
   printf '"hardware_concurrency": %s,\n' "$(nproc 2>/dev/null || echo 1)"
-  printf '"serial_threads1_cache_off": '
-  cat "$t2_serial"
-  printf ',\n"defaults": '
+  printf '"defaults": '
   cat "$t2_default"
   printf '}\n'
 } > "$t2_fresh"

@@ -4,11 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <limits>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -16,19 +13,8 @@
 #include "util/check.h"
 #include "util/guard.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace minergy::opt {
-
-// How one chain loads and stores snapshots. The single-chain run keeps the
-// historical behavior (v1 file at opts_.checkpoint_path / resume_path); a
-// chain of a multi-chain run resumes from an in-memory snapshot and routes
-// saves through the orchestrator, which rewrites the combined v2 file.
-struct AnnealingOptimizer::ChainIo {
-  const AnnealCheckpoint* resume = nullptr;  // in-memory snapshot, may be null
-  bool resume_from_path = false;  // chains==1: load opts_.resume_path (v1)
-  std::function<void(const AnnealCheckpoint&)> save;  // null: v1 file save
-};
 
 AnnealingOptimizer::AnnealingOptimizer(const CircuitEvaluator& eval,
                                        AnnealingOptions options)
@@ -36,22 +22,10 @@ AnnealingOptimizer::AnnealingOptimizer(const CircuitEvaluator& eval,
   MINERGY_CHECK(opts_.max_moves >= 1);
   MINERGY_CHECK(opts_.passes >= 1);
   MINERGY_CHECK(opts_.cooling > 0.0 && opts_.cooling < 1.0);
-  MINERGY_CHECK(opts_.chains >= 1);
 }
 
 OptimizationResult AnnealingOptimizer::run(
     const CircuitState& warm_start) const {
-  if (opts_.chains == 1) {
-    ChainIo io;
-    io.resume_from_path = true;
-    return run_chain(warm_start, opts_.seed, opts_.budget, io);
-  }
-  return run_multi(warm_start);
-}
-
-OptimizationResult AnnealingOptimizer::run_chain(
-    const CircuitState& warm_start, std::uint64_t seed,
-    const util::WatchdogBudget& budget, const ChainIo& io) const {
   const obs::Span run_span("anneal.run");
   const obs::CounterDelta counter_delta;
   obs::counter("opt.anneal.runs").add();
@@ -61,7 +35,7 @@ OptimizationResult AnnealingOptimizer::run_chain(
   const auto t0 = std::chrono::steady_clock::now();
   const tech::Technology& tech = eval_.technology();
   const netlist::Netlist& nl = eval_.netlist();
-  util::Rng rng(seed);
+  util::Rng rng(opts_.seed);
 
   OptimizationResult result;
   obs::RunReport& rep = result.report;
@@ -85,7 +59,7 @@ OptimizationResult AnnealingOptimizer::run_chain(
   };
 
   const double limit = opts_.skew_b * eval_.cycle_time();
-  util::Watchdog dog(budget);
+  util::Watchdog dog(opts_.budget);
 
   // A random walk can wander into non-physical corners (threshold at or
   // above the supply) where the evaluator's finite-checks throw; such a
@@ -123,46 +97,44 @@ OptimizationResult AnnealingOptimizer::run_chain(
   std::int64_t resumed_evals = 0;
   CircuitState resume_cur;
   double resume_cur_cost = 0.0, resume_temperature = 0.0;
-  AnnealCheckpoint loaded_ck;
-  const AnnealCheckpoint* resume_ck = io.resume;
-  if (resume_ck == nullptr && io.resume_from_path &&
-      !opts_.resume_path.empty()) {
+  if (!opts_.resume_path.empty()) {
+    AnnealCheckpoint ck;
+    bool loaded = true;
     try {
-      loaded_ck = AnnealCheckpoint::load(opts_.resume_path);
-      resume_ck = &loaded_ck;
+      ck = AnnealCheckpoint::load(opts_.resume_path);
     } catch (const util::ParseError& e) {
       // A truncated/garbled/wrong-schema snapshot must not take the run
       // down with it: reject it, count the rejection, start fresh. (A
       // checkpoint for the wrong circuit is a caller bug, not corruption,
       // and still fails the MINERGY_CHECK below.)
+      loaded = false;
       obs::counter("opt.checkpoint.resume_rejected").add();
       std::fprintf(stderr,
                    "anneal: resume snapshot rejected (%s); starting fresh\n",
                    e.what());
     }
-  }
-  if (resume_ck != nullptr) {
-    const AnnealCheckpoint& ck = *resume_ck;
-    MINERGY_CHECK_MSG(ck.circuit == nl.name(),
-                      "anneal resume: checkpoint is for circuit '" +
-                          ck.circuit + "', not '" + nl.name() + "'");
-    resumed = true;
-    start_pass = ck.pass;
-    start_move = ck.move;
-    resume_cur = ck.current;
-    resume_cur_cost = ck.current_cost;
-    resume_temperature = ck.temperature;
-    global_best = ck.global_best;
-    global_best_cost = ck.global_best_cost;
-    global_best_crit = ck.global_best_crit;
-    global_best_energy = ck.global_best_energy;
-    resumed_evals = ck.evaluations;
-    rng.restore(ck.rng);
-    // The trajectory so far rides in the checkpoint; continue appending.
-    rep = ck.report;
-    rep.optimizer = "annealing";
-    rep.circuit = nl.name();
-    obs::counter("opt.anneal.resumes").add();
+    if (loaded) {
+      MINERGY_CHECK_MSG(ck.circuit == nl.name(),
+                        "anneal resume: checkpoint is for circuit '" +
+                            ck.circuit + "', not '" + nl.name() + "'");
+      resumed = true;
+      start_pass = ck.pass;
+      start_move = ck.move;
+      resume_cur = std::move(ck.current);
+      resume_cur_cost = ck.current_cost;
+      resume_temperature = ck.temperature;
+      global_best = std::move(ck.global_best);
+      global_best_cost = ck.global_best_cost;
+      global_best_crit = ck.global_best_crit;
+      global_best_energy = ck.global_best_energy;
+      resumed_evals = ck.evaluations;
+      rng.restore(ck.rng);
+      // The trajectory so far rides in the checkpoint; continue appending.
+      rep = std::move(ck.report);
+      rep.optimizer = "annealing";
+      rep.circuit = nl.name();
+      obs::counter("opt.anneal.resumes").add();
+    }
   }
   if (!resumed) {
     global_best = init;
@@ -193,11 +165,7 @@ OptimizationResult AnnealingOptimizer::run_chain(
     ck.evaluations = resumed_evals + dog.evaluations();
     ck.rng = rng.state();
     ck.report = rep;
-    if (io.save) {
-      io.save(ck);
-    } else {
-      ck.save(opts_.checkpoint_path);
-    }
+    ck.save(opts_.checkpoint_path);
     obs::counter("opt.anneal.checkpoints").add();
   };
 
@@ -311,106 +279,6 @@ OptimizationResult AnnealingOptimizer::run_chain(
   }
   counter_delta.finish(&rep);
   finalize_run_report(&result);
-  return result;
-}
-
-OptimizationResult AnnealingOptimizer::run_multi(
-    const CircuitState& warm_start) const {
-  const obs::Span span("anneal.multi");
-  const auto t0 = std::chrono::steady_clock::now();
-  const netlist::Netlist& nl = eval_.netlist();
-  const std::size_t nchains = static_cast<std::size_t>(opts_.chains);
-
-  // Deterministic per-chain seeds. Chain 0 keeps the raw seed, so one chain
-  // of this schedule reproduces the historical single-chain run exactly;
-  // later chains decorrelate through the SplitMix64 finalizer.
-  auto seed_of = [&](std::size_t c) {
-    return c == 0 ? opts_.seed
-                  : util::hash_mix(opts_.seed ^
-                                   (0x9e3779b97f4a7c15ull *
-                                    static_cast<std::uint64_t>(c)));
-  };
-
-  // The evaluation budget splits evenly; the wall deadline is shared, since
-  // the chains run concurrently against the same clock.
-  util::WatchdogBudget per_chain = opts_.budget;
-  if (per_chain.max_evaluations > 0) {
-    per_chain.max_evaluations = std::max<std::int64_t>(
-        1, per_chain.max_evaluations / opts_.chains);
-  }
-
-  // Resume: a v2 snapshot restores every chain it holds; a v1 snapshot
-  // loads as chain 0. Chains without a snapshot start fresh.
-  std::vector<AnnealCheckpoint> snapshots(nchains);
-  if (!opts_.resume_path.empty()) {
-    try {
-      MultiAnnealCheckpoint mck =
-          MultiAnnealCheckpoint::load(opts_.resume_path);
-      MINERGY_CHECK_MSG(mck.circuit == nl.name(),
-                        "anneal resume: checkpoint is for circuit '" +
-                            mck.circuit + "', not '" + nl.name() + "'");
-      for (std::size_t i = 0; i < mck.chains.size() && i < nchains; ++i) {
-        snapshots[i] = std::move(mck.chains[i]);
-      }
-    } catch (const util::ParseError& e) {
-      obs::counter("opt.checkpoint.resume_rejected").add();
-      std::fprintf(stderr,
-                   "anneal: resume snapshot rejected (%s); starting fresh\n",
-                   e.what());
-    }
-  }
-
-  // A cadence save from any chain rewrites the combined v2 snapshot with
-  // every chain's latest position (absent entries for chains that have not
-  // checkpointed yet). The mutex serializes both the slot update and the
-  // file write.
-  std::mutex ck_mutex;
-  std::vector<AnnealCheckpoint> latest = snapshots;
-  auto save_chain = [&](std::size_t c, const AnnealCheckpoint& ck) {
-    std::lock_guard<std::mutex> lock(ck_mutex);
-    latest[c] = ck;
-    MultiAnnealCheckpoint mck;
-    mck.circuit = nl.name();
-    mck.chains = latest;
-    mck.save(opts_.checkpoint_path);
-  };
-
-  std::vector<OptimizationResult> outcomes(nchains);
-  util::global_pool().parallel_for(nchains, [&](std::size_t c) {
-    ChainIo io;
-    if (!snapshots[c].circuit.empty()) io.resume = &snapshots[c];
-    if (!opts_.checkpoint_path.empty()) {
-      io.save = [&save_chain, c](const AnnealCheckpoint& ck) {
-        save_chain(c, ck);
-      };
-    }
-    outcomes[c] = run_chain(warm_start, seed_of(c), per_chain, io);
-  });
-
-  // Winner: the best feasible energy; if no chain found a feasible state,
-  // the one closest to the timing wall. Strict comparisons keep the lowest
-  // chain index on ties, so the outcome is identical at any thread count.
-  std::size_t win = 0;
-  for (std::size_t c = 1; c < nchains; ++c) {
-    const OptimizationResult& a = outcomes[c];
-    const OptimizationResult& b = outcomes[win];
-    const bool better =
-        a.feasible != b.feasible
-            ? a.feasible
-            : (a.feasible ? a.energy.total() < b.energy.total()
-                          : a.critical_delay < b.critical_delay);
-    if (better) win = c;
-  }
-
-  std::int64_t total_evals = 0;
-  for (const OptimizationResult& o : outcomes) {
-    total_evals += o.circuit_evaluations;
-  }
-  OptimizationResult result = std::move(outcomes[win]);
-  result.circuit_evaluations = static_cast<int>(total_evals);
-  result.runtime_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return result;
 }
 

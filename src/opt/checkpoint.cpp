@@ -115,35 +115,37 @@ void save_or_warn(const std::string& path, const std::string& schema,
   }
 }
 
-// One anneal chain's full payload object — the v1 document body, also
-// embedded per chain inside the v2 multi-chain array.
-void write_anneal_payload(JsonWriter& w, const AnnealCheckpoint& ck) {
+}  // namespace
+
+void AnnealCheckpoint::save(const std::string& path) const {
+  JsonWriter w(0);
   w.begin_object();
-  w.kv("circuit", ck.circuit);
-  w.kv("pass", ck.pass).kv("move", ck.move);
-  w.kv("temperature", ck.temperature);
+  w.kv("circuit", circuit);
+  w.kv("pass", pass).kv("move", move);
+  w.kv("temperature", temperature);
   w.key("current");
-  write_state(w, ck.current);
+  write_state(w, current);
   w.key("current_cost");
-  write_extended(w, ck.current_cost);
+  write_extended(w, current_cost);
   w.key("global_best");
-  write_state(w, ck.global_best);
+  write_state(w, global_best);
   w.key("global_best_cost");
-  write_extended(w, ck.global_best_cost);
+  write_extended(w, global_best_cost);
   w.key("global_best_crit");
-  write_extended(w, ck.global_best_crit);
+  write_extended(w, global_best_crit);
   w.key("global_best_energy");
-  write_extended(w, ck.global_best_energy);
-  w.kv("evaluations", ck.evaluations);
+  write_extended(w, global_best_energy);
+  w.kv("evaluations", evaluations);
   w.key("rng");
-  write_rng(w, ck.rng);
+  write_rng(w, rng);
   w.key("report");
-  write_report(w, ck.report);
+  write_report(w, report);
   w.end_object();
+  save_or_warn(path, kAnnealCheckpointSchema, w.str());
 }
 
-AnnealCheckpoint read_anneal_payload(const JsonValue& p,
-                                     const std::string& path) {
+AnnealCheckpoint AnnealCheckpoint::load(const std::string& path) {
+  const JsonValue p = io::Checkpoint::load(path, kAnnealCheckpointSchema);
   AnnealCheckpoint ck;
   ck.circuit = p.get_string("circuit", "");
   ck.pass = static_cast<int>(p.get_number("pass", 0.0));
@@ -159,63 +161,6 @@ AnnealCheckpoint read_anneal_payload(const JsonValue& p,
   ck.rng = read_rng(p.at("rng"));
   ck.report = read_report(p, path);
   return ck;
-}
-
-}  // namespace
-
-void AnnealCheckpoint::save(const std::string& path) const {
-  JsonWriter w(0);
-  write_anneal_payload(w, *this);
-  save_or_warn(path, kAnnealCheckpointSchema, w.str());
-}
-
-AnnealCheckpoint AnnealCheckpoint::load(const std::string& path) {
-  const JsonValue p = io::Checkpoint::load(path, kAnnealCheckpointSchema);
-  return read_anneal_payload(p, path);
-}
-
-void MultiAnnealCheckpoint::save(const std::string& path) const {
-  JsonWriter w(0);
-  w.begin_object();
-  w.kv("circuit", circuit);
-  w.key("chains").begin_array();
-  for (const AnnealCheckpoint& ck : chains) {
-    w.begin_object();
-    const bool present = !ck.circuit.empty();
-    w.kv("present", present);
-    if (present) {
-      w.key("snapshot");
-      write_anneal_payload(w, ck);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  save_or_warn(path, kAnnealCheckpointSchemaV2, w.str());
-}
-
-MultiAnnealCheckpoint MultiAnnealCheckpoint::load(const std::string& path) {
-  try {
-    const JsonValue p =
-        io::Checkpoint::load(path, kAnnealCheckpointSchemaV2);
-    MultiAnnealCheckpoint mck;
-    mck.circuit = p.get_string("circuit", "");
-    for (const JsonValue& c : p.at("chains").items()) {
-      if (c.get_bool("present", false)) {
-        mck.chains.push_back(read_anneal_payload(c.at("snapshot"), path));
-      } else {
-        mck.chains.emplace_back();  // empty circuit = absent
-      }
-    }
-    return mck;
-  } catch (const util::ParseError&) {
-    // Not a v2 file (or torn): fall through to the v1 reader, which rethrows
-    // its own ParseError when the file is genuinely bad.
-  }
-  MultiAnnealCheckpoint mck;
-  mck.chains.push_back(AnnealCheckpoint::load(path));
-  mck.circuit = mck.chains.front().circuit;
-  return mck;
 }
 
 void JointCheckpoint::save(const std::string& path) const {

@@ -8,11 +8,6 @@
 //   (util::RngState, so the move sequence continues exactly where it
 //   stopped) and the partial RunReport trajectory.
 //
-//   minergy.anneal_checkpoint.v2 — the multi-chain extension: an array of
-//   per-chain v1 payloads (absent chains allowed, so a snapshot taken while
-//   some chains had not yet checkpointed still resumes the others). A v1
-//   file still loads, as a single chain.
-//
 //   minergy.joint_checkpoint.v1 — the Procedure-2 sweep position after a
 //   completed outer Vdd step: the next step index, the surviving Vdd
 //   bracket, the "energy decreased" reference, the best probe so far and
@@ -26,7 +21,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/report.h"
 #include "opt/circuit_state.h"
@@ -37,8 +31,6 @@ namespace minergy::opt {
 
 inline constexpr const char kAnnealCheckpointSchema[] =
     "minergy.anneal_checkpoint.v1";
-inline constexpr const char kAnnealCheckpointSchemaV2[] =
-    "minergy.anneal_checkpoint.v2";
 inline constexpr const char kJointCheckpointSchema[] =
     "minergy.joint_checkpoint.v1";
 
@@ -60,19 +52,6 @@ struct AnnealCheckpoint {
   void save(const std::string& path) const;  // atomic write-rename
   // Throws util::ParseError on a missing/torn/mismatched file.
   static AnnealCheckpoint load(const std::string& path);
-};
-
-// Multi-chain anneal snapshot (schema v2). `chains[i]` is chain i's v1
-// snapshot; an entry whose `circuit` is empty means that chain had not
-// checkpointed yet when the snapshot was taken (it restarts fresh on
-// resume). load() also accepts a v1 file, returning it as a single chain.
-struct MultiAnnealCheckpoint {
-  std::string circuit;
-  std::vector<AnnealCheckpoint> chains;
-
-  void save(const std::string& path) const;  // always writes v2
-  // Throws util::ParseError on a missing/torn/mismatched file.
-  static MultiAnnealCheckpoint load(const std::string& path);
 };
 
 struct JointCheckpoint {

@@ -109,14 +109,6 @@ timing::TimingReport CircuitEvaluator::sta(const CircuitState& state,
                                            double cycle_limit) const {
   static obs::Counter& c_calls = obs::counter("opt.eval.sta_calls");
   c_calls.add();
-  const bool cached = eval_cache_active();
-  EvalKey key;
-  if (cached) {
-    // cycle_limit is folded into the key: it changes slacks, not arrivals.
-    key = EvalKey::of(state.vdd, state.vts, state.widths, cycle_limit);
-    timing::TimingReport hit;
-    if (sta_cache_.lookup(key, &hit)) return hit;
-  }
   std::vector<double> vts_corner(state.vts.size());
   for (std::size_t i = 0; i < state.vts.size(); ++i) {
     vts_corner[i] = delay_vts(state.vts[i]);
@@ -125,7 +117,6 @@ timing::TimingReport CircuitEvaluator::sta(const CircuitState& state,
       timing::run_sta(delay_, state.widths, state.vdd,
                       std::span<const double>(vts_corner), cycle_limit);
   check_finite_report(nl_, report);
-  if (cached) sta_cache_.insert(key, report);
   return report;
 }
 
@@ -139,13 +130,6 @@ power::EnergyBreakdown CircuitEvaluator::energy(
   static obs::Histogram& h_micros = obs::histogram("opt.eval.energy_micros");
   c_calls.add();
   const obs::ScopedTimer timer(h_micros);
-  const bool cached = eval_cache_active();
-  EvalKey key;
-  if (cached) {
-    key = EvalKey::of(state.vdd, state.vts, state.widths, 0.0);
-    power::EnergyBreakdown hit;
-    if (energy_cache_.lookup(key, &hit)) return hit;
-  }
   // Summed in topological order, so the floating-point total is the same on
   // every run.
   power::EnergyBreakdown total;
@@ -196,7 +180,6 @@ power::EnergyBreakdown CircuitEvaluator::energy(
     }
     throw util::NumericError(total.total(), "total energy per cycle");
   }
-  if (cached) energy_cache_.insert(key, total);
   return total;
 }
 

@@ -16,7 +16,6 @@
 #include "interconnect/wire_model.h"
 #include "netlist/netlist.h"
 #include "opt/circuit_state.h"
-#include "opt/eval_cache.h"
 #include "power/energy_model.h"
 #include "tech/device_model.h"
 #include "tech/technology.h"
@@ -103,7 +102,6 @@ class CircuitEvaluator {
  private:
   void validate_inputs() const;
 
-
   const netlist::Netlist& nl_;
   tech::Technology tech_;
   EvalSettings settings_;
@@ -114,13 +112,14 @@ class CircuitEvaluator {
   timing::DelayCalculator delay_;
   power::EnergyModel energy_;
   timing::DelayBudgeter budgeter_;
+};
 
-  // Memoized results for the nested binary search's repeated probes. Cached
-  // values are bit-identical to recomputation (see eval_cache.h), so these
-  // never change an optimizer trajectory. STA reports are large, energy
-  // breakdowns tiny — hence the asymmetric capacities.
-  mutable EvalCache<timing::TimingReport> sta_cache_{128};
-  mutable EvalCache<power::EnergyBreakdown> energy_cache_{4096};
+// Does nothing: the evaluator keeps no cache, so every sta() and energy()
+// call computes. Kept only because bench/e2e/src/solve.cpp still declares
+// `const opt::EvalCacheBypass bypass;`, which needs a user-provided default
+// constructor.
+struct EvalCacheBypass {
+  EvalCacheBypass() {}
 };
 
 // Diagnoses an unreachable cycle-time constraint: probes the max-drive

@@ -118,11 +118,8 @@ void JointOptimizer::refine(const timing::BudgetResult& budgets, Probe* best,
   // proportion to their violation so the golden-section stays oriented.
   // Once the watchdog expires, further probes are skipped and a flat cost
   // lets the bracketing searches run out without new evaluations.
-  auto penalized = [&](double vdd, double vts, Probe* out) {
-    if (ctx.dog->expired()) {
-      if (out) *out = *best;
-      return best->energy.total() * 4.0;
-    }
+  auto penalized = [&](double vdd, double vts) {
+    if (ctx.dog->expired()) return best->energy.total() * 4.0;
     Probe p = probe_uniform(vdd, vts, budgets, ctx);
     double cost = p.energy.total();
     if (!p.feasible) {
@@ -131,16 +128,19 @@ void JointOptimizer::refine(const timing::BudgetResult& budgets, Probe* best,
     }
     if (p.feasible && p.energy.total() < best->energy.total()) {
       mark_accepted(ctx.report, p.traj);
-      *best = p;
+      *best = std::move(p);
     }
-    if (out) *out = p;
     return cost;
   };
 
+  // The inner Vts search hands back its winner's cost, so the outer search
+  // never probes that point a second time.
   auto energy_at_vdd = [&](double vdd) {
-    return util::golden_section_min(
+    double cost = 0.0;
+    util::golden_section_min(
         tech.vts_min, tech.vts_max, opts_.refine_steps,
-        [&](double vts) { return penalized(vdd, vts, nullptr); });
+        [&](double vts) { return penalized(vdd, vts); }, &cost);
+    return cost;
   };
   // 1-D polish on Vdd in a +/-30% window around the discrete optimum; the
   // best probe seen anywhere is captured by `penalized`.
@@ -150,15 +150,15 @@ void JointOptimizer::refine(const timing::BudgetResult& budgets, Probe* best,
     // The window lies entirely outside the technology's legal Vdd range
     // (possible when resuming a checkpoint taken under a different
     // technology): an inverted interval would trip golden_section_min's
-    // precondition check. Collapse to the legal point nearest the center so
-    // the polish degenerates to re-probing it.
+    // precondition check. Collapse to the legal point nearest the center.
     lo = hi = std::clamp(center_vdd, tech.vdd_min, tech.vdd_max);
   }
-  util::golden_section_min(lo, hi, opts_.refine_steps, [&](double vdd) {
-    double best_vts = energy_at_vdd(vdd);
-    Probe p;
-    return penalized(vdd, best_vts, &p);
-  });
+  if (lo == hi) {
+    // One legal Vdd: a single inner search covers the whole window.
+    energy_at_vdd(lo);
+    return;
+  }
+  util::golden_section_min(lo, hi, opts_.refine_steps, energy_at_vdd);
 }
 
 void JointOptimizer::assign_threshold_groups(

@@ -35,7 +35,7 @@ inline const char* to_string(ResultTier tier) {
 struct OptimizerOptions {
   int steps = 10;          // M, binary-search iterations per nested loop
   // Ignored: the per-gate width is solved in closed form (opt/sizer.h).
-  // Kept for source compatibility with existing callers.
+  // Kept only because bench/e2e reads it.
   int sizing_steps = 12;
   double skew_b = 0.95;    // clock-skew factor b of Eq. (1)
   int num_thresholds = 1;  // n_v distinct threshold voltages

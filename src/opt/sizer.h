@@ -32,7 +32,7 @@ class GateSizer {
   // t_max indexed by gate id; vts is the *delay-corner* threshold per gate.
   // Every returned width meets its budget under DelayCalculator::gate_delay;
   // a gate that cannot, even at w_max, gets w_max and counts as missed.
-  // `steps` is ignored and stays only for source compatibility.
+  // `steps` is ignored; it stays only because bench/e2e passes it.
   SizingResult size(std::span<const double> t_max, double vdd,
                     std::span<const double> vts, int steps = 10) const;
 

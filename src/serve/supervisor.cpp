@@ -429,11 +429,6 @@ pid_t Supervisor::spawn_worker(const Job& job, std::uint64_t seed) {
       "--job-id=" + job.id,
       "--attempt-seed=" + std::to_string(seed),
   };
-  // Per-worker pool lanes (multi-chain anneal) ride in as a flag, like
-  // brownout.
-  if (opts_.worker_threads > 0) {
-    args.push_back("--threads=" + std::to_string(opts_.worker_threads));
-  }
   if (!kill_switch_spec().empty()) {
     args.push_back("--inject-kill=" + kill_switch_spec());
   }

@@ -51,9 +51,6 @@ struct SupervisorOptions {
   // Absolute path of the binary to exec for workers (minergy_served).
   std::string worker_binary;
   int workers = 2;                  // concurrent worker subprocesses
-  // Evaluation threads inside each worker (forwarded as --threads=N;
-  // 0 = leave the worker at its default, hardware concurrency).
-  int worker_threads = 0;
   // Longest the control loop waits without an event (a job arriving in
   // pending/, a worker exiting, a signal); the cadence of its timers.
   double poll_seconds = 0.02;

@@ -24,7 +24,6 @@
 #include "util/clock.h"
 #include "util/guard.h"
 #include "util/json.h"
-#include "util/thread_pool.h"
 
 namespace minergy::serve {
 
@@ -49,9 +48,6 @@ void write_error_envelope(const Job& job, const std::string& result_path,
 }  // namespace
 
 int run_worker_mode(const util::Cli& cli, const SpoolQueue& queue) {
-  // Evaluation parallelism for this job (forwarded by the supervisor's
-  // --worker-threads; 0 = hardware concurrency).
-  util::set_global_threads(cli.get("threads", 0));
   const std::string id = cli.get("job-id", std::string());
   if (id.empty()) {
     std::fprintf(stderr, "worker: --job-id is required\n");

@@ -30,9 +30,8 @@ namespace minergy::serve {
 
 // The `--worker` entry point of every binary the supervisor execs: loads
 // the running/ job named by --job-id from `queue` and runs it under
-// --attempt-seed, --brownout-level and --lease-path, with --threads
-// evaluation lanes (0 = hardware concurrency). Returns the worker exit code
-// (2 when the job cannot be loaded).
+// --attempt-seed, --brownout-level and --lease-path. Returns the worker
+// exit code (2 when the job cannot be loaded).
 int run_worker_mode(const util::Cli& cli, const SpoolQueue& queue);
 
 // Runs `job`, certifies the result, writes the envelope to `result_path`.

@@ -86,8 +86,8 @@ class Watchdog {
  private:
   WatchdogBudget budget_;
   std::chrono::steady_clock::time_point start_;
-  // Atomic so concurrent annealing chains can share one watchdog; the count
-  // is a budget, not a result, so relaxed ordering is enough.
+  // Atomic, so one watchdog may be shared by several threads; the count is
+  // a budget, not a result, so relaxed ordering is enough.
   std::atomic<std::int64_t> evaluations_{0};
 };
 

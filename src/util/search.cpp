@@ -35,7 +35,8 @@ double bisect_max_true(double lo, double hi, int steps,
 }
 
 double golden_section_min(double lo, double hi, int steps,
-                          const std::function<double(double)>& f) {
+                          const std::function<double(double)>& f,
+                          double* f_min) {
   MINERGY_CHECK(lo <= hi);
   constexpr double kInvPhi = 0.6180339887498949;
   double a = lo, b = hi;
@@ -57,6 +58,7 @@ double golden_section_min(double lo, double hi, int steps,
       fd = f(d);
     }
   }
+  if (f_min != nullptr) *f_min = fc < fd ? fc : fd;
   return fc < fd ? c : d;
 }
 

@@ -31,8 +31,11 @@ double bisect_min_true(double lo, double hi, int steps,
 double bisect_max_true(double lo, double hi, int steps,
                        const std::function<bool(double)>& pred);
 
-// Golden-section minimization of a unimodal function on [lo, hi].
+// Golden-section minimization of a unimodal function on [lo, hi]. Returns
+// the best point probed; when `f_min` is non-null it receives f at that
+// point, so the caller need not evaluate it again.
 double golden_section_min(double lo, double hi, int steps,
-                          const std::function<double(double)>& f);
+                          const std::function<double(double)>& f,
+                          double* f_min = nullptr);
 
 }  // namespace minergy::util

@@ -1,16 +1,16 @@
-// Fixed-size thread pool for coarse, independent units of work: today the
-// chains of a multi-chain anneal (AnnealingOptimizer). The evaluation
-// kernels (STA, the width search, the energy sum) are plain serial loops;
-// per-level dispatch of a few gates cost more in wake-ups than the gates
-// themselves (DESIGN.md, "Parallel evaluation & determinism").
+// Fixed-size thread pool for coarse, independent units of work. No code
+// under src/ or tools/ dispatches to it: the evaluation kernels (STA, the
+// width search, the energy sum) are plain serial loops, and the annealer
+// runs one chain. Its only caller is bench/e2e/src/solve.cpp, which sets the
+// lane count through set_global_threads; the pool goes once that benchmark
+// stops calling it (DESIGN.md, "Serial evaluation & determinism").
 //
 // Deliberately simple: no work stealing, no futures, no task graph. The one
 // primitive is parallel_for(n, fn) — run fn(i) for every i in [0, n) across
 // the pool and the calling thread, and return when all n are done. Callers
 // get determinism by construction: each index writes its own output slot and
 // any reduction happens serially, in index order, after the call returns, so
-// results are bit-identical at every thread count (see DESIGN.md, "Parallel
-// evaluation & determinism").
+// results are bit-identical at every thread count.
 //
 // The calling thread always participates in the work. That guarantees
 // forward progress under nesting: a nested parallel_for simply runs inline
@@ -51,16 +51,15 @@ class ThreadPool {
   Impl* impl_;
 };
 
-// Process-wide pool that schedules the multi-chain anneal's chains.
-// Lazily constructed on first use with the thread count last requested via
-// set_global_threads (default: hardware concurrency).
+// Process-wide pool, lazily constructed on first use with the thread count
+// last requested via set_global_threads (default: hardware concurrency).
 ThreadPool& global_pool();
 
 // Requests `n` execution lanes for the global pool (<= 0 = hardware
 // concurrency). Takes effect immediately: an existing pool with a different
 // lane count is torn down and rebuilt. Not safe to call concurrently with
-// global-pool parallel_for calls — wire it once at process startup
-// (the --threads flag), before any evaluation begins.
+// global-pool parallel_for calls — wire it once at process startup,
+// before any evaluation begins.
 void set_global_threads(int n);
 
 // Lanes the global pool currently offers (without forcing construction).

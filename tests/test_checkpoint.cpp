@@ -374,141 +374,6 @@ TEST(ResumeRejection, JointFallsBackToFreshRunOnCorruptSnapshot) {
   EXPECT_EQ(r.state.widths, fresh.state.widths);
 }
 
-// ------------------------------------------- v1 <-> v2 (multi-chain) schema
-
-TEST(MultiAnnealCheckpoint, V2RoundTripsChainsIncludingAbsentOnes) {
-  MultiAnnealCheckpoint mck;
-  mck.circuit = "s27";
-  mck.chains.resize(3);
-  mck.chains[0].circuit = "s27";
-  mck.chains[0].pass = 2;
-  mck.chains[0].move = 17;
-  mck.chains[0].current.vdd = 1.5;
-  mck.chains[0].current.vts = {0.4};
-  mck.chains[0].current.widths = {2.0};
-  mck.chains[0].global_best = mck.chains[0].current;
-  mck.chains[0].global_best_energy = 3.0e-11;
-  mck.chains[0].evaluations = 321;
-  // chains[1] stays default-constructed: an absent chain (no snapshot yet).
-  mck.chains[2] = mck.chains[0];
-  mck.chains[2].move = 99;
-  mck.chains[2].rng = util::Rng(5).state();
-
-  ScratchFile f("multi_ck");
-  mck.save(f.path);
-  // The file on disk is schema v2.
-  EXPECT_NO_THROW(io::Checkpoint::load(f.path, kAnnealCheckpointSchemaV2));
-
-  const MultiAnnealCheckpoint back = MultiAnnealCheckpoint::load(f.path);
-  EXPECT_EQ(back.circuit, "s27");
-  ASSERT_EQ(back.chains.size(), 3u);
-  EXPECT_EQ(back.chains[0].pass, 2);
-  EXPECT_EQ(back.chains[0].move, 17);
-  EXPECT_EQ(back.chains[0].evaluations, 321);
-  EXPECT_TRUE(back.chains[1].circuit.empty());  // absent chain survives
-  EXPECT_EQ(back.chains[2].move, 99);
-  EXPECT_EQ(back.chains[2].rng.words, mck.chains[2].rng.words);
-}
-
-TEST(MultiAnnealCheckpoint, V1FileLoadsAsSingleChain) {
-  AnnealCheckpoint v1;
-  v1.circuit = "s344";
-  v1.pass = 1;
-  v1.move = 250;
-  v1.current.vdd = 2.0;
-  v1.current.vts = {0.3, 0.35};
-  v1.current.widths = {1.5, 4.0};
-  v1.global_best = v1.current;
-  v1.global_best_energy = 8.0e-11;
-  v1.evaluations = 512;
-  v1.rng = util::Rng(77).state();
-
-  ScratchFile f("v1_as_multi");
-  v1.save(f.path);  // writes schema v1
-  const MultiAnnealCheckpoint mck = MultiAnnealCheckpoint::load(f.path);
-  EXPECT_EQ(mck.circuit, "s344");
-  ASSERT_EQ(mck.chains.size(), 1u);
-  EXPECT_EQ(mck.chains[0].move, 250);
-  EXPECT_EQ(mck.chains[0].evaluations, 512);
-  EXPECT_EQ(mck.chains[0].rng.words, v1.rng.words);
-  EXPECT_EQ(mck.chains[0].current.widths, v1.current.widths);
-}
-
-TEST(AnnealResume, MultiChainInterruptedRunReproducesUninterruptedResult) {
-  // The v2 analogue of the single-chain kill+resume oracle: a chains=2 run
-  // killed by the evaluation budget, resumed from its combined snapshot,
-  // must land on the uninterrupted chains=2 answer exactly.
-  Harness s;
-  AnnealingOptions base;
-  base.max_moves = 900;
-  base.passes = 3;
-  base.seed = 4242;
-  base.chains = 2;
-
-  const OptimizationResult uninterrupted =
-      AnnealingOptimizer(s.eval, base).run();
-
-  ScratchFile f("anneal_resume_multi");
-  AnnealingOptions interrupted = base;
-  interrupted.checkpoint_path = f.path;
-  interrupted.checkpoint_every_moves = 50;
-  interrupted.budget.max_evaluations = 313;  // split across the chains
-  const OptimizationResult partial =
-      AnnealingOptimizer(s.eval, interrupted).run();
-  ASSERT_TRUE(partial.truncated);
-  ASSERT_TRUE(std::filesystem::exists(f.path));
-  // The interrupted run leaves a v2 snapshot holding both chains.
-  const MultiAnnealCheckpoint snap = MultiAnnealCheckpoint::load(f.path);
-  EXPECT_EQ(snap.chains.size(), 2u);
-
-  AnnealingOptions resumed = base;
-  resumed.resume_path = f.path;
-  const OptimizationResult r = AnnealingOptimizer(s.eval, resumed).run();
-
-  EXPECT_EQ(r.feasible, uninterrupted.feasible);
-  EXPECT_DOUBLE_EQ(r.energy.total(), uninterrupted.energy.total());
-  EXPECT_DOUBLE_EQ(r.critical_delay, uninterrupted.critical_delay);
-  EXPECT_DOUBLE_EQ(r.state.vdd, uninterrupted.state.vdd);
-  EXPECT_EQ(r.state.widths, uninterrupted.state.widths);
-  EXPECT_EQ(r.state.vts, uninterrupted.state.vts);
-}
-
-TEST(AnnealResume, V1SnapshotMigratesIntoChainZeroOfMultiChainRun) {
-  // Upgrade path: a snapshot from a pre-multi-chain (v1) run resumes chain 0
-  // of a chains=2 run; chain 1 starts fresh. The outcome matches an
-  // uninterrupted chains=2 run because chain 0's resumed stream converges to
-  // its uninterrupted self and chain 1 is untouched.
-  Harness s;
-  AnnealingOptions base;
-  base.max_moves = 600;
-  base.passes = 2;
-  base.seed = 515;
-
-  ScratchFile f("v1_resume_multi");
-  AnnealingOptions v1run = base;  // chains=1 writes a v1 snapshot
-  v1run.checkpoint_path = f.path;
-  v1run.checkpoint_every_moves = 40;
-  v1run.budget.max_evaluations = 200;
-  const OptimizationResult partial = AnnealingOptimizer(s.eval, v1run).run();
-  ASSERT_TRUE(partial.truncated);
-  ASSERT_TRUE(std::filesystem::exists(f.path));
-  EXPECT_NO_THROW(io::Checkpoint::load(f.path, kAnnealCheckpointSchema));
-
-  AnnealingOptions multi = base;
-  multi.chains = 2;
-  const OptimizationResult uninterrupted =
-      AnnealingOptimizer(s.eval, multi).run();
-
-  AnnealingOptions resumed = multi;
-  resumed.resume_path = f.path;
-  const OptimizationResult r = AnnealingOptimizer(s.eval, resumed).run();
-  EXPECT_EQ(r.feasible, uninterrupted.feasible);
-  EXPECT_DOUBLE_EQ(r.energy.total(), uninterrupted.energy.total());
-  EXPECT_DOUBLE_EQ(r.state.vdd, uninterrupted.state.vdd);
-  EXPECT_EQ(r.state.widths, uninterrupted.state.widths);
-  EXPECT_EQ(r.state.vts, uninterrupted.state.vts);
-}
-
 TEST(JointResume, EvaluationCountAccumulatesAcrossResume) {
   Harness s;
   ScratchFile f("joint_evals");

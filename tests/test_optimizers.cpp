@@ -3,7 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "bench_suite/iscas.h"
 #include "netlist/generator.h"
@@ -165,6 +167,34 @@ TEST(JointOptimizer, RefinementNeverHurts) {
   EXPECT_LE(b.energy.total(), a.energy.total() * (1.0 + 1e-12));
 }
 
+TEST(JointOptimizer, RefineProbesEachPointOnce) {
+  // The refine's outer Vdd search takes the cost of each inner Vts search's
+  // winner from that search instead of probing the winner a second time.
+  // A default run therefore makes steps^2 sweep probes and
+  // (refine_steps + 2)^2 refine probes, and no refine point repeats.
+  const Netlist nl = bench_suite::make_circuit("s27");
+  const CircuitEvaluator eval(nl, tech::Technology::generic350(),
+                              Harness::profile(), {.clock_frequency = 300e6});
+  const OptimizerOptions opts;
+  const OptimizationResult r = JointOptimizer(eval, opts).run();
+  ASSERT_TRUE(r.feasible);
+  const int sweep = opts.steps * opts.steps;
+  const int refine = (opts.refine_steps + 2) * (opts.refine_steps + 2);
+  EXPECT_EQ(r.circuit_evaluations, sweep + refine);  // 100 + 144
+  int sweep_points = 0;
+  int refine_points = 0;
+  std::set<std::pair<double, double>> refined;
+  for (const obs::TrajectoryPoint& tp : r.report.trajectory) {
+    if (tp.phase == "sweep") ++sweep_points;
+    if (tp.phase != "refine") continue;
+    ++refine_points;
+    EXPECT_TRUE(refined.emplace(tp.vdd, tp.vts).second)
+        << "refine probed (" << tp.vdd << ", " << tp.vts << ") twice";
+  }
+  EXPECT_EQ(sweep_points, sweep);
+  EXPECT_EQ(refine_points, refine);
+}
+
 TEST(JointOptimizer, TilosPolishNeverHurts) {
   Harness s;
   OptimizerOptions plain;
@@ -260,8 +290,13 @@ TEST(JointOptimizer, RefineClampsWindowWhenTechRangeExcludesIt) {
   OptimizationResult r;
   EXPECT_NO_THROW(r = JointOptimizer(eval, opts).run());
   // The refine probes run at the clamped legal point and replace the crafted
-  // out-of-range best.
+  // out-of-range best. A one-point window runs a single inner Vts search.
   EXPECT_TRUE(r.feasible);
+  int refine_points = 0;
+  for (const obs::TrajectoryPoint& tp : r.report.trajectory) {
+    if (tp.phase == "refine") ++refine_points;
+  }
+  EXPECT_EQ(refine_points, opts.refine_steps + 2);
   EXPECT_GE(r.state.vdd, tech.vdd_min - 1e-12);
   EXPECT_LE(r.state.vdd, tech.vdd_max + 1e-12);
   EXPECT_LT(r.energy.total(), 1.0);

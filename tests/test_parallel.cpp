@@ -1,29 +1,21 @@
-// Parallel evaluation engine: thread-pool semantics, the bit-exactness
-// contract (any --threads value produces the identical result, double for
-// double), and the evaluation cache's transparency (cached results change
-// wall-clock, never answers).
+// Thread-pool semantics, and the guarantee that the pool's lane count
+// never changes an answer: STA, sizing, energy and the joint optimizer give
+// the identical result, double for double, at 1, 2 and 8 lanes.
 //
 // These are the `par` CTest label's determinism oracles; scripts/ci.sh runs
 // them in Release and again under TSan, where the concurrent sections double
-// as the data-race oracle for the pool and the multi-chain anneal. The
-// evaluation kernels themselves are serial; a guard below keeps them off the
-// pool.
+// as the data-race oracle for the pool. No code under src/ dispatches to the
+// pool: the evaluation kernels are serial, and a guard below keeps them off
+// it. The pool stays while bench/e2e links it.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "bench_suite/experiment.h"
-#include "bench_suite/iscas.h"
 #include "netlist/generator.h"
 #include "obs/metrics.h"
-#include "opt/annealing_optimizer.h"
-#include "opt/baseline_optimizer.h"
-#include "opt/certifier.h"
-#include "opt/eval_cache.h"
 #include "opt/evaluator.h"
 #include "opt/joint_optimizer.h"
 #include "opt/sizer.h"
@@ -34,21 +26,12 @@
 namespace minergy {
 namespace {
 
-// Thread count and cache enable are process-global knobs; every test leaves
-// them the way it found them so ordering cannot couple tests.
+// The thread count is a process-global knob; every test leaves it at the
+// default so ordering cannot couple tests.
 class ParallelTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    was_cache_enabled_ = opt::eval_cache_enabled();
-    obs::set_enabled(true);
-  }
-  void TearDown() override {
-    util::set_global_threads(0);
-    opt::set_eval_cache_enabled(was_cache_enabled_);
-  }
-
- private:
-  bool was_cache_enabled_ = false;
+  void SetUp() override { obs::set_enabled(true); }
+  void TearDown() override { util::set_global_threads(0); }
 };
 
 netlist::Netlist make_random(std::uint64_t seed = 11, int gates = 90,
@@ -178,7 +161,6 @@ TEST_F(ParallelTest, SizerAndEnergyAreBitIdenticalAtAnyThreadCount) {
   const tech::Technology tech = tech::Technology::generic350();
   const opt::CircuitEvaluator eval(nl, tech, profile(),
                                    {.clock_frequency = 200e6});
-  opt::set_eval_cache_enabled(false);  // force real recomputation per run
   const timing::BudgetResult budgets =
       eval.budgeter().assign(0.95 * eval.cycle_time());
   const std::vector<double> vts(nl.size(), 0.25);
@@ -214,7 +196,6 @@ TEST_F(ParallelTest, EvaluationKernelsNeverTouchThePool) {
   const opt::CircuitEvaluator eval(
       nl, tech::Technology::generic350(), profile(),
       {.clock_frequency = 200e6, .include_short_circuit = true});
-  opt::set_eval_cache_enabled(false);
   const timing::BudgetResult budgets =
       eval.budgeter().assign(0.95 * eval.cycle_time());
   const std::vector<double> vts(nl.size(), 0.25);
@@ -273,130 +254,6 @@ TEST_F(ParallelTest, JointOptimizerIsBitIdenticalAtAnyThreadCount) {
     const opt::OptimizationResult r = opt::JointOptimizer(eval, opts).run();
     expect_same_result(r, ref, "threads=" + std::to_string(threads));
   }
-}
-
-TEST_F(ParallelTest, MultiChainAnnealIsBitIdenticalAtAnyThreadCount) {
-  const netlist::Netlist nl = make_random(47, 60, 7);
-  const opt::CircuitEvaluator eval(nl, tech::Technology::generic350(),
-                                   profile(), {.clock_frequency = 150e6});
-  opt::AnnealingOptions opts;
-  opts.max_moves = 600;
-  opts.passes = 2;
-  opts.chains = 3;
-  opts.seed = 99;
-  util::set_global_threads(1);
-  const opt::OptimizationResult ref = opt::AnnealingOptimizer(eval, opts).run();
-  for (const int threads : {2, 8}) {
-    util::set_global_threads(threads);
-    const opt::OptimizationResult r = opt::AnnealingOptimizer(eval, opts).run();
-    expect_same_result(r, ref, "threads=" + std::to_string(threads));
-  }
-  // circuit_evaluations sums over chains, so it is thread-count invariant
-  // too (each chain's budget and move sequence are fixed by its seed).
-  util::set_global_threads(8);
-  const opt::OptimizationResult again =
-      opt::AnnealingOptimizer(eval, opts).run();
-  EXPECT_EQ(again.circuit_evaluations, ref.circuit_evaluations);
-}
-
-TEST_F(ParallelTest, SingleChainAnnealMatchesChainZeroOfMultiChainSeeding) {
-  // chains=1 must stay the historical algorithm: same seed, same answer as
-  // the dedicated single-chain path, at any thread count.
-  const netlist::Netlist nl = make_random(53, 50, 6);
-  const opt::CircuitEvaluator eval(nl, tech::Technology::generic350(),
-                                   profile(), {.clock_frequency = 150e6});
-  opt::AnnealingOptions one;
-  one.max_moves = 400;
-  one.passes = 2;
-  one.seed = 7;
-  one.chains = 1;
-  util::set_global_threads(1);
-  const opt::OptimizationResult serial =
-      opt::AnnealingOptimizer(eval, one).run();
-  util::set_global_threads(8);
-  const opt::OptimizationResult pooled =
-      opt::AnnealingOptimizer(eval, one).run();
-  expect_same_result(pooled, serial, "chains=1 pooled");
-}
-
-// --- evaluation cache: transparent memoization -----------------------------
-
-TEST_F(ParallelTest, EvalKeyDistinguishesStatesAndExtras) {
-  const std::vector<double> vts{0.2, 0.3};
-  const std::vector<double> w{1.0, 2.0};
-  const opt::EvalKey a = opt::EvalKey::of(1.5, vts, w, 0.0);
-  EXPECT_EQ(a, opt::EvalKey::of(1.5, vts, w, 0.0));
-  EXPECT_FALSE(a == opt::EvalKey::of(1.5000001, vts, w, 0.0));
-  EXPECT_FALSE(a == opt::EvalKey::of(1.5, vts, w, 1e-9));
-  std::vector<double> w2 = w;
-  w2[1] = std::nextafter(w2[1], 3.0);
-  EXPECT_FALSE(a == opt::EvalKey::of(1.5, vts, w2, 0.0));
-}
-
-TEST_F(ParallelTest, CacheOnAndOffProduceIdenticalCertifiedResults) {
-  // The table1_baseline flow (cycle-time selection, baseline optimization,
-  // independent certification) on three bundled ISCAS circuits: the cache
-  // must change hit counters, never a single reported double.
-  util::set_global_threads(1);
-  obs::Counter& hits = obs::counter("opt.eval.cache.hits");
-  obs::Counter& misses = obs::counter("opt.eval.cache.misses");
-  for (const char* name : {"s27", "s298*", "s344*"}) {
-    SCOPED_TRACE(name);
-    const netlist::Netlist nl = bench_suite::make_circuit(name);
-    bench_suite::ExperimentConfig cfg;
-    cfg.clock_frequency = 100e6;
-    bool scaled = false;
-    const double tc = bench_suite::choose_cycle_time(nl, cfg, &scaled);
-    const opt::CircuitEvaluator eval(nl, cfg.tech, profile(0.3),
-                                     {.clock_frequency = 1.0 / tc});
-
-    opt::set_eval_cache_enabled(false);
-    const opt::OptimizationResult cold =
-        opt::BaselineOptimizer(eval, cfg.opts).run();
-
-    opt::set_eval_cache_enabled(true);
-    const std::int64_t h0 = hits.value();
-    const std::int64_t m0 = misses.value();
-    const opt::OptimizationResult warm1 =
-        opt::BaselineOptimizer(eval, cfg.opts).run();
-    EXPECT_GT(misses.value(), m0);  // first cached run populates
-    const opt::OptimizationResult warm2 =
-        opt::BaselineOptimizer(eval, cfg.opts).run();
-    EXPECT_GT(hits.value(), h0);  // identical re-run hits the memo
-
-    expect_same_result(warm1, cold, "cache-on vs cache-off");
-    expect_same_result(warm2, cold, "cache-hit vs cache-off");
-
-    // Certification re-derives every number with the cache bypassed; a
-    // cached result must survive it exactly like a recomputed one.
-    opt::CertifyOptions copts;
-    copts.skew_b = cfg.opts.skew_b;
-    const opt::Certificate cert = opt::Certifier(eval, copts).certify(warm2);
-    EXPECT_TRUE(cert.certified) << cert.summary();
-  }
-}
-
-TEST_F(ParallelTest, CertifierBypassesTheCache) {
-  const netlist::Netlist nl = make_random(61, 40, 5);
-  const opt::CircuitEvaluator eval(nl, tech::Technology::generic350(),
-                                   profile(), {.clock_frequency = 150e6});
-  opt::set_eval_cache_enabled(true);
-  util::set_global_threads(1);
-  const opt::OptimizationResult r = opt::BaselineOptimizer(eval, {}).run();
-  obs::Counter& hits = obs::counter("opt.eval.cache.hits");
-  obs::Counter& misses = obs::counter("opt.eval.cache.misses");
-  const std::int64_t h0 = hits.value();
-  const std::int64_t m0 = misses.value();
-  {
-    // Everything under an active bypass skips lookup AND insert.
-    const opt::EvalCacheBypass no_cache;
-    EXPECT_FALSE(opt::eval_cache_active());
-    (void)eval.sta(r.state, eval.cycle_time());
-    (void)eval.energy(r.state);
-  }
-  EXPECT_TRUE(opt::eval_cache_active());
-  EXPECT_EQ(hits.value(), h0);
-  EXPECT_EQ(misses.value(), m0);
 }
 
 }  // namespace

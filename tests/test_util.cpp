@@ -320,9 +320,21 @@ TEST(Search, BisectMaxTrueFindsThreshold) {
 }
 
 TEST(Search, GoldenSectionFindsMinimum) {
+  const auto f = [](double v) { return (v - 1.5) * (v - 1.5) + 2.0; };
+  int calls = 0;
+  double f_min = 0.0;
   const double x = golden_section_min(
-      -10.0, 10.0, 60, [](double v) { return (v - 1.5) * (v - 1.5); });
+      -10.0, 10.0, 60,
+      [&](double v) {
+        ++calls;
+        return f(v);
+      },
+      &f_min);
   EXPECT_NEAR(x, 1.5, 1e-6);
+  // The value handed back is f at the returned point, and no extra call
+  // was made to get it: two initial probes plus one per step.
+  EXPECT_EQ(f_min, f(x));
+  EXPECT_EQ(calls, 62);
 }
 
 // ---------------------------------------------------------------- units.h

@@ -22,8 +22,6 @@
 //   --timeout=SECONDS     per-attempt wall clock (default 300)
 //   --backoff=SECONDS     base backoff; retry k waits backoff * 2^(k-1)
 //                         (default 0.5)
-//   --threads=N           evaluation threads per worker (0 = hardware
-//                         concurrency)
 //   --report=FILE         batch report JSON (default minergy_batch.json)
 //   --inject-hang=NAME    test hook: the worker for NAME sleeps forever,
 //                         exercising timeout -> retry -> quarantine
@@ -68,7 +66,7 @@ constexpr const char* kUsage =
     "usage: minergy_batch [--circuits=A,B,...] [--optimizers=K,...]\n"
     "                     [--seed=S] [--retries=N] [--timeout=S]\n"
     "                     [--backoff=S] [--fc=HZ] [--activity=D]\n"
-    "                     [--report=FILE] [--inject-hang=NAME] [--threads=N]\n"
+    "                     [--report=FILE] [--inject-hang=NAME]\n"
     "       minergy_batch --verify-report=FILE [--min-circuits=N]\n"
     "                     [--expect-quarantined=NAME] [--allow-interrupted]\n"
     "  exit codes: 0 ok, 1 failed job or validation failure, 2 usage error,\n"
@@ -209,7 +207,6 @@ int run_batch(const util::Cli& cli) {
   opts.worker_binary = "/proc/self/exe";
   opts.workers = 1;
   opts.once = true;
-  opts.worker_threads = cli.get("threads", 0);
   opts.timeout_seconds = cli.get("timeout", 300.0);
   opts.max_retries = cli.get("retries", 2);
   opts.backoff_seconds = cli.get("backoff", 0.5);

@@ -65,7 +65,6 @@ util::WatchdogBudget budget_from(const util::Cli& cli) {
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
-  bench_suite::apply_engine_flags(cli);
   obs::Session session(cli, "minergy_report");
   const std::string report_path = cli.get("report", std::string());
   // Trajectories ride in the report regardless, but counters need the

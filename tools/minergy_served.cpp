@@ -134,7 +134,7 @@ constexpr const char* kUsage =
     "usage: minergy_served --spool=DIR [mode] [flags]\n"
     "  modes: (default) daemon | --submit | --status | --scrub |\n"
     "         --worker (internal)\n"
-    "  daemon: [--workers=N] [--worker-threads=N] [--once] [--poll=S]\n"
+    "  daemon: [--workers=N] [--once] [--poll=S]\n"
     "          [--timeout=S] [--retries=N]\n"
     "          [--backoff=S] [--breaker-threshold=N] [--breaker-cooldown=S]\n"
     "          [--drain-grace=S] [--inject-kill=POINT[@K]]\n"
@@ -318,7 +318,6 @@ int run_daemon(const util::Cli& cli, serve::SpoolQueue& queue,
     opts.worker_binary = cli.program();
   }
   opts.workers = cli.get("workers", 2);
-  opts.worker_threads = cli.get("worker-threads", 0);
   opts.poll_seconds = cli.get("poll", 0.02);
   opts.timeout_seconds = cli.get("timeout", 300.0);
   opts.max_retries = cli.get("retries", 2);
