@@ -18,8 +18,10 @@ double choose_cycle_time(const netlist::Netlist& nl,
   activity::ActivityProfile profile;  // activity does not affect timing
   const opt::CircuitEvaluator eval(nl, cfg.tech, profile,
                                    {.clock_frequency = cfg.clock_frequency});
-  const double min_tc =
-      eval.minimum_cycle_time(cfg.opts.skew_b, cfg.tech.nominal_vts);
+  // The answer is decided once the bisection's feasible end, which only
+  // moves down, reaches `requested`: stop the search there.
+  const double min_tc = eval.minimum_cycle_time(
+      cfg.opts.skew_b, cfg.tech.nominal_vts, /*stop_at=*/requested);
   if (min_tc <= requested) {
     if (scaled) *scaled = false;
     return requested;

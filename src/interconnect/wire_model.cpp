@@ -8,6 +8,18 @@
 
 namespace minergy::interconnect {
 
+void WireLoads::read_loads(std::size_t num_nets) {
+  net_cap_.resize(num_nets);
+  net_res_.resize(num_nets);
+  flight_.resize(num_nets);
+  for (std::size_t i = 0; i < num_nets; ++i) {
+    const auto id = static_cast<netlist::GateId>(i);
+    net_cap_[i] = net_cap(id);
+    net_res_[i] = net_res(id);
+    flight_[i] = flight_time(id);
+  }
+}
+
 WireLengthDistribution::WireLengthDistribution(std::size_t num_gates,
                                                double rent_p) {
   MINERGY_CHECK(num_gates >= 1);
@@ -75,6 +87,7 @@ WireModel::WireModel(const tech::Technology& tech, const netlist::Netlist& nl)
     trunk_length_[g.id] =
         static_cast<double>(dist_.quantile(u)) * pitch_;
   }
+  read_loads(nl.size());
 }
 
 double WireModel::net_length(netlist::GateId driver) const {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -26,6 +27,14 @@ namespace minergy::interconnect {
 // Rent's-rule WireModel below (the paper's a-priori estimate) and
 // place::PlacedWireModel (half-perimeter lengths from an actual placement,
 // used to validate the a-priori model).
+//
+// Read-once contract: every implementation reads its loads into the flat
+// per-net tables below when it is built, and the delay and energy kernels
+// (timing::DelayCalculator, power::EnergyModel, so every evaluator) read
+// only those tables. Loads are therefore fixed from construction on.
+// Changing what a model derives its loads from afterwards (e.g. moving the
+// cells of the place::Placement a PlacedWireModel holds) is not supported:
+// the tables, and every evaluator over the model, keep the old loads.
 class WireLoads {
  public:
   virtual ~WireLoads() = default;
@@ -40,6 +49,20 @@ class WireLoads {
   virtual double net_res(netlist::GateId driver) const = 0;
   // Time of flight down the trunk (s).
   virtual double flight_time(netlist::GateId driver) const = 0;
+
+  // net_cap, net_res and flight_time of every net, indexed by driver id,
+  // as read at construction (bit-identical to the virtual accessors).
+  std::span<const double> net_caps() const { return net_cap_; }
+  std::span<const double> net_resistances() const { return net_res_; }
+  std::span<const double> flight_times() const { return flight_; }
+
+ protected:
+  // Fills the tables from the virtual accessors for drivers [0, num_nets).
+  // Each final implementation calls it last in its constructor.
+  void read_loads(std::size_t num_nets);
+
+ private:
+  std::vector<double> net_cap_, net_res_, flight_;
 };
 
 class WireLengthDistribution {

@@ -55,6 +55,7 @@ void Netlist::set_fanins(GateId id, std::vector<GateId> fanins) {
 void Netlist::mark_output(GateId id) {
   MINERGY_CHECK(id < gates_.size());
   gates_[id].is_primary_output = true;
+  if (finalized_) is_po_[id] = 1;
 }
 
 void Netlist::finalize() {
@@ -149,6 +150,27 @@ void Netlist::finalize() {
         g.fanouts.begin(), g.fanouts.end(),
         [this](GateId o) { return gates_[o].type == GateType::kDff; });
     if (g.is_primary_output || feeds_dff) sink_drivers_.push_back(g.id);
+  }
+
+  // Flat adjacency and role bytes for the kernels.
+  const std::size_t n = gates_.size();
+  fanin_off_.assign(n + 1, 0);
+  fanout_off_.assign(n + 1, 0);
+  fanin_ids_.clear();
+  fanout_ids_.clear();
+  is_logic_.assign(n, 0);
+  is_po_.assign(n, 0);
+  std::size_t edges = 0;
+  for (const Gate& g : gates_) edges += g.fanins.size();
+  fanin_ids_.reserve(edges);
+  fanout_ids_.reserve(edges);
+  for (const Gate& g : gates_) {
+    fanin_ids_.insert(fanin_ids_.end(), g.fanins.begin(), g.fanins.end());
+    fanout_ids_.insert(fanout_ids_.end(), g.fanouts.begin(), g.fanouts.end());
+    fanin_off_[g.id + 1] = static_cast<std::uint32_t>(fanin_ids_.size());
+    fanout_off_[g.id + 1] = static_cast<std::uint32_t>(fanout_ids_.size());
+    is_logic_[g.id] = is_combinational(g.type) ? 1 : 0;
+    is_po_[g.id] = g.is_primary_output ? 1 : 0;
   }
 
   finalized_ = true;

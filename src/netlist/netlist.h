@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -100,6 +101,23 @@ class Netlist {
     return t == GateType::kInput || t == GateType::kDff;
   }
 
+  // --- Flat adjacency (available after finalize()) -------------------------
+  // The per-gate kernels (STA, sizing, energy, budgeting) read these instead
+  // of Gate: fanins_of / fanouts_of hold the ids of gate(id).fanins /
+  // .fanouts in the same order, as spans into two CSR arrays; is_logic is
+  // is_combinational(gate(id).type) and is_po gate(id).is_primary_output.
+  // Unchecked: callers pass ids below size().
+  std::span<const GateId> fanins_of(GateId id) const {
+    return {fanin_ids_.data() + fanin_off_[id],
+            fanin_off_[id + 1] - fanin_off_[id]};
+  }
+  std::span<const GateId> fanouts_of(GateId id) const {
+    return {fanout_ids_.data() + fanout_off_[id],
+            fanout_off_[id + 1] - fanout_off_[id]};
+  }
+  bool is_logic(GateId id) const { return is_logic_[id] != 0; }
+  bool is_po(GateId id) const { return is_po_[id] != 0; }
+
  private:
   GateId new_gate(GateType type, const std::string& name);
 
@@ -109,6 +127,11 @@ class Netlist {
   std::vector<GateId> inputs_, outputs_, dffs_;
   std::vector<GateId> topo_;
   std::vector<GateId> sources_, sink_drivers_;
+  // CSR adjacency: the fanins of id are fanin_ids_[fanin_off_[id] ..
+  // fanin_off_[id + 1]), likewise for fanouts.
+  std::vector<std::uint32_t> fanin_off_, fanout_off_;
+  std::vector<GateId> fanin_ids_, fanout_ids_;
+  std::vector<std::uint8_t> is_logic_, is_po_;
   int depth_ = 0;
   bool finalized_ = false;
 };

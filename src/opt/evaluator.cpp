@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -127,8 +128,13 @@ double CircuitEvaluator::critical_delay(const CircuitState& state) const {
 power::EnergyBreakdown CircuitEvaluator::energy(
     const CircuitState& state) const {
   static obs::Counter& c_calls = obs::counter("opt.eval.energy_calls");
+  static obs::Counter& c_evals = obs::counter("power.energy.gate_evals");
   static obs::Histogram& h_micros = obs::histogram("opt.eval.energy_micros");
   c_calls.add();
+  const bool corners = settings_.vts_tolerance != 0.0;
+  // One gate energy per logic gate and corner, added in bulk.
+  c_evals.add(static_cast<std::int64_t>(nl_.num_combinational()) *
+              (corners ? 2 : 1));
   const obs::ScopedTimer timer(h_micros);
   // Summed in topological order, so the floating-point total is the same on
   // every run.
@@ -137,13 +143,14 @@ power::EnergyBreakdown CircuitEvaluator::energy(
   for (netlist::GateId id : nl_.combinational()) {
     // Dynamic energy at nominal threshold (capacitances are Vt-independent
     // here), leakage at the low-Vt corner.
-    power::EnergyBreakdown e = energy_.gate_energy(
+    power::EnergyBreakdown e = energy_.gate_energy_uncounted(
         id, state.widths, nominal.at(state.vdd, state.vts[id]));
-    if (settings_.vts_tolerance != 0.0) {
+    if (corners) {
       e.static_energy =
           energy_
-              .gate_energy(id, state.widths,
-                           leaky.at(state.vdd, leakage_vts(state.vts[id])))
+              .gate_energy_uncounted(
+                  id, state.widths,
+                  leaky.at(state.vdd, leakage_vts(state.vts[id])))
               .static_energy;
     }
     total += e;
@@ -155,8 +162,8 @@ power::EnergyBreakdown CircuitEvaluator::energy(
     for (netlist::GateId id : nl_.combinational()) {
       double slowest_fanin = 0.0;
       bool source_driven_only = true;
-      for (netlist::GateId f : nl_.gate(id).fanins) {
-        if (netlist::is_combinational(nl_.gate(f).type)) {
+      for (netlist::GateId f : nl_.fanins_of(id)) {
+        if (nl_.is_logic(f)) {
           slowest_fanin = std::max(slowest_fanin, report.gate_delay[f]);
           source_driven_only = false;
         }
@@ -189,7 +196,8 @@ bool CircuitEvaluator::meets_timing(const CircuitState& state,
   return critical_delay(state) <= skew_b * cycle_time() * (1.0 + 1e-9);
 }
 
-double CircuitEvaluator::minimum_cycle_time(double skew_b, double vts) const {
+double CircuitEvaluator::minimum_cycle_time(double skew_b, double vts,
+                                            double stop_at) const {
   const GateSizer sizer(delay_);
   if (vts < 0.0) vts = tech_.vts_min;
   std::vector<double> vts_corner(nl_.size(), delay_vts(vts));
@@ -210,7 +218,7 @@ double CircuitEvaluator::minimum_cycle_time(double skew_b, double vts) const {
   while (!feasible_at(hi) && hi < 1.0) hi *= 2.0;
   MINERGY_CHECK_MSG(hi < 1.0, "circuit cannot meet any cycle time <= 1 s");
   double lo = hi / 2.0;
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < 40 && !(hi <= stop_at); ++i) {
     const double mid = 0.5 * (lo + hi);
     if (feasible_at(mid)) {
       hi = mid;

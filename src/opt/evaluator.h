@@ -96,8 +96,13 @@ class CircuitEvaluator {
   // Smallest cycle time this circuit can meet at (vdd_max, the given
   // uniform threshold, budget-driven sizing); vts < 0 selects vts_min (the
   // technology's strongest corner). Used by the experiment harness to scale
-  // infeasible paper constraints. Deterministic bisection.
-  double minimum_cycle_time(double skew_b = 0.95, double vts = -1.0) const;
+  // infeasible paper constraints. Deterministic bisection: an exponential
+  // bracket up to the first feasible point, then 40 halvings, during which
+  // the feasible end only moves down. With stop_at > 0 the search returns
+  // that end as soon as it is <= stop_at (a caller that only asks "is
+  // stop_at reachable?" needs no more); otherwise it runs to the end.
+  double minimum_cycle_time(double skew_b = 0.95, double vts = -1.0,
+                            double stop_at = 0.0) const;
 
  private:
   void validate_inputs() const;

@@ -1,6 +1,7 @@
 #include "opt/sizer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "obs/metrics.h"
@@ -13,6 +14,7 @@ namespace {
 struct WidthSolve {
   double width = 0.0;
   bool met = false;  // gate_delay at `width` meets the budget
+  int evals = 0;     // delay evaluations it took
 };
 
 // Confirming evals allowed after the first, each with twice the previous
@@ -20,19 +22,21 @@ struct WidthSolve {
 constexpr int kMaxNudges = 4;
 
 // The smallest width in [w_min, w_hi] whose gate_delay meets `budget`, or
-// {w_hi, false} when none does. Overwrites widths[id].
+// {w_hi, false} when none does. Overwrites widths[id]. Its delay evals are
+// uncounted; the caller adds them to timing.delay.gate_evals in bulk.
 WidthSolve solve_width(const timing::DelayCalculator& calc, netlist::GateId id,
                        std::vector<double>& widths,
                        const tech::OperatingPoint& op, double slope_in,
                        double budget, double w_min, double w_hi) {
   widths[id] = w_min;
-  const timing::WidthTerms t = calc.width_terms(id, widths, op, slope_in);
-  if (t.delay <= budget) return {w_min, true};
+  const timing::WidthTerms t =
+      calc.width_terms_uncounted(id, widths, op, slope_in);
+  if (t.delay <= budget) return {w_min, true, 1};
   // No width reaches a budget at or below the width-independent part
   // (this also covers drive k <= 0, where a = +inf).
-  if (!(budget > t.a)) return {w_hi, false};
+  if (!(budget > t.a)) return {w_hi, false, 1};
   const double w_star = t.b / (budget - t.a);
-  if (!(w_star <= w_hi)) return {w_hi, false};
+  if (!(w_star <= w_hi)) return {w_hi, false, 1};
 
   // gate_delay rounds differently from a + b/w, so w* itself can miss the
   // budget by an ulp or two of it. Raising w by the relative amount nudge
@@ -44,10 +48,10 @@ WidthSolve solve_width(const timing::DelayCalculator& calc, netlist::GateId id,
     const double cand =
         i < kMaxNudges ? std::min(w_hi, w * (1.0 + nudge)) : w_hi;
     widths[id] = cand;
-    if (calc.gate_delay(id, widths, op, slope_in) <= budget) {
-      return {cand, true};
+    if (calc.gate_delay_uncounted(id, widths, op, slope_in) <= budget) {
+      return {cand, true, i + 2};
     }
-    if (cand >= w_hi) return {w_hi, false};
+    if (cand >= w_hi) return {w_hi, false, i + 2};
     nudge *= 2.0;
   }
 }
@@ -57,10 +61,8 @@ WidthSolve solve_width(const timing::DelayCalculator& calc, netlist::GateId id,
 double slope_input(const netlist::Netlist& nl, netlist::GateId id,
                    std::span<const double> budgets) {
   double slope_in = 0.0;
-  for (netlist::GateId f : nl.gate(id).fanins) {
-    if (netlist::is_combinational(nl.gate(f).type)) {
-      slope_in = std::max(slope_in, budgets[f]);
-    }
+  for (netlist::GateId f : nl.fanins_of(id)) {
+    if (nl.is_logic(f)) slope_in = std::max(slope_in, budgets[f]);
   }
   return slope_in;
 }
@@ -79,6 +81,7 @@ SizingResult GateSizer::size(std::span<const double> t_max, double vdd,
 
   static obs::Counter& c_calls = obs::counter("opt.sizer.size_calls");
   static obs::Counter& c_gates = obs::counter("opt.sizer.width_searches");
+  static obs::Counter& c_evals = obs::counter("timing.delay.gate_evals");
   c_calls.add();
   c_gates.add(static_cast<std::int64_t>(nl.num_combinational()));
 
@@ -89,6 +92,7 @@ SizingResult GateSizer::size(std::span<const double> t_max, double vdd,
   // Reverse topological order: the delay model reads the widths of the
   // gate's fanouts (load), which are final by the time the gate is sized.
   tech::OperatingPointMemo op(calc_.device());
+  std::int64_t evals = 0;
   const auto& topo = nl.combinational();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const netlist::GateId id = *it;
@@ -96,6 +100,7 @@ SizingResult GateSizer::size(std::span<const double> t_max, double vdd,
         solve_width(calc_, id, r.widths, op.at(vdd, vts[id]),
                     slope_input(nl, id, t_max), t_max[id], tech.w_min,
                     tech.w_max);
+    evals += s.evals;
     // A miss takes the fastest width.
     r.widths[id] = s.width;
     if (!s.met) {
@@ -103,6 +108,7 @@ SizingResult GateSizer::size(std::span<const double> t_max, double vdd,
       ++r.gates_missed;
     }
   }
+  c_evals.add(evals);
   return r;
 }
 
@@ -117,6 +123,7 @@ SizingResult GateSizer::recover(std::span<const double> widths, double vdd,
   MINERGY_CHECK(cycle_limit > 0.0);
 
   static obs::Counter& c_calls = obs::counter("opt.sizer.recover_calls");
+  static obs::Counter& c_evals = obs::counter("timing.delay.gate_evals");
   c_calls.add();
 
   // Relaxed per-gate budgets from the slack redistribution rule. Gates with
@@ -135,6 +142,7 @@ SizingResult GateSizer::recover(std::span<const double> widths, double vdd,
   // Same reverse topological order (and the same argument) as size(), with
   // the fanins' relaxed budgets as the conservative slope input.
   tech::OperatingPointMemo op(calc_.device());
+  std::int64_t evals = 0;
   const auto& topo = nl.combinational();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const netlist::GateId id = *it;
@@ -142,11 +150,13 @@ SizingResult GateSizer::recover(std::span<const double> widths, double vdd,
     if (w_old <= tech.w_min * (1.0 + 1e-12)) continue;
     // A miss means the relaxed slope input exceeds what this gate can
     // absorb even at its current width: it keeps w_old, never upsizing.
-    r.widths[id] = solve_width(calc_, id, r.widths, op.at(vdd, vts[id]),
-                               slope_input(nl, id, t_rec), t_rec[id],
-                               tech.w_min, w_old)
-                       .width;
+    const WidthSolve s = solve_width(calc_, id, r.widths, op.at(vdd, vts[id]),
+                                     slope_input(nl, id, t_rec), t_rec[id],
+                                     tech.w_min, w_old);
+    r.widths[id] = s.width;
+    evals += s.evals;
   }
+  c_evals.add(evals);
   return r;
 }
 

@@ -133,7 +133,9 @@ PlacedWireModel::PlacedWireModel(const tech::Technology& tech,
       cap_per_len_(tech.wire_cap_per_len),
       res_per_len_(tech.wire_res_per_len),
       inv_velocity_(1.0 / tech.flight_velocity),
-      min_length_(tech.gate_pitch) {}
+      min_length_(tech.gate_pitch) {
+  read_loads(placement.netlist().size());
+}
 
 double PlacedWireModel::net_length(netlist::GateId driver) const {
   return std::max(min_length_, placement_.net_hpwl(driver) * pitch_);

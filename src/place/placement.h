@@ -73,6 +73,11 @@ class AnnealingPlacer {
 };
 
 // Per-net loads computed from a placement: trunk length = HPWL * pitch.
+// The loads are read from the placement once, when the model is built
+// (interconnect::WireLoads' read-once contract): move no cell of
+// `placement` after that. The model keeps a reference to it, but the delay
+// and energy kernels of every evaluator over the model see only the loads
+// of the moment it was built.
 class PlacedWireModel final : public interconnect::WireLoads {
  public:
   PlacedWireModel(const tech::Technology& tech, const Placement& placement);

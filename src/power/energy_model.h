@@ -25,6 +25,7 @@
 #include "interconnect/wire_model.h"
 #include "netlist/netlist.h"
 #include "tech/device_model.h"
+#include "util/check.h"
 
 namespace minergy::power {
 
@@ -45,6 +46,9 @@ struct EnergyBreakdown {
   }
 };
 
+// Reads the same flat per-gate inputs as timing::DelayCalculator: the
+// netlist's CSR adjacency and role bytes, the wire model's per-net net_cap
+// table and DeviceModel::self_cap_per_wunit; no per-model copy of them.
 class EnergyModel {
  public:
   // clock_frequency is f_c (Hz); activities are transitions per cycle.
@@ -55,7 +59,8 @@ class EnergyModel {
   double clock_frequency() const { return fc_; }
 
   // Energy per cycle of one logic gate at the given operating point
-  // (static + dynamic; short-circuit is opt-in below).
+  // (static + dynamic; short-circuit is opt-in below). Each call adds one to
+  // power.energy.gate_evals.
   EnergyBreakdown gate_energy(netlist::GateId id,
                               std::span<const double> widths, double vdd,
                               double vts) const;
@@ -64,6 +69,13 @@ class EnergyModel {
   EnergyBreakdown gate_energy(netlist::GateId id,
                               std::span<const double> widths,
                               const tech::OperatingPoint& op) const;
+  // Same, without the counter bump, for loops that add their evaluation
+  // count once per call (total_energy, opt::CircuitEvaluator::energy).
+  EnergyBreakdown gate_energy_uncounted(netlist::GateId id,
+                                        std::span<const double> widths,
+                                        const tech::OperatingPoint& op) const {
+    return gate_energy_at(id, widths, op.vdd, op.ioff);
+  }
 
   // Short-circuit energy per cycle for an input transition time tau_in (s).
   double short_circuit_energy(netlist::GateId id,
@@ -81,17 +93,41 @@ class EnergyModel {
                      double vts) const;
 
  private:
-  // gate_energy with the leakage current per width unit already evaluated.
+  // gate_energy with the leakage current per width unit already evaluated;
+  // uncounted. The receiver sum adds the fanouts in netlist order, then the
+  // primary-output pin, then the wire.
   EnergyBreakdown gate_energy_at(netlist::GateId id,
                                  std::span<const double> widths, double vdd,
-                                 double ioff) const;
+                                 double ioff) const {
+    MINERGY_CHECK(id < nl_.size());
+    MINERGY_CHECK(nl_.is_logic(id));
+    const double w = widths[id];
+
+    EnergyBreakdown e;
+    // E_s = Vdd * w * Ioff / f_c (leakage flows for the full cycle).
+    e.static_energy = vdd * w * ioff / fc_;
+
+    // Switched capacitance: own parasitics + stack internals + receiver
+    // inputs + wire.
+    double cap = w * dev_.self_cap_per_wunit(
+                         static_cast<int>(nl_.fanins_of(id).size()));
+    for (const netlist::GateId out : nl_.fanouts_of(id)) {
+      cap += nl_.is_logic(out) ? widths[out] * cin_ : po_load_cap_;
+    }
+    if (nl_.is_po(id)) cap += po_load_cap_;
+    cap += net_cap_[id];
+
+    e.dynamic_energy = 0.5 * act_.density[id] * vdd * vdd * cap;
+    return e;
+  }
 
   const netlist::Netlist& nl_;
   const tech::DeviceModel& dev_;
-  const interconnect::WireLoads& wires_;
   const activity::ActivityResult& act_;
+  std::span<const double> net_cap_;  // the wire model's per-net table
   double fc_;
   double po_load_cap_;
+  double cin_;
 };
 
 }  // namespace minergy::power

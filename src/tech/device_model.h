@@ -55,6 +55,11 @@ class DeviceModel {
   double cpar_per_wunit() const { return cpar_; }
   // Intermediate node of a series stack.
   double cmid_per_wunit() const { return cmid_; }
+  // Output-node self-load of a gate with `fanin` inputs, C_PD + (f_in - 1)
+  // * C_m: the one expression the delay and energy models both use.
+  double self_cap_per_wunit(int fanin) const {
+    return cpar_ + (static_cast<double>(fanin) - 1.0) * cmid_;
+  }
 
   // --- Delay-model coefficients -------------------------------------------
   // Input-slope coefficient of Eq. (A3): the fraction of the slowest fanin

@@ -1,10 +1,10 @@
 #include "timing/delay_budget.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <utility>
 
+#include "timing/path_enum.h"
 #include "util/check.h"
 
 namespace minergy::timing {
@@ -12,8 +12,9 @@ namespace minergy::timing {
 using netlist::GateId;
 using netlist::kInvalidGate;
 
-DelayBudgeter::DelayBudgeter(const netlist::Netlist& nl)
-    : nl_(nl), paths_(nl) {}
+DelayBudgeter::DelayBudgeter(const netlist::Netlist& nl) : nl_(nl) {
+  MINERGY_CHECK(nl.finalized());
+}
 
 BudgetResult DelayBudgeter::assign(double cycle_time,
                                    const BudgetOptions& opts) const {
@@ -25,56 +26,79 @@ BudgetResult DelayBudgeter::assign_uniform(double cycle_time,
   return assign_impl(cycle_time, opts, /*fanout_weighted=*/false);
 }
 
+const DelayBudgeter::Plan& DelayBudgeter::plan() const {
+  std::call_once(plan_once_, [this] {
+    const PathAnalyzer paths(nl_);
+    Plan p;
+    p.weight.assign(nl_.size(), 0.0);
+    for (GateId id : nl_.combinational()) {
+      p.weight[id] = static_cast<double>(nl_.gate(id).branch_count());
+    }
+
+    // Pivot order: through-criticality descending, ties to the earlier
+    // topological position. Each round's pivot is the first unassigned gate
+    // in this order (the most critical path that still contains an
+    // unassigned gate), and assignments only accumulate, so one cursor walks
+    // the order once.
+    std::vector<std::pair<std::int64_t, GateId>> order;
+    order.reserve(nl_.num_combinational());
+    for (GateId id : nl_.combinational()) {
+      order.emplace_back(paths.through_criticality(id), id);
+    }
+    std::stable_sort(
+        order.begin(), order.end(),
+        [](const auto& x, const auto& y) { return x.first > y.first; });
+    auto cursor = order.begin();
+
+    std::vector<char> assigned(nl_.size(), 0);
+    p.consumed_off.push_back(0);
+    p.open_off.push_back(0);
+    std::size_t remaining = nl_.num_combinational();
+    while (remaining > 0) {
+      while (cursor != order.end() && assigned[cursor->second]) ++cursor;
+      MINERGY_CHECK(cursor != order.end());
+      const Path path = paths.most_critical_through(cursor->second);
+      double open_weight = 0.0;
+      for (GateId id : path.gates) {
+        if (assigned[id]) {
+          p.consumed.push_back(id);
+        } else {
+          p.open.push_back(id);
+          open_weight += p.weight[id];
+        }
+      }
+      MINERGY_CHECK(p.open.size() > p.open_off.back());
+      for (std::size_t k = p.open_off.back(); k < p.open.size(); ++k) {
+        assigned[p.open[k]] = 1;
+        --remaining;
+      }
+      p.consumed_off.push_back(static_cast<std::uint32_t>(p.consumed.size()));
+      p.open_off.push_back(static_cast<std::uint32_t>(p.open.size()));
+      p.open_weight.push_back(open_weight);
+    }
+    plan_ = std::move(p);
+  });
+  return plan_;
+}
+
 BudgetResult DelayBudgeter::assign_impl(double cycle_time,
                                         const BudgetOptions& opts,
                                         bool fanout_weighted) const {
   MINERGY_CHECK(cycle_time > 0.0);
   MINERGY_CHECK(opts.clock_skew_b > 0.0 && opts.clock_skew_b <= 1.0);
   const double budget_cap = opts.clock_skew_b * cycle_time;
+  const Plan& p = plan();
 
   BudgetResult result;
   result.t_max.assign(nl_.size(), 0.0);
-  std::vector<char> assigned(nl_.size(), 0);
-
-  const double weight_of = 1.0;  // used for the uniform ablation
-  auto gate_weight = [&](GateId id) -> double {
-    return fanout_weighted ? static_cast<double>(nl_.gate(id).branch_count())
-                           : weight_of;
-  };
-
-  // Pivot order: through-criticality descending, ties to the earlier
-  // topological position. Each round's pivot is the first unassigned gate
-  // in this order (the most critical path that still contains an
-  // unassigned gate), and assignments only accumulate, so one cursor walks
-  // the order once per call.
-  std::vector<std::pair<std::int64_t, GateId>> order;
-  order.reserve(nl_.num_combinational());
-  for (GateId id : nl_.combinational()) {
-    order.emplace_back(paths_.through_criticality(id), id);
-  }
-  std::stable_sort(
-      order.begin(), order.end(),
-      [](const auto& x, const auto& y) { return x.first > y.first; });
-  auto cursor = order.begin();
-
-  std::size_t remaining = nl_.num_combinational();
-  while (remaining > 0) {
-    while (cursor != order.end() && assigned[cursor->second]) ++cursor;
-    MINERGY_CHECK(cursor != order.end());
-    const Path path = paths_.most_critical_through(cursor->second);
-    ++result.rounds;
-
+  const std::size_t rounds = p.open_weight.size();
+  result.rounds = static_cast<int>(rounds);
+  for (std::size_t r = 0; r < rounds; ++r) {
     // Eq. (3): distribute what the already-assigned gates left over.
     double consumed = 0.0;
-    double open_weight = 0.0;
-    for (GateId id : path.gates) {
-      if (assigned[id]) {
-        consumed += result.t_max[id];
-      } else {
-        open_weight += gate_weight(id);
-      }
+    for (std::uint32_t k = p.consumed_off[r]; k < p.consumed_off[r + 1]; ++k) {
+      consumed += result.t_max[p.consumed[k]];
     }
-    MINERGY_CHECK(open_weight > 0.0);
     double available = budget_cap - consumed;
     if (available <= 0.0) {
       // Higher-criticality paths consumed this one entirely; give the
@@ -82,15 +106,18 @@ BudgetResult DelayBudgeter::assign_impl(double cycle_time,
       ++result.exhausted_paths;
       available = 0.01 * budget_cap;
     }
-    for (GateId id : path.gates) {
-      if (assigned[id]) continue;
-      result.t_max[id] = gate_weight(id) * available / open_weight;
-      assigned[id] = 1;
-      --remaining;
+    // A sum of ones is exact, so the uniform weight is the open count.
+    const double open_weight =
+        fanout_weighted ? p.open_weight[r]
+                        : static_cast<double>(p.open_off[r + 1] - p.open_off[r]);
+    for (std::uint32_t k = p.open_off[r]; k < p.open_off[r + 1]; ++k) {
+      const GateId id = p.open[k];
+      const double weight = fanout_weighted ? p.weight[id] : 1.0;
+      result.t_max[id] = weight * available / open_weight;
     }
   }
 
-  if (opts.postprocess) postprocess(&result, budget_cap, opts);
+  if (opts.postprocess) postprocess(&result, opts);
 
   // Safety rescale to restore the invariant exactly.
   const double longest = longest_budget_path(result.t_max);
@@ -102,32 +129,28 @@ BudgetResult DelayBudgeter::assign_impl(double cycle_time,
   return result;
 }
 
-void DelayBudgeter::postprocess(BudgetResult* result, double budget_cap,
+void DelayBudgeter::postprocess(BudgetResult* result,
                                 const BudgetOptions& opts) const {
-  (void)budget_cap;
   // A gate's delay includes slope_reserve * max(fanin budgets); if the
   // budget doesn't even cover that, shift the shortfall from the slowest
   // fanin (whose own budget shrinks, keeping the two-gate chain total
   // constant).
+  std::vector<double>& t_max = result->t_max;
   for (GateId id : nl_.combinational()) {
-    const netlist::Gate& g = nl_.gate(id);
     GateId slowest = kInvalidGate;
-    for (GateId f : g.fanins) {
-      if (!netlist::is_combinational(nl_.gate(f).type)) continue;
-      if (slowest == kInvalidGate ||
-          result->t_max[f] > result->t_max[slowest]) {
-        slowest = f;
-      }
+    for (GateId f : nl_.fanins_of(id)) {
+      if (!nl_.is_logic(f)) continue;
+      if (slowest == kInvalidGate || t_max[f] > t_max[slowest]) slowest = f;
     }
     if (slowest == kInvalidGate) continue;
-    const double need = opts.slope_reserve * result->t_max[slowest];
-    if (result->t_max[id] >= need) continue;
-    double shortfall = need - result->t_max[id];
+    const double need = opts.slope_reserve * t_max[slowest];
+    if (t_max[id] >= need) continue;
+    double shortfall = need - t_max[id];
     // Never reduce the donor below half its budget.
-    const double donatable = 0.5 * result->t_max[slowest];
+    const double donatable = 0.5 * t_max[slowest];
     shortfall = std::min(shortfall, donatable);
-    result->t_max[slowest] -= shortfall;
-    result->t_max[id] += shortfall;
+    t_max[slowest] -= shortfall;
+    t_max[id] += shortfall;
     ++result->slope_adjustments;
   }
 }
@@ -139,10 +162,8 @@ double DelayBudgeter::longest_budget_path(
   double longest = 0.0;
   for (GateId id : nl_.combinational()) {
     double best_in = 0.0;
-    for (GateId f : nl_.gate(id).fanins) {
-      if (netlist::is_combinational(nl_.gate(f).type)) {
-        best_in = std::max(best_in, acc[f]);
-      }
+    for (GateId f : nl_.fanins_of(id)) {
+      if (nl_.is_logic(f)) best_in = std::max(best_in, acc[f]);
     }
     acc[id] = best_in + t_max[id];
     longest = std::max(longest, acc[id]);

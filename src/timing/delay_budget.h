@@ -15,10 +15,11 @@
 //     uniformly so the invariant is restored.
 #pragma once
 
+#include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "netlist/netlist.h"
-#include "timing/path_enum.h"
 
 namespace minergy::timing {
 
@@ -37,9 +38,19 @@ struct BudgetResult {
   double rescale_factor = 1.0;       // 1.0 when no rescale was needed
 };
 
+// Procedure 1 splits into a plan and a replay. The plan is every decision
+// a round makes that depends only on the netlist: the pivot order, each
+// round's path, which of its gates earlier rounds already assigned, which
+// it assigns, and its open weight (fanout-weighted and uniform). It is
+// built once per budgeter, on the first assign call (so the evaluator
+// construction that holds a budgeter does not pay for it), and never
+// changes. assign(T_c) replays the rounds with the arithmetic of Eqs. (2)
+// and (3) at that T_c. Non-copyable: the plan is built under a once_flag.
 class DelayBudgeter {
  public:
   explicit DelayBudgeter(const netlist::Netlist& nl);
+  DelayBudgeter(const DelayBudgeter&) = delete;
+  DelayBudgeter& operator=(const DelayBudgeter&) = delete;
 
   // Fanout-proportional budgeting (the paper's Procedure 1).
   BudgetResult assign(double cycle_time, const BudgetOptions& opts = {}) const;
@@ -53,13 +64,25 @@ class DelayBudgeter {
   double longest_budget_path(const std::vector<double>& t_max) const;
 
  private:
+  // Round r reads the budgets of consumed[consumed_off[r] ..
+  // consumed_off[r + 1]) and assigns open[open_off[r] .. open_off[r + 1]),
+  // both in path order. The uniform ablation's open weight is the number
+  // of open gates.
+  struct Plan {
+    std::vector<std::uint32_t> consumed_off, open_off;
+    std::vector<netlist::GateId> consumed, open;
+    std::vector<double> open_weight;  // per round: sum of branch counts
+    std::vector<double> weight;       // per gate id: branch count
+  };
+
+  const Plan& plan() const;
   BudgetResult assign_impl(double cycle_time, const BudgetOptions& opts,
                            bool fanout_weighted) const;
-  void postprocess(BudgetResult* result, double budget_cap,
-                   const BudgetOptions& opts) const;
+  void postprocess(BudgetResult* result, const BudgetOptions& opts) const;
 
   const netlist::Netlist& nl_;
-  PathAnalyzer paths_;
+  mutable std::once_flag plan_once_;
+  mutable Plan plan_;
 };
 
 }  // namespace minergy::timing

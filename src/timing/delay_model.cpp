@@ -1,5 +1,6 @@
 #include "timing/delay_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -7,90 +8,54 @@
 #include "util/check.h"
 
 namespace minergy::timing {
-
-DelayCalculator::DelayCalculator(const netlist::Netlist& nl,
-                                 const tech::DeviceModel& dev,
-                                 const interconnect::WireLoads& wires)
-    : nl_(nl), dev_(dev), wires_(wires) {
-  MINERGY_CHECK(nl.finalized());
-  po_load_cap_ = dev_.technology().po_load_w * dev_.cin_per_wunit();
-}
-
-double DelayCalculator::receiver_cap(netlist::GateId id,
-                                     std::span<const double> widths) const {
-  const netlist::Gate& g = nl_.gate(id);
-  double c = g.is_primary_output ? po_load_cap_ : 0.0;
-  for (netlist::GateId out : g.fanouts) {
-    if (netlist::is_combinational(nl_.gate(out).type)) {
-      c += widths[out] * dev_.cin_per_wunit();
-    } else {
-      c += po_load_cap_;  // DFF D-pin
-    }
-  }
-  return c;
-}
-
-double DelayCalculator::self_cap_per_wunit(int fanin) const {
-  return dev_.cpar_per_wunit() +
-         (static_cast<double>(fanin) - 1.0) * dev_.cmid_per_wunit();
-}
-
-double DelayCalculator::load_cap(netlist::GateId id,
-                                 std::span<const double> widths) const {
-  const double self =
-      widths[id] * self_cap_per_wunit(nl_.gate(id).fanin_count());
-  return self + receiver_cap(id, widths) + wires_.net_cap(id);
-}
-
 namespace {
 
-// Per-width-unit drive of a gate with `fanin` inputs: the stack-divided
-// switching current less the leakage of its fanin off-devices.
-double drive_per_wunit(const tech::OperatingPoint& op, int fanin) {
-  return op.idrive / tech::DeviceModel::stack_factor(fanin) -
-         static_cast<double>(fanin) * op.ioff;
+// The single hottest counter in the stack: one relaxed add per gate_delay
+// or width_terms call; run_sta and GateSizer add theirs once per call.
+obs::Counter& gate_evals() {
+  static obs::Counter& c = obs::counter("timing.delay.gate_evals");
+  return c;
 }
 
 }  // namespace
 
+DelayCalculator::DelayCalculator(const netlist::Netlist& nl,
+                                 const tech::DeviceModel& dev,
+                                 const interconnect::WireLoads& wires)
+    : nl_(nl),
+      dev_(dev),
+      net_cap_(wires.net_caps()),
+      net_res_(wires.net_resistances()),
+      flight_(wires.flight_times()) {
+  MINERGY_CHECK(nl.finalized());
+  MINERGY_CHECK(net_cap_.size() == nl.size());
+  po_load_cap_ = dev_.technology().po_load_w * dev_.cin_per_wunit();
+  cin_ = dev_.cin_per_wunit();
+  std::size_t max_fanin = 0;
+  for (netlist::GateId id = 0; id < nl.size(); ++id) {
+    max_fanin = std::max(max_fanin, nl.fanins_of(id).size());
+  }
+  for (std::size_t f = 0; f <= max_fanin; ++f) {
+    const int fanin = static_cast<int>(f);
+    by_fanin_.push_back({dev_.self_cap_per_wunit(fanin),
+                         tech::DeviceModel::stack_factor(fanin),
+                         static_cast<double>(fanin)});
+  }
+}
+
+double DelayCalculator::load_cap(netlist::GateId id,
+                                 std::span<const double> widths) const {
+  check_id(id);
+  const double self = widths[id] * consts(id).self_cap;
+  return self + receivers(id, widths) + net_cap_[id];
+}
+
 DelayComponents DelayCalculator::gate_delay_components(
     netlist::GateId id, std::span<const double> widths, double vdd, double vts,
     double max_fanin_delay) const {
+  gate_evals().add();
   return components(id, widths, dev_.operating_point(vdd, vts),
                     max_fanin_delay, nullptr);
-}
-
-DelayComponents DelayCalculator::components(netlist::GateId id,
-                                            std::span<const double> widths,
-                                            const tech::OperatingPoint& op,
-                                            double max_fanin_delay,
-                                            double* c_recv) const {
-  const netlist::Gate& g = nl_.gate(id);
-  MINERGY_CHECK(netlist::is_combinational(g.type));
-  const double w = widths[id];
-
-  // The single hottest call in the stack (every STA gate visit and every
-  // width solve lands here); the counter is one relaxed add.
-  static obs::Counter& c_evals = obs::counter("timing.delay.gate_evals");
-  c_evals.add();
-
-  DelayComponents c;
-  c.slope = op.k_slope * max_fanin_delay;
-
-  const double drive = w * drive_per_wunit(op, g.fanin_count());
-  if (drive <= 0.0) {
-    c.switching = std::numeric_limits<double>::infinity();
-    return c;
-  }
-  // load_cap(), with the receiver sum shared by the wire-RC term.
-  const double recv = receiver_cap(id, widths);
-  const double net = wires_.net_cap(id);
-  const double load = w * self_cap_per_wunit(g.fanin_count()) + recv + net;
-  c.switching = 0.5 * op.vdd * load / drive;
-  c.wire_rc = wires_.net_res(id) * (0.5 * net + recv);
-  c.flight = wires_.flight_time(id);
-  if (c_recv != nullptr) *c_recv = recv;
-  return c;
 }
 
 double DelayCalculator::gate_delay(netlist::GateId id,
@@ -104,27 +69,34 @@ double DelayCalculator::gate_delay(netlist::GateId id,
                                    std::span<const double> widths,
                                    const tech::OperatingPoint& op,
                                    double max_fanin_delay) const {
-  return components(id, widths, op, max_fanin_delay, nullptr).total();
+  gate_evals().add();
+  return gate_delay_uncounted(id, widths, op, max_fanin_delay);
 }
 
 WidthTerms DelayCalculator::width_terms(netlist::GateId id,
                                         std::span<const double> widths,
                                         const tech::OperatingPoint& op,
                                         double max_fanin_delay) const {
+  gate_evals().add();
+  return width_terms_uncounted(id, widths, op, max_fanin_delay);
+}
+
+WidthTerms DelayCalculator::width_terms_uncounted(
+    netlist::GateId id, std::span<const double> widths,
+    const tech::OperatingPoint& op, double max_fanin_delay) const {
   double c_recv = 0.0;
   const DelayComponents c =
       components(id, widths, op, max_fanin_delay, &c_recv);
   WidthTerms t;
   t.delay = c.total();
-  const int fin = nl_.gate(id).fanin_count();
-  const double k = drive_per_wunit(op, fin);
+  const GateConsts& g = consts(id);
+  const double k = drive_per_wunit(op, g);
   if (k <= 0.0) {
     t.a = t.b = std::numeric_limits<double>::infinity();
     return t;
   }
-  t.a = c.slope + 0.5 * op.vdd * self_cap_per_wunit(fin) / k + c.wire_rc +
-        c.flight;
-  t.b = 0.5 * op.vdd * (c_recv + wires_.net_cap(id)) / k;
+  t.a = c.slope + 0.5 * op.vdd * g.self_cap / k + c.wire_rc + c.flight;
+  t.b = 0.5 * op.vdd * (c_recv + net_cap_[id]) / k;
   return t;
 }
 
@@ -132,24 +104,22 @@ double DelayCalculator::gate_delay_min(netlist::GateId id,
                                        std::span<const double> widths,
                                        double vdd, double vts,
                                        double min_fanin_delay) const {
-  const netlist::Gate& g = nl_.gate(id);
-  MINERGY_CHECK(netlist::is_combinational(g.type));
+  check_id(id);
+  MINERGY_CHECK(nl_.is_logic(id));
   const double w = widths[id];
-  const int fin = g.fanin_count();
 
   static obs::Counter& c_evals = obs::counter("timing.delay.min_gate_evals");
   c_evals.add();
 
   const double slope = dev_.slope_coefficient(vdd, vts) * min_fanin_delay;
   // Parallel-network transition: no stack division.
-  const double drive =
-      w * (dev_.idrive_per_wunit(vdd, vts) -
-           static_cast<double>(fin) * dev_.ioff_per_wunit(vts));
+  const double drive = w * (dev_.idrive_per_wunit(vdd, vts) -
+                            consts(id).fanin * dev_.ioff_per_wunit(vts));
   if (drive <= 0.0) return std::numeric_limits<double>::infinity();
   const double switching = 0.5 * vdd * load_cap(id, widths) / drive;
-  const double wire_rc = wires_.net_res(id) *
-                         (0.5 * wires_.net_cap(id) + receiver_cap(id, widths));
-  return slope + switching + wire_rc + wires_.flight_time(id);
+  const double wire_rc =
+      net_res_[id] * (0.5 * net_cap_[id] + receivers(id, widths));
+  return slope + switching + wire_rc + flight_[id];
 }
 
 double DelayCalculator::intrinsic_delay_floor(netlist::GateId id,

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "bench_suite/experiment.h"
 #include "bench_suite/iscas.h"
+#include "netlist/generator.h"
 #include "netlist/stats.h"
+#include "obs/metrics.h"
+#include "opt/evaluator.h"
 
 namespace minergy::bench_suite {
 namespace {
@@ -85,6 +91,69 @@ TEST(Experiment, ChooseCycleTimeScalesWhenInfeasible) {
   const double tc = choose_cycle_time(make_s27(), cfg, &scaled);
   EXPECT_TRUE(scaled);
   EXPECT_GT(tc, 5e-11);
+}
+
+// choose_cycle_time as it was before the search stopped early: the full
+// bisection, then the same decision.
+double full_search_cycle_time(const netlist::Netlist& nl,
+                              const ExperimentConfig& cfg, bool* scaled) {
+  const double requested = 1.0 / cfg.clock_frequency;
+  const opt::CircuitEvaluator eval(nl, cfg.tech, activity::ActivityProfile{},
+                                   {.clock_frequency = cfg.clock_frequency});
+  const double min_tc =
+      eval.minimum_cycle_time(cfg.opts.skew_b, cfg.tech.nominal_vts);
+  *scaled = min_tc > requested;
+  return *scaled ? cfg.tc_margin * min_tc : requested;
+}
+
+TEST(Experiment, ChooseCycleTimeEarlyStopGivesTheFullSearchAnswer) {
+  std::vector<netlist::Netlist> circuits;
+  for (const CircuitSpec& spec : paper_circuits()) {
+    circuits.push_back(make_circuit(spec));
+  }
+  netlist::GeneratorSpec gen;  // large_joint's shape: scaled at 300 MHz
+  gen.num_gates = 1600;
+  gen.depth = 1600 / 64;
+  gen.num_dffs = 1600 / 12;
+  gen.num_inputs = 1600 / 50;
+  gen.num_outputs = 1600 / 50;
+  gen.seed = 11;
+  circuits.push_back(netlist::generate_random_logic(gen));
+
+  const ExperimentConfig cfg;
+  int scaled_count = 0, unscaled_count = 0;
+  for (const netlist::Netlist& nl : circuits) {
+    SCOPED_TRACE(nl.name());
+    bool got_scaled = false, want_scaled = false;
+    const double got = choose_cycle_time(nl, cfg, &got_scaled);
+    const double want = full_search_cycle_time(nl, cfg, &want_scaled);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(got_scaled, want_scaled);
+    ++(got_scaled ? scaled_count : unscaled_count);
+  }
+  // Both branches ran, and the generated circuit took the scaled one.
+  EXPECT_GT(unscaled_count, 0);
+  EXPECT_GT(scaled_count, 0);
+  bool gen_scaled = false;
+  (void)choose_cycle_time(circuits.back(), cfg, &gen_scaled);
+  EXPECT_TRUE(gen_scaled);
+}
+
+TEST(Experiment, ChooseCycleTimeStopsOnceTheAnswerIsDecided) {
+  // s832* meets 300 MHz: the search ends at its first feasible end at or
+  // below 3.33 ns (the full search made 43 feasibility checks).
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& sta_runs = obs::counter("timing.sta.runs");
+  const netlist::Netlist nl = make_circuit("s832*");
+  const std::int64_t before = sta_runs.value();
+  bool scaled = true;
+  const double tc = choose_cycle_time(nl, ExperimentConfig{}, &scaled);
+  const std::int64_t runs = sta_runs.value() - before;
+  obs::set_enabled(was_enabled);
+  EXPECT_FALSE(scaled);
+  EXPECT_EQ(tc, 1.0 / 300e6);
+  EXPECT_LE(runs, 5);
 }
 
 TEST(Experiment, RunCircuitProducesPaperShapedRows) {

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "bench_suite/iscas.h"
 #include "netlist/bench_io.h"
 #include "netlist/generator.h"
 #include "timing/delay_budget.h"
+#include "timing/path_enum.h"
 
 namespace minergy::timing {
 namespace {
@@ -282,23 +284,28 @@ BudgetResult rescan_assign(const Netlist& nl, double cycle_time,
   return result;
 }
 
+// One budgeter, so every cycle time after the first replays the plan the
+// first call built; the cycle times come in mixed order.
 void expect_same_budgets(const Netlist& nl) {
   const DelayBudgeter budgeter(nl);
-  for (bool fanout : {true, false}) {
-    for (bool post : {true, false}) {
-      SCOPED_TRACE(nl.name() + (fanout ? " fanout" : " uniform") +
-                   (post ? " postprocess" : ""));
-      BudgetOptions opts;
-      opts.postprocess = post;
-      const BudgetResult got = fanout ? budgeter.assign(kTc, opts)
-                                      : budgeter.assign_uniform(kTc, opts);
-      const BudgetResult want = rescan_assign(nl, kTc, opts, fanout);
-      EXPECT_EQ(got.t_max, want.t_max);
-      EXPECT_EQ(got.rounds, want.rounds);
-      EXPECT_EQ(got.exhausted_paths, want.exhausted_paths);
-      EXPECT_EQ(got.slope_adjustments, want.slope_adjustments);
-      EXPECT_EQ(got.rescale_factor, want.rescale_factor);
-      EXPECT_EQ(got.longest_budget_path, want.longest_budget_path);
+  for (double tc : {kTc, 1.0, 1e-9, 8e-9, kTc}) {
+    for (bool fanout : {true, false}) {
+      for (bool post : {true, false}) {
+        SCOPED_TRACE(nl.name() + " tc=" + std::to_string(tc) +
+                     (fanout ? " fanout" : " uniform") +
+                     (post ? " postprocess" : ""));
+        BudgetOptions opts;
+        opts.postprocess = post;
+        const BudgetResult got = fanout ? budgeter.assign(tc, opts)
+                                        : budgeter.assign_uniform(tc, opts);
+        const BudgetResult want = rescan_assign(nl, tc, opts, fanout);
+        EXPECT_EQ(got.t_max, want.t_max);
+        EXPECT_EQ(got.rounds, want.rounds);
+        EXPECT_EQ(got.exhausted_paths, want.exhausted_paths);
+        EXPECT_EQ(got.slope_adjustments, want.slope_adjustments);
+        EXPECT_EQ(got.rescale_factor, want.rescale_factor);
+        EXPECT_EQ(got.longest_budget_path, want.longest_budget_path);
+      }
     }
   }
 }

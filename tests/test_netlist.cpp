@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
+#include <span>
+#include <vector>
 
+#include "bench_suite/iscas.h"
 #include "netlist/gate.h"
 #include "netlist/netlist.h"
 #include "netlist/stats.h"
@@ -208,6 +212,43 @@ TEST(Netlist, SourcesAreInputsAndDffs) {
   EXPECT_TRUE(nl.is_source(nl.find("a")));
   EXPECT_TRUE(nl.is_source(q));
   EXPECT_FALSE(nl.is_source(g));
+}
+
+// The flat adjacency holds exactly the Gate fields, in their order.
+void expect_flat_adjacency_matches(const Netlist& nl) {
+  for (const Gate& g : nl.gates()) {
+    const std::span<const GateId> fanins = nl.fanins_of(g.id);
+    const std::span<const GateId> fanouts = nl.fanouts_of(g.id);
+    EXPECT_EQ(std::vector<GateId>(fanins.begin(), fanins.end()), g.fanins)
+        << nl.name() << " " << g.name;
+    EXPECT_EQ(std::vector<GateId>(fanouts.begin(), fanouts.end()), g.fanouts)
+        << nl.name() << " " << g.name;
+    EXPECT_EQ(nl.is_logic(g.id), is_combinational(g.type))
+        << nl.name() << " " << g.name;
+    EXPECT_EQ(nl.is_po(g.id), g.is_primary_output)
+        << nl.name() << " " << g.name;
+  }
+}
+
+TEST(NetlistAdjacency, FlatArraysMatchGateFieldsOnEveryBundledCircuit) {
+  expect_flat_adjacency_matches(bench_suite::make_c17());
+  for (const bench_suite::CircuitSpec& spec : bench_suite::paper_circuits()) {
+    expect_flat_adjacency_matches(bench_suite::make_circuit(spec));
+  }
+}
+
+TEST(NetlistAdjacency, CopyOwnsItsFlatArrays) {
+  std::unique_ptr<Netlist> original =
+      std::make_unique<Netlist>(bench_suite::make_circuit("s344*"));
+  const Netlist copy = *original;
+  const std::vector<Gate> gates = original->gates();
+  original.reset();  // the copy must not point into the original's storage
+  ASSERT_EQ(copy.gates().size(), gates.size());
+  expect_flat_adjacency_matches(copy);
+  for (const Gate& g : gates) {
+    const std::span<const GateId> fanouts = copy.fanouts_of(g.id);
+    EXPECT_EQ(std::vector<GateId>(fanouts.begin(), fanouts.end()), g.fanouts);
+  }
 }
 
 // ---------------------------------------------------------------- stats.h

@@ -6,12 +6,15 @@
 // them in Release and again under TSan, where the concurrent sections double
 // as the data-race oracle for the pool. No code under src/ dispatches to the
 // pool: the evaluation kernels are serial, and a guard below keeps them off
-// it. The pool stays while bench/e2e links it.
+// it. The pool stays while bench/e2e links it. One test here needs no pool:
+// concurrent first calls on one DelayBudgeter, whose round plan is the one
+// piece of lazily built shared state in the evaluation path.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "netlist/generator.h"
@@ -225,6 +228,42 @@ TEST_F(ParallelTest, EvaluationKernelsNeverTouchThePool) {
   // The counters are live: a real dispatch does move them.
   util::global_pool().parallel_for(8, [](std::size_t) {});
   EXPECT_EQ(jobs.value(), jobs0 + 1);
+}
+
+// A budgeter builds its round plan under std::call_once on the first
+// assign: concurrent first calls on one shared budgeter build it exactly
+// once and all get the budgets of a budgeter used from one thread. Under
+// TSan this is the plan's data-race oracle.
+TEST_F(ParallelTest, ConcurrentFirstAssignsBuildOnePlan) {
+  const netlist::Netlist nl = make_random(37, 400, 20);
+  const double tc = 3.33e-9;
+  const timing::BudgetResult want = timing::DelayBudgeter(nl).assign(tc);
+  const timing::BudgetResult want_uniform =
+      timing::DelayBudgeter(nl).assign_uniform(tc);
+
+  obs::Counter& builds = obs::counter("timing.paths.analyzer_builds");
+  const timing::DelayBudgeter shared(nl);
+  const std::int64_t builds0 = builds.value();
+  constexpr int kThreads = 4;
+  std::vector<timing::BudgetResult> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::size_t i = static_cast<std::size_t>(t);
+      got[i] = t % 2 == 0 ? shared.assign(tc) : shared.assign_uniform(tc);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(builds.value(), builds0 + 1);
+  for (int t = 0; t < kThreads; ++t) {
+    const timing::BudgetResult& w = t % 2 == 0 ? want : want_uniform;
+    const timing::BudgetResult& g = got[static_cast<std::size_t>(t)];
+    EXPECT_EQ(g.t_max, w.t_max);
+    EXPECT_EQ(g.rounds, w.rounds);
+    EXPECT_EQ(g.exhausted_paths, w.exhausted_paths);
+    EXPECT_EQ(g.longest_budget_path, w.longest_budget_path);
+  }
 }
 
 void expect_same_result(const opt::OptimizationResult& a,
