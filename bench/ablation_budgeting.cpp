@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
       "binary search.\nbudget skew < 1: fanout-proportional budgets beat "
       "uniform ones at equal cycle time.\ntilos/joint: greedy sensitivity "
       "sizing vs. the paper's budget-driven widths at the same (Vdd, Vts);\n"
-      "lr/joint: the Lagrangian-relaxation (convex-sizing lineage, paper ref [10]) result,\n"
-      "available as OptimizerOptions::lagrangian_polish.\n");
+      "lr/joint: the Lagrangian-relaxation (convex-sizing lineage, paper ref [10]) result\n"
+      "at the same (Vdd, Vts); both sizers are comparators, not steps of the flow.\n");
   return 0;
 }

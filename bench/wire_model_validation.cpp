@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
     std::vector<double> rent_len, placed_len;
     for (netlist::GateId id : nl.combinational()) {
-      rent_len.push_back(rent_eval.wires().routed_length(id) * 1e6);
+      rent_len.push_back(rent_eval.wire_loads().routed_length(id) * 1e6);
       placed_len.push_back(placed_wires.routed_length(id) * 1e6);
     }
     auto mean = [](const std::vector<double>& v) {

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bench_suite/experiment.h"
+#include "interconnect/wire_model.h"
 #include "netlist/bench_io.h"
 #include "netlist/stats.h"
 #include "opt/evaluator.h"
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
 
   std::printf("=== 3. Rent's-rule wire loads ===\n");
   {
-    const auto& wires = eval.wires();
+    const interconnect::WireModel wires(cfg.tech, nl);
     double lsum = 0.0, csum = 0.0;
     for (netlist::GateId id : nl.combinational()) {
       lsum += wires.routed_length(id);

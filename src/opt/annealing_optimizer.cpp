@@ -1,11 +1,9 @@
 #include "opt/annealing_optimizer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
-#include <string>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -27,12 +25,11 @@ AnnealingOptimizer::AnnealingOptimizer(const CircuitEvaluator& eval,
 OptimizationResult AnnealingOptimizer::run(
     const CircuitState& warm_start) const {
   const obs::Span run_span("anneal.run");
-  const obs::CounterDelta counter_delta;
+  const RunStamp stamp("anneal", "opt.anneal.best_energy_joules");
   obs::counter("opt.anneal.runs").add();
   static obs::Counter& c_moves = obs::counter("opt.anneal.moves");
   static obs::Counter& c_accepts = obs::counter("opt.anneal.accepts");
 
-  const auto t0 = std::chrono::steady_clock::now();
   const tech::Technology& tech = eval_.technology();
   const netlist::Netlist& nl = eval_.netlist();
   util::Rng rng(opts_.seed);
@@ -97,44 +94,25 @@ OptimizationResult AnnealingOptimizer::run(
   std::int64_t resumed_evals = 0;
   CircuitState resume_cur;
   double resume_cur_cost = 0.0, resume_temperature = 0.0;
-  if (!opts_.resume_path.empty()) {
-    AnnealCheckpoint ck;
-    bool loaded = true;
-    try {
-      ck = AnnealCheckpoint::load(opts_.resume_path);
-    } catch (const util::ParseError& e) {
-      // A truncated/garbled/wrong-schema snapshot must not take the run
-      // down with it: reject it, count the rejection, start fresh. (A
-      // checkpoint for the wrong circuit is a caller bug, not corruption,
-      // and still fails the MINERGY_CHECK below.)
-      loaded = false;
-      obs::counter("opt.checkpoint.resume_rejected").add();
-      std::fprintf(stderr,
-                   "anneal: resume snapshot rejected (%s); starting fresh\n",
-                   e.what());
-    }
-    if (loaded) {
-      MINERGY_CHECK_MSG(ck.circuit == nl.name(),
-                        "anneal resume: checkpoint is for circuit '" +
-                            ck.circuit + "', not '" + nl.name() + "'");
-      resumed = true;
-      start_pass = ck.pass;
-      start_move = ck.move;
-      resume_cur = std::move(ck.current);
-      resume_cur_cost = ck.current_cost;
-      resume_temperature = ck.temperature;
-      global_best = std::move(ck.global_best);
-      global_best_cost = ck.global_best_cost;
-      global_best_crit = ck.global_best_crit;
-      global_best_energy = ck.global_best_energy;
-      resumed_evals = ck.evaluations;
-      rng.restore(ck.rng);
-      // The trajectory so far rides in the checkpoint; continue appending.
-      rep = std::move(ck.report);
-      rep.optimizer = "annealing";
-      rep.circuit = nl.name();
-      obs::counter("opt.anneal.resumes").add();
-    }
+  if (std::optional<AnnealCheckpoint> ck = load_for_resume<AnnealCheckpoint>(
+          opts_.resume_path, "anneal", nl.name())) {
+    resumed = true;
+    start_pass = ck->pass;
+    start_move = ck->move;
+    resume_cur = std::move(ck->current);
+    resume_cur_cost = ck->current_cost;
+    resume_temperature = ck->temperature;
+    global_best = std::move(ck->global_best);
+    global_best_cost = ck->global_best_cost;
+    global_best_crit = ck->global_best_crit;
+    global_best_energy = ck->global_best_energy;
+    resumed_evals = ck->evaluations;
+    rng.restore(ck->rng);
+    // The trajectory so far rides in the checkpoint; continue appending.
+    rep = std::move(ck->report);
+    rep.optimizer = "annealing";
+    rep.circuit = nl.name();
+    obs::counter("opt.anneal.resumes").add();
   }
   if (!resumed) {
     global_best = init;
@@ -261,24 +239,7 @@ OptimizationResult AnnealingOptimizer::run(
   result.vts_primary =
       global_best.vts.empty() ? 0.0 : global_best.vts.front();
   result.vts_groups = {result.vts_primary};
-  result.circuit_evaluations =
-      static_cast<int>(resumed_evals + dog.evaluations());
-  if (dog.expired()) {
-    result.truncated = true;
-    result.truncation_reason =
-        std::string(dog.expiry_reason()) + " exhausted after " +
-        std::to_string(dog.evaluations()) + " circuit evaluations";
-    obs::counter("opt.watchdog.expiries").add();
-    obs::Tracer::instance().instant("watchdog.expired", "anneal");
-  }
-  result.runtime_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (result.feasible) {
-    obs::gauge("opt.anneal.best_energy_joules").set(result.energy.total());
-  }
-  counter_delta.finish(&rep);
-  finalize_run_report(&result);
+  stamp.finish(&result, dog, resumed_evals);
   return result;
 }
 

@@ -1,13 +1,11 @@
 #include "opt/baseline_optimizer.h"
 
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "opt/sizer.h"
 #include "util/check.h"
 #include "util/guard.h"
 #include "util/search.h"
@@ -26,11 +24,10 @@ BaselineOptimizer::BaselineOptimizer(const CircuitEvaluator& eval,
 
 OptimizationResult BaselineOptimizer::run() const {
   const obs::Span run_span("baseline.run");
-  const obs::CounterDelta counter_delta;
+  const RunStamp stamp("baseline", "opt.baseline.best_energy_joules");
   obs::counter("opt.baseline.runs").add();
   static obs::Counter& c_probes = obs::counter("opt.baseline.probes");
 
-  const auto t0 = std::chrono::steady_clock::now();
   const tech::Technology& tech = eval_.technology();
   const netlist::Netlist& nl = eval_.netlist();
 
@@ -48,9 +45,6 @@ OptimizationResult BaselineOptimizer::run() const {
     budgets = eval_.budgeter().assign(eval_.cycle_time(),
                                       {.clock_skew_b = opts_.skew_b});
   }
-  const GateSizer sizer(eval_.delay_calculator());
-  const std::vector<double> vts_corner(nl.size(),
-                                       eval_.delay_vts(fixed_vts_));
 
   util::Watchdog dog(opts_.budget);
   const double limit = opts_.skew_b * eval_.cycle_time();
@@ -58,58 +52,23 @@ OptimizationResult BaselineOptimizer::run() const {
   // Trajectory phase label for the probes below; flipped between the
   // feasibility bisection and the energy polish.
   const char* phase = "vdd-bisect";
+  // The joint flow's own probe with Vts frozen (the two flows must share
+  // sizing machinery for a fair comparison), without the energy.
   auto probe = [&](double vdd) {
     dog.note_evaluation();
     c_probes.add();
-    SizingResult sized = sizer.size(budgets.t_max, vdd, vts_corner);
-    CircuitState state;
-    state.vdd = vdd;
-    state.vts.assign(nl.size(), fixed_vts_);
-    state.widths = std::move(sized.widths);
-    timing::TimingReport report = eval_.sta(state, limit);
-    double crit = report.critical_delay;
-    bool ok = crit <= limit * (1.0 + 1e-9);
-    if (ok) {
-      // Same post-processing width recovery as the joint flow (the two
-      // flows must share sizing machinery for a fair comparison).
-      for (int pass = 0; pass < opts_.recovery_passes; ++pass) {
-        SizingResult recovered =
-            sizer.recover(state.widths, vdd, vts_corner, limit, report);
-        CircuitState candidate = state;
-        candidate.widths = std::move(recovered.widths);
-        const timing::TimingReport check = eval_.sta(candidate, limit);
-        if (check.critical_delay > limit * (1.0 + 1e-9)) break;
-        state = std::move(candidate);
-        crit = check.critical_delay;
-        report = check;
-      }
-    }
+    SizedState sized = eval_.size_to_budgets(
+        budgets, vdd, std::vector<double>(nl.size(), fixed_vts_), limit,
+        opts_.recovery_passes);
     obs::TrajectoryPoint tp;
     tp.phase = phase;
     tp.vdd = vdd;
     tp.vts = fixed_vts_;
     tp.energy = 0.0;  // bisection probes skip the energy evaluation
-    tp.critical_delay = crit;
-    tp.feasible = ok;
+    tp.critical_delay = sized.report.critical_delay;
+    tp.feasible = sized.feasible;
     rep.add_point(std::move(tp));
-    return std::tuple(std::move(state), crit, ok);
-  };
-
-  auto stamp = [&](OptimizationResult* r) {
-    r->circuit_evaluations = static_cast<int>(dog.evaluations());
-    if (dog.expired()) {
-      r->truncated = true;
-      r->truncation_reason =
-          std::string(dog.expiry_reason()) + " exhausted after " +
-          std::to_string(dog.evaluations()) + " circuit evaluations";
-      obs::counter("opt.watchdog.expiries").add();
-      obs::Tracer::instance().instant("watchdog.expired", "baseline");
-    }
-    r->runtime_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    counter_delta.finish(&r->report);
-    finalize_run_report(r);
+    return sized;
   };
 
   // Feasibility boundary: delay is monotone decreasing in Vdd at fixed Vts,
@@ -118,14 +77,14 @@ OptimizationResult BaselineOptimizer::run() const {
   // bisection back toward the known-feasible vdd_max without new probes.
   auto feasible_at = [&](double vdd) {
     if (dog.expired()) return false;
-    return std::get<2>(probe(vdd));
+    return probe(vdd).feasible;
   };
   double vdd_boundary = 0.0;
   {
     const obs::Span span("baseline.vdd_bisect");
     if (!feasible_at(tech.vdd_max)) {
       result.feasible = false;
-      stamp(&result);
+      stamp.finish(&result, dog);
       return result;
     }
     vdd_boundary = util::bisect_min_true(tech.vdd_min, tech.vdd_max,
@@ -145,16 +104,16 @@ OptimizationResult BaselineOptimizer::run() const {
     if (dog.expired() && best_energy < std::numeric_limits<double>::infinity()) {
       return best_energy * 4.0 + 1.0;
     }
-    auto [state, crit, ok] = probe(vdd);
-    if (!ok) return best_energy * 4.0 + 1.0;
-    const double e = eval_.energy(state).total();
+    SizedState sized = probe(vdd);
+    if (!sized.feasible) return best_energy * 4.0 + 1.0;
+    const double e = eval_.energy(sized.state).total();
     // Back-fill the probe's trajectory point with the measured energy.
     if (!rep.trajectory.empty()) rep.trajectory.back().energy = e;
     if (e < best_energy) {
       if (!rep.trajectory.empty()) rep.trajectory.back().accepted = true;
       best_energy = e;
-      best_state = std::move(state);
-      best_crit = crit;
+      best_state = std::move(sized.state);
+      best_crit = sized.report.critical_delay;
     }
     return e;
   };
@@ -167,10 +126,7 @@ OptimizationResult BaselineOptimizer::run() const {
   result.critical_delay = best_crit;
   result.feasible = true;
   result.vdd = best_state.vdd;
-  if (result.feasible) {
-    obs::gauge("opt.baseline.best_energy_joules").set(result.energy.total());
-  }
-  stamp(&result);
+  stamp.finish(&result, dog);
   return result;
 }
 

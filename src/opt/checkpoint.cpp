@@ -211,4 +211,30 @@ JointCheckpoint JointCheckpoint::load(const std::string& path) {
   return ck;
 }
 
+template <class Snapshot>
+std::optional<Snapshot> load_for_resume(const std::string& path,
+                                        const char* optimizer,
+                                        const std::string& circuit) {
+  if (path.empty()) return std::nullopt;
+  std::optional<Snapshot> ck;
+  try {
+    ck = Snapshot::load(path);
+  } catch (const util::ParseError& e) {
+    obs::counter("opt.checkpoint.resume_rejected").add();
+    std::fprintf(stderr, "%s: resume snapshot rejected (%s); starting fresh\n",
+                 optimizer, e.what());
+    return std::nullopt;
+  }
+  MINERGY_CHECK_MSG(ck->circuit == circuit,
+                    std::string(optimizer) +
+                        " resume: checkpoint is for circuit '" + ck->circuit +
+                        "', not '" + circuit + "'");
+  return ck;
+}
+
+template std::optional<JointCheckpoint> load_for_resume<JointCheckpoint>(
+    const std::string&, const char*, const std::string&);
+template std::optional<AnnealCheckpoint> load_for_resume<AnnealCheckpoint>(
+    const std::string&, const char*, const std::string&);
+
 }  // namespace minergy::opt

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "obs/report.h"
@@ -70,5 +71,17 @@ struct JointCheckpoint {
   void save(const std::string& path) const;
   static JointCheckpoint load(const std::string& path);
 };
+
+// Loads the snapshot at `path` (a JointCheckpoint or an AnnealCheckpoint)
+// to resume `optimizer`'s run on `circuit`; nullopt when `path` is empty.
+// A corrupt snapshot (truncated, garbled, wrong schema) must not take the
+// run down: it is rejected, counted in opt.checkpoint.resume_rejected and
+// reported on stderr, and nullopt tells the caller to start fresh (a direct
+// load() still throws the typed ParseError). A snapshot for another
+// circuit is a caller bug, not corruption, and fails a MINERGY_CHECK.
+template <class Snapshot>
+std::optional<Snapshot> load_for_resume(const std::string& path,
+                                        const char* optimizer,
+                                        const std::string& circuit);
 
 }  // namespace minergy::opt

@@ -72,8 +72,8 @@ CircuitEvaluator::CircuitEvaluator(const netlist::Netlist& nl,
       tech_(validated(tech)),
       settings_(validated(settings)),
       dev_(tech_),
-      own_wires_(tech_, nl_),
-      wires_(&own_wires_),
+      own_wires_(std::in_place, tech_, nl_),
+      wires_(&*own_wires_),
       act_(activity::estimate_activity(nl_, profile)),
       delay_(nl_, dev_, *wires_),
       energy_(nl_, dev_, *wires_, act_, settings_.clock_frequency),
@@ -90,7 +90,6 @@ CircuitEvaluator::CircuitEvaluator(const netlist::Netlist& nl,
       tech_(validated(tech)),
       settings_(validated(settings)),
       dev_(tech_),
-      own_wires_(tech_, nl_),
       wires_(&wires),
       act_(activity::estimate_activity(nl_, profile)),
       delay_(nl_, dev_, *wires_),
@@ -131,29 +130,18 @@ power::EnergyBreakdown CircuitEvaluator::energy(
   static obs::Counter& c_evals = obs::counter("power.energy.gate_evals");
   static obs::Histogram& h_micros = obs::histogram("opt.eval.energy_micros");
   c_calls.add();
-  const bool corners = settings_.vts_tolerance != 0.0;
-  // One gate energy per logic gate and corner, added in bulk.
-  c_evals.add(static_cast<std::int64_t>(nl_.num_combinational()) *
-              (corners ? 2 : 1));
+  // One gate energy per logic gate, added in bulk.
+  c_evals.add(static_cast<std::int64_t>(nl_.num_combinational()));
   const obs::ScopedTimer timer(h_micros);
   // Summed in topological order, so the floating-point total is the same on
-  // every run.
+  // every run. Each gate is evaluated at the low-Vt corner: leakage belongs
+  // there, and the dynamic term never reads Vts (at zero tolerance the
+  // corner is the nominal value itself).
   power::EnergyBreakdown total;
-  tech::OperatingPointMemo nominal(dev_), leaky(dev_);
+  tech::OperatingPointMemo leaky(dev_);
   for (netlist::GateId id : nl_.combinational()) {
-    // Dynamic energy at nominal threshold (capacitances are Vt-independent
-    // here), leakage at the low-Vt corner.
-    power::EnergyBreakdown e = energy_.gate_energy_uncounted(
-        id, state.widths, nominal.at(state.vdd, state.vts[id]));
-    if (corners) {
-      e.static_energy =
-          energy_
-              .gate_energy_uncounted(
-                  id, state.widths,
-                  leaky.at(state.vdd, leakage_vts(state.vts[id])))
-              .static_energy;
-    }
-    total += e;
+    total += energy_.gate_energy_uncounted(
+        id, state.widths, leaky.at(state.vdd, leakage_vts(state.vts[id])));
   }
   if (settings_.include_short_circuit) {
     // Input transition times come from the gate delays of the driving
@@ -178,8 +166,8 @@ power::EnergyBreakdown CircuitEvaluator::energy(
   // non-finite total re-walk the gates to name the culprit.
   if (!std::isfinite(total.total())) {
     for (netlist::GateId id : nl_.combinational()) {
-      const power::EnergyBreakdown e =
-          energy_.gate_energy(id, state.widths, state.vdd, state.vts[id]);
+      const power::EnergyBreakdown e = energy_.gate_energy(
+          id, state.widths, state.vdd, leakage_vts(state.vts[id]));
       if (!std::isfinite(e.total())) {
         throw util::NumericError(
             e.total(), "energy of gate '" + nl_.gate(id).name + "'");
@@ -188,6 +176,39 @@ power::EnergyBreakdown CircuitEvaluator::energy(
     throw util::NumericError(total.total(), "total energy per cycle");
   }
   return total;
+}
+
+SizedState CircuitEvaluator::size_to_budgets(
+    const timing::BudgetResult& budgets, double vdd, std::vector<double> vts,
+    double limit, int recovery_passes) const {
+  std::vector<double> vts_corner(vts.size());
+  for (std::size_t i = 0; i < vts.size(); ++i) {
+    vts_corner[i] = delay_vts(vts[i]);
+  }
+  const GateSizer sizer(delay_);
+  SizedState s;
+  s.state.vdd = vdd;
+  s.state.vts = std::move(vts);
+  s.state.widths = sizer.size(budgets.t_max, vdd, vts_corner).widths;
+  MINERGY_CHECK(s.state.widths.size() == nl_.size());
+
+  auto meets = [&](const timing::TimingReport& r) {
+    return r.critical_delay <= limit * (1.0 + 1e-9);
+  };
+  s.report = sta(s.state, limit);
+  s.feasible = meets(s.report);
+  if (!s.feasible) return s;
+  for (int pass = 0; pass < recovery_passes; ++pass) {
+    CircuitState candidate = s.state;
+    candidate.widths =
+        sizer.recover(s.state.widths, vdd, vts_corner, limit, s.report)
+            .widths;
+    timing::TimingReport check = sta(candidate, limit);
+    if (!meets(check)) break;
+    s.state = std::move(candidate);
+    s.report = std::move(check);
+  }
+  return s;
 }
 
 bool CircuitEvaluator::meets_timing(const CircuitState& state,
@@ -234,7 +255,6 @@ util::InfeasibleError diagnose_infeasibility(const CircuitEvaluator& eval,
   const netlist::Netlist& nl = eval.netlist();
   const tech::Technology& tech = eval.technology();
   const double tc = eval.cycle_time();
-  const double limit = skew_b * tc;
 
   // Max-drive probe: strongest corner the technology offers, budget-driven
   // sizing against the requested cycle time.
@@ -244,10 +264,19 @@ util::InfeasibleError diagnose_infeasibility(const CircuitEvaluator& eval,
   const GateSizer sizer(eval.delay_calculator());
   const SizingResult sized = sizer.size(budgets.t_max, tech.vdd_max,
                                         std::span<const double>(vts_corner));
-  const timing::TimingReport report =
+  return max_drive_infeasibility(
+      eval, skew_b,
       timing::run_sta(eval.delay_calculator(), sized.widths, tech.vdd_max,
-                      std::span<const double>(vts_corner), tc);
+                      std::span<const double>(vts_corner), tc));
+}
 
+util::InfeasibleError max_drive_infeasibility(
+    const CircuitEvaluator& eval, double skew_b,
+    const timing::TimingReport& report) {
+  const netlist::Netlist& nl = eval.netlist();
+  const tech::Technology& tech = eval.technology();
+  const double tc = eval.cycle_time();
+  const double limit = skew_b * tc;
   const std::string endpoint =
       report.critical_path.empty()
           ? std::string("<none>")

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "activity/activity.h"
 #include "interconnect/wire_model.h"
@@ -39,6 +41,13 @@ struct EvalSettings {
   double input_slew = 50e-12;  // s, edge rate at primary inputs
 };
 
+// One budget-sized point: see CircuitEvaluator::size_to_budgets.
+struct SizedState {
+  CircuitState state;
+  timing::TimingReport report;  // full STA of `state` at the delay corner
+  bool feasible = false;        // report.critical_delay meets the limit
+};
+
 class CircuitEvaluator {
  public:
   // Validates the technology (tech::TechnologyError on corrupt parameters)
@@ -59,9 +68,8 @@ class CircuitEvaluator {
   const netlist::Netlist& netlist() const { return nl_; }
   const tech::Technology& technology() const { return tech_; }
   const tech::DeviceModel& device() const { return dev_; }
-  // The built-in a-priori stochastic model (always constructed).
-  const interconnect::WireModel& wires() const { return own_wires_; }
-  // The loads the delay/energy models actually use.
+  // The loads the delay/energy models use: the built-in Rent's-rule model,
+  // or the external loads passed at construction.
   const interconnect::WireLoads& wire_loads() const { return *wires_; }
   const activity::ActivityResult& activity() const { return act_; }
   const timing::DelayCalculator& delay_calculator() const { return delay_; }
@@ -87,8 +95,20 @@ class CircuitEvaluator {
   // Worst-case critical-path delay at the delay corner.
   double critical_delay(const CircuitState& state) const;
 
-  // Energy per cycle: dynamic at nominal, leakage at the leaky corner.
+  // Energy per cycle: leakage at the leaky corner, where one evaluation per
+  // gate also gives the dynamic term (it does not read Vts); the optional
+  // short-circuit term at nominal Vts.
   power::EnergyBreakdown energy(const CircuitState& state) const;
+
+  // Procedure 2's inner step at one (Vdd, per-gate nominal Vts): widths
+  // sized to the Procedure-1 budgets at the delay corner, one full STA
+  // against `limit`, and, when that meets the limit, up to
+  // `recovery_passes` width-recovery passes, each verified by a fresh STA
+  // (a pass that breaks timing is dropped and ends the recovery). Meeting
+  // the limit allows a 1e-9 relative tolerance for floating-point noise.
+  SizedState size_to_budgets(const timing::BudgetResult& budgets, double vdd,
+                             std::vector<double> vts, double limit,
+                             int recovery_passes) const;
 
   // critical_delay(state) <= limit (default: the skewed cycle budget).
   bool meets_timing(const CircuitState& state, double skew_b) const;
@@ -111,8 +131,8 @@ class CircuitEvaluator {
   tech::Technology tech_;
   EvalSettings settings_;
   tech::DeviceModel dev_;
-  interconnect::WireModel own_wires_;
-  const interconnect::WireLoads* wires_;  // own_wires_ or external
+  std::optional<interconnect::WireModel> own_wires_;  // empty when external
+  const interconnect::WireLoads* wires_;  // *own_wires_ or external
   activity::ActivityResult act_;
   timing::DelayCalculator delay_;
   power::EnergyModel energy_;
@@ -134,5 +154,10 @@ struct EvalCacheBypass {
 // caller to throw.
 util::InfeasibleError diagnose_infeasibility(const CircuitEvaluator& eval,
                                              double skew_b);
+
+// The same error from a max-drive STA report the caller already holds.
+util::InfeasibleError max_drive_infeasibility(
+    const CircuitEvaluator& eval, double skew_b,
+    const timing::TimingReport& max_drive);
 
 }  // namespace minergy::opt

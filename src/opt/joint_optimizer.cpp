@@ -1,19 +1,14 @@
 #include "opt/joint_optimizer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
-#include <string>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/checkpoint.h"
-#include "opt/lagrangian_sizer.h"
-#include "opt/sizer.h"
-#include "opt/tilos_sizer.h"
 #include "util/check.h"
 #include "util/guard.h"
 #include "util/search.h"
@@ -46,43 +41,14 @@ JointOptimizer::Probe JointOptimizer::probe(
   c_probes.add();
   const obs::ScopedTimer timer(h_micros);
 
-  const netlist::Netlist& nl = eval_.netlist();
-  Probe p;
-  p.state.vdd = vdd;
-  p.state.vts = vts;
-
-  // Width search uses the delay-corner thresholds (worst-case timing).
-  std::vector<double> vts_corner(vts.size());
-  for (std::size_t i = 0; i < vts.size(); ++i) {
-    vts_corner[i] = eval_.delay_vts(vts[i]);
-  }
-  const GateSizer sizer(eval_.delay_calculator());
-  SizingResult sized = sizer.size(budgets.t_max, vdd, vts_corner);
-  p.state.widths = std::move(sized.widths);
-  MINERGY_CHECK(p.state.widths.size() == nl.size());
-
   // Accept on the real constraint: full STA against the skewed cycle time.
-  const double limit = opts_.skew_b * eval_.cycle_time();
-  timing::TimingReport report = eval_.sta(p.state, limit);
-  p.critical_delay = report.critical_delay;
-  p.feasible = p.critical_delay <= limit * (1.0 + 1e-9);
-
-  if (p.feasible) {
-    // Post-processing width recovery: shrink oversized gates back into the
-    // circuit's real slack (each pass verified by a fresh STA; a pass that
-    // breaks timing is reverted and iteration stops).
-    for (int pass = 0; pass < opts_.recovery_passes; ++pass) {
-      SizingResult recovered =
-          sizer.recover(p.state.widths, vdd, vts_corner, limit, report);
-      CircuitState candidate = p.state;
-      candidate.widths = std::move(recovered.widths);
-      const timing::TimingReport check = eval_.sta(candidate, limit);
-      if (check.critical_delay > limit * (1.0 + 1e-9)) break;
-      p.state = std::move(candidate);
-      p.critical_delay = check.critical_delay;
-      report = check;
-    }
-  }
+  SizedState sized = eval_.size_to_budgets(budgets, vdd, vts,
+                                           opts_.skew_b * eval_.cycle_time(),
+                                           opts_.recovery_passes);
+  Probe p;
+  p.state = std::move(sized.state);
+  p.critical_delay = sized.report.critical_delay;
+  p.feasible = sized.feasible;
   p.energy = eval_.energy(p.state);
   ctx.dog->note_evaluation();
 
@@ -238,10 +204,9 @@ void JointOptimizer::assign_threshold_groups(
 
 OptimizationResult JointOptimizer::run() const {
   const obs::Span run_span("joint.run");
-  const obs::CounterDelta counter_delta;
+  const RunStamp stamp("joint", "opt.joint.best_energy_joules");
   obs::counter("opt.joint.runs").add();
 
-  const auto t0 = std::chrono::steady_clock::now();
   const tech::Technology& tech = eval_.technology();
 
   OptimizationResult result;
@@ -268,41 +233,22 @@ OptimizationResult JointOptimizer::run() const {
   std::int64_t resumed_evals = 0;
   double resume_prev_total = kInf;
   util::Range resume_vdd_range{tech.vdd_min, tech.vdd_max};
-  if (!opts_.resume_path.empty()) {
-    JointCheckpoint ck;
-    bool loaded = true;
-    try {
-      ck = JointCheckpoint::load(opts_.resume_path);
-    } catch (const util::ParseError& e) {
-      // Corrupt snapshot (truncated, garbled, wrong schema): reject it and
-      // run fresh instead of dying; direct Checkpoint loads still throw the
-      // typed ParseError for callers that want it.
-      loaded = false;
-      obs::counter("opt.checkpoint.resume_rejected").add();
-      std::fprintf(stderr,
-                   "joint: resume snapshot rejected (%s); starting fresh\n",
-                   e.what());
+  if (std::optional<JointCheckpoint> ck = load_for_resume<JointCheckpoint>(
+          opts_.resume_path, "joint", eval_.netlist().name())) {
+    start_step = ck->next_step;
+    resume_vdd_range = {ck->vdd_lo, ck->vdd_hi};
+    resume_prev_total = ck->prev_total;
+    if (ck->has_best) {
+      best.state = std::move(ck->best_state);
+      best.energy = ck->best_energy;
+      best.critical_delay = ck->best_critical_delay;
+      best.feasible = ck->best_feasible;
     }
-    if (loaded) {
-      MINERGY_CHECK_MSG(ck.circuit == eval_.netlist().name(),
-                        "joint resume: checkpoint is for circuit '" +
-                            ck.circuit + "', not '" + eval_.netlist().name() +
-                            "'");
-      start_step = ck.next_step;
-      resume_vdd_range = {ck.vdd_lo, ck.vdd_hi};
-      resume_prev_total = ck.prev_total;
-      if (ck.has_best) {
-        best.state = std::move(ck.best_state);
-        best.energy = ck.best_energy;
-        best.critical_delay = ck.best_critical_delay;
-        best.feasible = ck.best_feasible;
-      }
-      resumed_evals = ck.evaluations;
-      report = std::move(ck.report);
-      report.optimizer = "joint";
-      report.circuit = eval_.netlist().name();
-      obs::counter("opt.joint.resumes").add();
-    }
+    resumed_evals = ck->evaluations;
+    report = std::move(ck->report);
+    report.optimizer = "joint";
+    report.circuit = eval_.netlist().name();
+    obs::counter("opt.joint.resumes").add();
   }
 
   // --- Procedure 2: nested binary search ---------------------------------
@@ -365,68 +311,6 @@ OptimizationResult JointOptimizer::run() const {
     refine(budgets, &best, ctx);
   }
 
-  if (opts_.tilos_polish && best.feasible && !dog.expired()) {
-    // Global sensitivity re-sizing at the chosen (Vdd, Vts): start from
-    // minimum widths and grow only what the critical path needs.
-    const obs::Span span("joint.tilos_polish");
-    std::vector<double> vts_corner(best.state.vts.size());
-    for (std::size_t i = 0; i < vts_corner.size(); ++i) {
-      vts_corner[i] = eval_.delay_vts(best.state.vts[i]);
-    }
-    const TilosSizer tilos(eval_.delay_calculator(), eval_.energy_model());
-    const TilosResult sized = tilos.size(best.state.vdd, vts_corner,
-                                         opts_.skew_b * eval_.cycle_time());
-    if (sized.feasible) {
-      Probe candidate = best;
-      candidate.state.widths = sized.widths;
-      candidate.critical_delay = sized.critical_delay;
-      candidate.energy = eval_.energy(candidate.state);
-      dog.note_evaluation();
-      if (candidate.energy.total() < best.energy.total()) {
-        obs::TrajectoryPoint tp;
-        tp.phase = "tilos-polish";
-        tp.vdd = candidate.state.vdd;
-        tp.vts = candidate.state.vts.empty() ? 0.0 : candidate.state.vts[0];
-        tp.energy = candidate.energy.total();
-        tp.critical_delay = candidate.critical_delay;
-        tp.feasible = true;
-        tp.accepted = true;
-        report.add_point(std::move(tp));
-        best = std::move(candidate);
-      }
-    }
-  }
-
-  if (opts_.lagrangian_polish && best.feasible && !dog.expired()) {
-    const obs::Span span("joint.lagrangian_polish");
-    std::vector<double> vts_corner(best.state.vts.size());
-    for (std::size_t i = 0; i < vts_corner.size(); ++i) {
-      vts_corner[i] = eval_.delay_vts(best.state.vts[i]);
-    }
-    const LagrangianSizer lr(eval_.delay_calculator(), eval_.energy_model());
-    const LagrangianResult sized = lr.size(
-        best.state.vdd, vts_corner, opts_.skew_b * eval_.cycle_time());
-    if (sized.feasible) {
-      Probe candidate = best;
-      candidate.state.widths = sized.widths;
-      candidate.critical_delay = sized.critical_delay;
-      candidate.energy = eval_.energy(candidate.state);
-      dog.note_evaluation();
-      if (candidate.energy.total() < best.energy.total()) {
-        obs::TrajectoryPoint tp;
-        tp.phase = "lagrangian-polish";
-        tp.vdd = candidate.state.vdd;
-        tp.vts = candidate.state.vts.empty() ? 0.0 : candidate.state.vts[0];
-        tp.energy = candidate.energy.total();
-        tp.critical_delay = candidate.critical_delay;
-        tp.feasible = true;
-        tp.accepted = true;
-        report.add_point(std::move(tp));
-        best = std::move(candidate);
-      }
-    }
-  }
-
   {
     const obs::Span span("joint.multi_vt");
     assign_threshold_groups(budgets, &best, &result, ctx);
@@ -441,24 +325,7 @@ OptimizationResult JointOptimizer::run() const {
   if (result.vts_groups.empty() && !best.state.vts.empty()) {
     result.vts_groups = {result.vts_primary};
   }
-  result.circuit_evaluations =
-      static_cast<int>(resumed_evals + dog.evaluations());
-  if (dog.expired()) {
-    result.truncated = true;
-    result.truncation_reason =
-        std::string(dog.expiry_reason()) + " exhausted after " +
-        std::to_string(dog.evaluations()) + " circuit evaluations";
-    obs::counter("opt.watchdog.expiries").add();
-    obs::Tracer::instance().instant("watchdog.expired", "joint");
-  }
-  result.runtime_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (result.feasible) {
-    obs::gauge("opt.joint.best_energy_joules").set(result.energy.total());
-  }
-  counter_delta.finish(&report);
-  finalize_run_report(&result);
+  stamp.finish(&result, dog, resumed_evals);
   return result;
 }
 

@@ -74,20 +74,10 @@ MultiVddResult MultiVddOptimizer::run() const {
     apply(vdd_low);
     power::EnergyBreakdown total;
     for (netlist::GateId id : topo) {
-      // Leakage at the leaky threshold corner, like the evaluator.
-      const power::EnergyBreakdown nominal = eval_.energy_model().gate_energy(
+      // One evaluation at the leaky threshold corner, like the evaluator.
+      total += eval_.energy_model().gate_energy(
           id, result.single.state.widths, vdd_vec[id],
-          result.single.state.vts[id]);
-      if (eval_.vts_tolerance() == 0.0) {
-        total += nominal;
-      } else {
-        const power::EnergyBreakdown leaky =
-            eval_.energy_model().gate_energy(
-                id, result.single.state.widths, vdd_vec[id],
-                eval_.leakage_vts(result.single.state.vts[id]));
-        total.dynamic_energy += nominal.dynamic_energy;
-        total.static_energy += leaky.static_energy;
-      }
+          eval_.leakage_vts(result.single.state.vts[id]));
     }
     return total;
   };

@@ -1,11 +1,15 @@
 // Shared option/result types for the optimizers.
 #pragma once
 
+#include <chrono>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 #include "opt/circuit_state.h"
 #include "power/energy_model.h"
 #include "util/guard.h"
@@ -49,16 +53,6 @@ struct OptimizerOptions {
   // optional polish (compared in bench/ablation_budgeting).
   bool refine = true;
   int refine_steps = 10;
-
-  // Replace the budget-driven widths at the final operating point with a
-  // TILOS-style global sensitivity sizing when that meets timing with less
-  // energy. OFF by default: the paper's flow is budget-driven, and
-  // bench/ablation_budgeting quantifies exactly what this buys.
-  bool tilos_polish = false;
-
-  // Same idea with the Lagrangian-relaxation sizer (the Sapatnekar-lineage
-  // method the paper cites as [10]); usually the strongest width polish.
-  bool lagrangian_polish = false;
 
   // Wall-clock / evaluation-count budget for the whole run. Unlimited by
   // default; when exhausted the optimizer stops probing and returns the
@@ -124,5 +118,50 @@ inline void finalize_run_report(OptimizationResult* r) {
   rep.truncated = r->truncated;
   rep.truncation_reason = r->truncation_reason;
 }
+
+// The bookkeeping that opens and closes every joint, baseline and anneal
+// run: constructed first thing in run() (start time, counter snapshot),
+// finished just before the result is returned.
+class RunStamp {
+ public:
+  // `name` tags the watchdog.expired trace instant; `best_energy_gauge` is
+  // the gauge a feasible result's energy is written to. Both are kept as
+  // pointers, so pass string literals.
+  RunStamp(const char* name, const char* best_energy_gauge)
+      : name_(name),
+        best_energy_gauge_(best_energy_gauge),
+        t0_(std::chrono::steady_clock::now()) {}
+
+  // Stamps into `r`: the circuit evaluations (this run's plus
+  // `resumed_evals` from a restored snapshot); on watchdog expiry the
+  // truncation flag and reason, opt.watchdog.expiries and the trace
+  // instant; the runtime; the best-energy gauge; the counter deltas. Then
+  // finalize_run_report.
+  void finish(OptimizationResult* r, const util::Watchdog& dog,
+              std::int64_t resumed_evals = 0) const {
+    r->circuit_evaluations =
+        static_cast<int>(resumed_evals + dog.evaluations());
+    if (dog.expired()) {
+      r->truncated = true;
+      r->truncation_reason =
+          std::string(dog.expiry_reason()) + " exhausted after " +
+          std::to_string(dog.evaluations()) + " circuit evaluations";
+      obs::counter("opt.watchdog.expiries").add();
+      obs::Tracer::instance().instant("watchdog.expired", name_);
+    }
+    r->runtime_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
+            .count();
+    if (r->feasible) obs::gauge(best_energy_gauge_).set(r->energy.total());
+    counter_delta_.finish(&r->report);
+    finalize_run_report(r);
+  }
+
+ private:
+  const char* name_;
+  const char* best_energy_gauge_;
+  std::chrono::steady_clock::time_point t0_;
+  obs::CounterDelta counter_delta_;
+};
 
 }  // namespace minergy::opt

@@ -8,7 +8,6 @@
 #include "obs/trace.h"
 #include "opt/baseline_optimizer.h"
 #include "opt/joint_optimizer.h"
-#include "opt/sizer.h"
 #include "util/check.h"
 #include "util/guard.h"
 
@@ -41,37 +40,30 @@ OptimizationResult RobustOptimizer::last_resort() const {
   const netlist::Netlist& nl = eval_.netlist();
   const tech::Technology& tech = eval_.technology();
   const double skew_b = opts_.joint.skew_b;
-  const double limit = skew_b * eval_.cycle_time();
 
   // Maximum drive: highest supply, strongest threshold, widths sized to the
   // Procedure-1 budgets. If this cannot meet timing, nothing in the
-  // technology's variable ranges can.
+  // technology's variable ranges can, and its STA report is the diagnosis.
   const timing::BudgetResult budgets = eval_.budgeter().assign(
       eval_.cycle_time(), {.clock_skew_b = skew_b});
-  const std::vector<double> vts_corner(nl.size(),
-                                       eval_.delay_vts(tech.vts_min));
-  const GateSizer sizer(eval_.delay_calculator());
-  SizingResult sized = sizer.size(budgets.t_max, tech.vdd_max,
-                                  std::span<const double>(vts_corner));
+  SizedState sized = eval_.size_to_budgets(
+      budgets, tech.vdd_max, std::vector<double>(nl.size(), tech.vts_min),
+      skew_b * eval_.cycle_time(), /*recovery_passes=*/0);
+  if (!sized.feasible) {
+    throw max_drive_infeasibility(eval_, skew_b, sized.report);
+  }
 
   OptimizationResult result;
   result.tier = ResultTier::kLastResort;
   result.report.optimizer = "last-resort";
   result.report.circuit = nl.name();
-  result.state.vdd = tech.vdd_max;
-  result.state.vts.assign(nl.size(), tech.vts_min);
-  result.state.widths = std::move(sized.widths);
+  result.state = std::move(sized.state);
   result.vdd = tech.vdd_max;
   result.vts_primary = tech.vts_min;
   result.vts_groups = {tech.vts_min};
-
-  const timing::TimingReport report = eval_.sta(result.state, limit);
-  result.critical_delay = report.critical_delay;
-  result.feasible = report.critical_delay <= limit * (1.0 + 1e-9);
+  result.critical_delay = sized.report.critical_delay;
+  result.feasible = true;
   result.circuit_evaluations = 1;
-  if (!result.feasible) {
-    throw diagnose_infeasibility(eval_, skew_b);
-  }
   result.energy = eval_.energy(result.state);
   result.runtime_seconds = seconds_since(t0);
 

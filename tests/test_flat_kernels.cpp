@@ -25,6 +25,7 @@
 #include "bench_suite/iscas.h"
 #include "interconnect/wire_model.h"
 #include "netlist/generator.h"
+#include "obs/metrics.h"
 #include "opt/evaluator.h"
 #include "opt/sizer.h"
 #include "place/placement.h"
@@ -688,7 +689,17 @@ void expect_energy_matches(const Bench& b) {
   state.vdd = 0.8;
   state.vts = mixed(b.nl, {0.12, 0.2, 0.35}, 1);
   state.widths = spread_widths(b.nl, b.tech);
+  const bool metrics_were_on = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Counter& gate_evals = obs::counter("power.energy.gate_evals");
+  const std::int64_t evals_before = gate_evals.value();
   const power::EnergyBreakdown got = b.eval->energy(state);
+  // One gate evaluation per logic gate despite the bench's Vts tolerance:
+  // the leaky corner's call supplies the dynamic term as well.
+  EXPECT_EQ(gate_evals.value() - evals_before,
+            static_cast<std::int64_t>(b.nl.num_combinational()))
+      << b.nl.name();
+  obs::set_enabled(metrics_were_on);
   const power::EnergyBreakdown want = ref_energy(*b.eval, b.settings, state);
   EXPECT_EQ(got.static_energy, want.static_energy) << b.nl.name();
   EXPECT_EQ(got.dynamic_energy, want.dynamic_energy) << b.nl.name();

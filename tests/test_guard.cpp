@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "netlist/generator.h"
+#include "obs/metrics.h"
+#include "opt/annealing_optimizer.h"
+#include "opt/baseline_optimizer.h"
 #include "opt/evaluator.h"
 #include "opt/joint_optimizer.h"
 #include "opt/robust_optimizer.h"
@@ -186,6 +190,33 @@ TEST(EvaluatorGuards, BadSettingsRejected) {
 
 // ------------------------------------------------- watchdog-limited runs
 
+// Turns metric collection on for one scope and restores it afterwards.
+class MetricsOn {
+ public:
+  MetricsOn() : was_on_(obs::enabled()) { obs::set_enabled(true); }
+  ~MetricsOn() { obs::set_enabled(was_on_); }
+  MetricsOn(const MetricsOn&) = delete;
+  MetricsOn& operator=(const MetricsOn&) = delete;
+
+ private:
+  bool was_on_;
+};
+
+// Runs one optimizer whose evaluation budget is too small to finish: the
+// result must be flagged, name that budget, and count one watchdog expiry.
+template <class Run>
+opt::OptimizationResult expect_cut_by_evaluation_budget(Run run) {
+  const MetricsOn metrics;
+  const obs::Counter& expiries = obs::counter("opt.watchdog.expiries");
+  const std::int64_t before = expiries.value();
+  opt::OptimizationResult r = run();
+  EXPECT_TRUE(r.truncated);
+  EXPECT_NE(r.truncation_reason.find("evaluation budget"), std::string::npos)
+      << r.truncation_reason;
+  EXPECT_EQ(expiries.value() - before, 1);
+  return r;
+}
+
 TEST(WatchdogRuns, JointOptimizerHonorsEvaluationBudget) {
   const Netlist nl = make_circuit(31);
   const tech::Technology tech = tech::Technology::generic350();
@@ -194,9 +225,8 @@ TEST(WatchdogRuns, JointOptimizerHonorsEvaluationBudget) {
 
   opt::OptimizerOptions opts;
   opts.budget.max_evaluations = 5;
-  const opt::OptimizationResult r = opt::JointOptimizer(eval, opts).run();
-  EXPECT_TRUE(r.truncated);
-  EXPECT_NE(r.truncation_reason.find("evaluation budget"), std::string::npos);
+  const opt::OptimizationResult r = expect_cut_by_evaluation_budget(
+      [&] { return opt::JointOptimizer(eval, opts).run(); });
   EXPECT_LE(r.circuit_evaluations, 8);  // budget + in-flight probes
   // Feasible-or-flagged: a truncated run may be infeasible, but it must say
   // so, and anything it does report must be finite.
@@ -204,6 +234,32 @@ TEST(WatchdogRuns, JointOptimizerHonorsEvaluationBudget) {
     EXPECT_TRUE(std::isfinite(r.energy.total()));
     EXPECT_TRUE(std::isfinite(r.critical_delay));
   }
+}
+
+TEST(WatchdogRuns, BaselineOptimizerHonorsEvaluationBudget) {
+  const Netlist nl = make_circuit(31);
+  const tech::Technology tech = tech::Technology::generic350();
+  const opt::CircuitEvaluator eval(nl, tech, profile(),
+                                   {.clock_frequency = 100e6});
+
+  opt::OptimizerOptions opts;
+  opts.budget.max_evaluations = 5;
+  expect_cut_by_evaluation_budget(
+      [&] { return opt::BaselineOptimizer(eval, opts).run(); });
+}
+
+TEST(WatchdogRuns, AnnealingOptimizerHonorsEvaluationBudget) {
+  const Netlist nl = make_circuit(31);
+  const tech::Technology tech = tech::Technology::generic350();
+  const opt::CircuitEvaluator eval(nl, tech, profile(),
+                                   {.clock_frequency = 100e6});
+
+  opt::AnnealingOptions opts;
+  opts.max_moves = 200;
+  opts.budget.max_evaluations = 5;
+  const opt::OptimizationResult r = expect_cut_by_evaluation_budget(
+      [&] { return opt::AnnealingOptimizer(eval, opts).run(); });
+  EXPECT_EQ(r.circuit_evaluations, 5);
 }
 
 TEST(WatchdogRuns, ExhaustedWallClockStillReturns) {
@@ -263,6 +319,34 @@ TEST(RobustOptimizer, ImpossibleClockThrowsRichInfeasibleError) {
     EXPECT_NE(std::string(e.what()).find(e.limiting_gate()),
               std::string::npos);
   }
+}
+
+TEST(RobustOptimizer, LastResortDiagnosesFromItsOwnMaxDriveProbe) {
+  const Netlist nl = make_circuit(31);
+  const tech::Technology tech = tech::Technology::generic350();
+  const opt::CircuitEvaluator eval(nl, tech, profile(),
+                                   {.clock_frequency = 50e9});
+  const util::InfeasibleError want = opt::diagnose_infeasibility(eval, 0.95);
+  opt::RobustOptions opts;
+  opts.start_tier = 2;
+
+  const MetricsOn metrics;
+  const obs::Counter& size_calls = obs::counter("opt.sizer.size_calls");
+  const obs::Counter& sta_runs = obs::counter("timing.sta.runs");
+  const std::int64_t sizes_before = size_calls.value();
+  const std::int64_t stas_before = sta_runs.value();
+  try {
+    opt::RobustOptimizer(eval, opts).run();
+    FAIL() << "expected util::InfeasibleError";
+  } catch (const util::InfeasibleError& e) {
+    EXPECT_EQ(e.requested_limit(), want.requested_limit());
+    EXPECT_EQ(e.best_achievable(), want.best_achievable());
+    EXPECT_EQ(e.limiting_gate(), want.limiting_gate());
+    EXPECT_STREQ(e.what(), want.what());
+  }
+  // The diagnosis reuses the max-drive probe's report: one sizing, one STA.
+  EXPECT_EQ(size_calls.value() - sizes_before, 1);
+  EXPECT_EQ(sta_runs.value() - stas_before, 1);
 }
 
 TEST(DiagnoseInfeasibility, ReportsAchievableDelayForFeasibleDesignsToo) {

@@ -195,18 +195,6 @@ TEST(JointOptimizer, RefineProbesEachPointOnce) {
   EXPECT_EQ(refine_points, refine);
 }
 
-TEST(JointOptimizer, TilosPolishNeverHurts) {
-  Harness s;
-  OptimizerOptions plain;
-  OptimizerOptions polished;
-  polished.tilos_polish = true;
-  const OptimizationResult a = JointOptimizer(s.eval, plain).run();
-  const OptimizationResult b = JointOptimizer(s.eval, polished).run();
-  ASSERT_TRUE(a.feasible && b.feasible);
-  EXPECT_LE(b.energy.total(), a.energy.total() * (1.0 + 1e-12));
-  EXPECT_TRUE(s.eval.meets_timing(b.state, 0.95));
-}
-
 TEST(JointOptimizer, RecoveryPassCountIsWellBehaved) {
   // Per probe, extra recovery passes only shrink widths; across a full run
   // the search trajectory may shift, so assert a sanity band plus
@@ -428,18 +416,6 @@ TEST(LagrangianSizer, ImpossibleConstraintReported) {
   const LagrangianSizer lr(s.eval.delay_calculator(), s.eval.energy_model());
   const LagrangianResult r = lr.size(0.75, vts, 1e-11);
   EXPECT_FALSE(r.feasible);
-}
-
-TEST(JointOptimizer, LagrangianPolishNeverHurts) {
-  Harness s;
-  OptimizerOptions plain;
-  OptimizerOptions polished;
-  polished.lagrangian_polish = true;
-  const OptimizationResult a = JointOptimizer(s.eval, plain).run();
-  const OptimizationResult b = JointOptimizer(s.eval, polished).run();
-  ASSERT_TRUE(a.feasible && b.feasible);
-  EXPECT_LE(b.energy.total(), a.energy.total() * (1.0 + 1e-12));
-  EXPECT_TRUE(s.eval.meets_timing(b.state, 0.95));
 }
 
 // ------------------------------------------------------------- tilos
