@@ -5,7 +5,8 @@
 //
 // The 1600-gate rows of the STA, budgeting, sizing, recovery and energy
 // benchmarks make the per-kernel table of DESIGN.md §7 ("Flat kernel
-// inputs"), which gives the one command that regenerates it.
+// inputs"), which gives the one command that regenerates it; the anneal
+// move rows make its "Incremental anneal moves" table.
 #include <benchmark/benchmark.h>
 
 #include "activity/activity.h"
@@ -15,6 +16,7 @@
 #include "opt/baseline_optimizer.h"
 #include "opt/evaluator.h"
 #include "opt/joint_optimizer.h"
+#include "opt/move_evaluator.h"
 #include "opt/sizer.h"
 #include "timing/delay_budget.h"
 #include "timing/path_enum.h"
@@ -146,6 +148,72 @@ void BM_EnergySum(benchmark::State& state) {
                           static_cast<int64_t>(nl.num_combinational()));
 }
 BENCHMARK(BM_EnergySum)->Arg(400)->Arg(1600);
+
+// One annealing move from the annealer's starting state: a width move
+// evaluated in full (copy the state, critical_delay, energy) and by
+// opt::MoveEvaluator, which re-times only what the move reaches, and a
+// supply move (one forward pass). Moves are rejected, so each starts from
+// the same state; the moved gate strides through the circuit.
+struct AnnealMoveRig {
+  explicit AnnealMoveRig(int gates)
+      : nl(circuit_of_size(gates)),
+        tech(tech::Technology::generic350()),
+        eval(nl, tech, profile(), {.clock_frequency = 300e6}),
+        start(opt::CircuitState::uniform(
+            nl, tech.vdd_max, 0.5 * (tech.vts_min + tech.vts_max), 4.0)) {}
+
+  static activity::ActivityProfile profile() {
+    activity::ActivityProfile p;
+    p.input_density = 0.3;
+    return p;
+  }
+  netlist::GateId gate(std::size_t i) const {
+    const auto& logic = nl.combinational();
+    return logic[(i * 7919) % logic.size()];
+  }
+
+  const netlist::Netlist nl;
+  const tech::Technology tech;
+  const opt::CircuitEvaluator eval;
+  const opt::CircuitState start;
+};
+
+void BM_AnnealWidthMoveFull(benchmark::State& state) {
+  const AnnealMoveRig rig(static_cast<int>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    opt::CircuitState cand = rig.start;
+    cand.widths[rig.gate(i++)] *= 1.25;
+    benchmark::DoNotOptimize(rig.eval.critical_delay(cand));
+    benchmark::DoNotOptimize(rig.eval.energy(cand));
+  }
+}
+BENCHMARK(BM_AnnealWidthMoveFull)->Arg(287)->Arg(1600);
+
+void BM_AnnealWidthMove(benchmark::State& state) {
+  const AnnealMoveRig rig(static_cast<int>(state.range(0)));
+  opt::MoveEvaluator moves(rig.eval);
+  moves.reset(rig.start);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const netlist::GateId id = rig.gate(i++);
+    benchmark::DoNotOptimize(
+        moves.propose_width(id, rig.start.widths[id] * 1.25));
+    moves.reject();
+  }
+}
+BENCHMARK(BM_AnnealWidthMove)->Arg(287)->Arg(1600);
+
+void BM_AnnealVddMove(benchmark::State& state) {
+  const AnnealMoveRig rig(static_cast<int>(state.range(0)));
+  opt::MoveEvaluator moves(rig.eval);
+  moves.reset(rig.start);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(moves.propose_vdd(0.9 * rig.start.vdd));
+    moves.reject();
+  }
+}
+BENCHMARK(BM_AnnealVddMove)->Arg(287)->Arg(1600);
 
 void BM_JointOptimizerEndToEnd(benchmark::State& state) {
   const netlist::Netlist nl = circuit_of_size(static_cast<int>(state.range(0)));

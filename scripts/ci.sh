@@ -14,8 +14,10 @@
 # run report's artifact-envelope footer end to end. Two telemetry legs
 # close the gate: an exposition smoke that scrapes a live daemon's
 # /metrics, /health and /jobs over HTTP and verifies its JSONL event log
-# with trace_check --verify-eventlog, and a perf-trajectory leg that
-# archives the Table-1 baseline's counter snapshot under bench/trajectory/.
+# with trace_check --verify-eventlog, and perf-trajectory legs that
+# archive the Table-1 baseline's counter snapshot under bench/trajectory/
+# and fail when the Table-2 or SA-comparison work counters drift from the
+# committed records there.
 # An overload smoke drives a live daemon 30x past one worker's capacity and
 # requires sheds, a quota rejection, a brownout, and a full recovery. The
 # high-availability label (-L ha) covers the leader lease, split-brain
@@ -39,6 +41,35 @@ cd "$(dirname "$0")/.."
 JOBS="${CI_JOBS:-$(nproc 2>/dev/null || echo 2)}"
 
 step() { printf '\n== %s ==\n' "$*"; }
+
+# gate_trajectory BENCH CIRCUIT RECORD: wraps the perf record RECORD of
+# bench/BENCH in one minergy.perf_trajectory.v1 document together with the
+# machine's hardware_concurrency, diffs it against the committed
+# bench/trajectory/BENCH_<BENCH>.latest.json and copies it over that file.
+# The work counters are deterministic, so any drift fails the leg
+# (trace_check --diff-perf; wall time and histograms are printed, never
+# gated). The fresh file replaces the committed one either way, so a change
+# that moves the counters on purpose commits the regenerated file with it.
+gate_trajectory() {
+  fresh="build-ci-release/BENCH_$1.json"
+  committed="bench/trajectory/BENCH_$1.latest.json"
+  {
+    printf '{\n'
+    printf '"schema": "minergy.perf_trajectory.v1",\n'
+    printf '"bench": "%s",\n' "$1"
+    printf '"circuit": "%s",\n' "$2"
+    printf '"hardware_concurrency": %s,\n' "$(nproc 2>/dev/null || echo 1)"
+    printf '"defaults": '
+    cat "$3"
+    printf '}\n'
+  } > "$fresh"
+  drift=0
+  build-ci-release/tools/trace_check --diff-perf="$committed" "$fresh" \
+    || drift=$?
+  cp "$fresh" "$committed"
+  [ "$drift" -eq 0 ] \
+    || { echo "work counters drifted from $committed (trace_check rc $drift); the regenerated file is in place: commit it with the change that explains the drift"; exit 1; }
+}
 
 run_labelled_tests() {
   build_dir="$1"
@@ -350,15 +381,10 @@ mkdir -p bench/trajectory
 cp "$traj" bench/trajectory/BENCH_table1_baseline.latest.json
 
 # Table-2 trajectory: the heuristic on the largest bundled circuit, run
-# once at the defaults. Its perf record lands in one document together with
-# the machine's hardware_concurrency. The evaluation kernels are serial, so
-# the run must dispatch no pool job at all (util.pool.jobs is a
-# deterministic counter, absent from the record when zero). The fresh
-# document is then diffed against the committed one: the work counters are
-# deterministic, so any drift fails the leg (trace_check --diff-perf; wall
-# time and histograms are printed, never gated). The fresh file replaces
-# the committed one either way, so a change that moves the counters on
-# purpose commits the regenerated file with it.
+# once at the defaults and gated on its work counters (gate_trajectory).
+# The evaluation kernels are serial, so the run must dispatch no pool job
+# at all (util.pool.jobs is a deterministic counter, absent from the record
+# when zero).
 step "perf trajectory (table2_heuristic)"
 t2_default=build-ci-release/BENCH_table2_default.json
 build-ci-release/bench/table2_heuristic --circuit='s832*' \
@@ -366,23 +392,15 @@ build-ci-release/bench/table2_heuristic --circuit='s832*' \
 pool_jobs=$(sed -n 's/^ *"util\.pool\.jobs": *\([0-9]*\).*/\1/p' "$t2_default")
 [ "${pool_jobs:-0}" -eq 0 ] \
   || { echo "table2 run dispatched $pool_jobs pool jobs; the evaluation kernels must stay serial"; exit 1; }
-t2_fresh=build-ci-release/BENCH_table2_heuristic.json
-t2_committed=bench/trajectory/BENCH_table2_heuristic.latest.json
-{
-  printf '{\n'
-  printf '"schema": "minergy.perf_trajectory.v1",\n'
-  printf '"bench": "table2_heuristic",\n'
-  printf '"circuit": "s832*",\n'
-  printf '"hardware_concurrency": %s,\n' "$(nproc 2>/dev/null || echo 1)"
-  printf '"defaults": '
-  cat "$t2_default"
-  printf '}\n'
-} > "$t2_fresh"
-t2_drift=0
-build-ci-release/tools/trace_check --diff-perf="$t2_committed" "$t2_fresh" \
-  || t2_drift=$?
-cp "$t2_fresh" "$t2_committed"
-[ "$t2_drift" -eq 0 ] \
-  || { echo "work counters drifted from $t2_committed (trace_check rc $t2_drift); the regenerated file is in place: commit it with the change that explains the drift"; exit 1; }
+gate_trajectory table2_heuristic 's832*' "$t2_default"
+
+# SA-comparison trajectory: the annealing comparator against the heuristic
+# on the 8 paper circuits (about 0.1 s), gated the same way. Its record pins
+# the annealer's work: opt.anneal.incremental_evals / full_evals and the
+# gate evaluations the move evaluator makes.
+step "perf trajectory (sa_comparison)"
+sa_default=build-ci-release/BENCH_sa_comparison_default.json
+build-ci-release/bench/sa_comparison --perf-record="$sa_default" >/dev/null
+gate_trajectory sa_comparison 'paper suite' "$sa_default"
 
 step "OK: all builds green, fault+obs+serve+diskfault+overload+ha+par labels pass (and on one core), benchmark smoke correct, batch results certified, exposition scraped live, overload shed+browned out+recovered, standby survived kill -9 of its leader"

@@ -23,6 +23,11 @@ std::vector<double> RunReport::accepted_energies() const {
 
 std::string RunReport::to_json(int indent) const {
   util::JsonWriter w(indent);
+  write_json(w);
+  return w.str();
+}
+
+void RunReport::write_json(util::JsonWriter& w) const {
   w.begin_object();
   w.kv("schema", "minergy.run_report.v1");
   w.kv("optimizer", optimizer).kv("circuit", circuit);
@@ -66,7 +71,6 @@ std::string RunReport::to_json(int indent) const {
   w.end_object();
 
   w.end_object();
-  return w.str();
 }
 
 RunReport RunReport::from_json(const std::string& text,

@@ -15,6 +15,10 @@
 #include <string>
 #include <vector>
 
+namespace minergy::util {
+class JsonWriter;
+}  // namespace minergy::util
+
 namespace minergy::obs {
 
 // One probe of the search: a candidate operating point and its evaluation.
@@ -78,6 +82,9 @@ struct RunReport {
   std::vector<double> accepted_energies() const;
 
   std::string to_json(int indent = 1) const;
+  // The same document as one value of an enclosing one (a checkpoint
+  // embeds the report this way).
+  void write_json(util::JsonWriter& w) const;
   // Throws util::ParseError on malformed text or schema violations.
   static RunReport from_json(const std::string& text,
                              const std::string& source_name = "<report>");

@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/checkpoint.h"
+#include "opt/move_evaluator.h"
 #include "util/check.h"
 #include "util/guard.h"
 #include "util/rng.h"
@@ -57,26 +58,28 @@ OptimizationResult AnnealingOptimizer::run(
 
   const double limit = opts_.skew_b * eval_.cycle_time();
   util::Watchdog dog(opts_.budget);
+  // Holds the current state and evaluates each move from it (see
+  // opt/move_evaluator.h).
+  MoveEvaluator moves(eval_);
 
   // A random walk can wander into non-physical corners (threshold at or
-  // above the supply) where the evaluator's finite-checks throw; such a
+  // above the supply) where the evaluator's finite-checks fail; such a
   // move is an infinite-cost reject, not a crash of the whole anneal.
-  auto cost_of = [&](const CircuitState& s, double* crit_out,
+  auto cost_of = [&](const MoveEvaluation& e, double* crit_out,
                      double* energy_out) {
     dog.note_evaluation();
-    try {
-      const double crit = eval_.critical_delay(s);
-      const double energy = eval_.energy(s).total();
-      if (crit_out) *crit_out = crit;
-      if (energy_out) *energy_out = energy;
-      const double violation = std::max(0.0, crit / limit - 1.0);
-      return energy * (1.0 + opts_.penalty_weight * violation);
-    } catch (const util::NumericError&) {
+    if (!e.finite) {
       obs::counter("opt.anneal.numeric_rejects").add();
       if (crit_out) *crit_out = std::numeric_limits<double>::infinity();
       if (energy_out) *energy_out = std::numeric_limits<double>::infinity();
       return std::numeric_limits<double>::infinity();
     }
+    const double crit = e.critical_delay;
+    const double energy = e.energy.total();
+    if (crit_out) *crit_out = crit;
+    if (energy_out) *energy_out = energy;
+    const double violation = std::max(0.0, crit / limit - 1.0);
+    return energy * (1.0 + opts_.penalty_weight * violation);
   };
 
   CircuitState init = warm_start;
@@ -117,7 +120,7 @@ OptimizationResult AnnealingOptimizer::run(
   if (!resumed) {
     global_best = init;
     global_best_cost =
-        cost_of(global_best, &global_best_crit, &global_best_energy);
+        cost_of(moves.reset(init), &global_best_crit, &global_best_energy);
     // The warm start counts as accepted only when it meets timing: for a
     // feasible point cost == energy, so the accepted-energy sequence stays
     // non-increasing across later global-best updates.
@@ -148,22 +151,24 @@ OptimizationResult AnnealingOptimizer::run(
   };
 
   const int moves_per_pass = std::max(1, opts_.max_moves / opts_.passes);
+  std::vector<double> next_vts;  // a threshold move's proposal
   for (int pass = start_pass; pass < opts_.passes && !dog.expired(); ++pass) {
     const obs::Span pass_span("anneal.pass");
-    CircuitState cur;
     double cur_cost = 0.0, temperature = 0.0;
     int first_move = 0;
     if (resumed && pass == start_pass) {
       // Mid-pass restore: the exact position, cost and temperature of the
       // interrupted run (pass-boundary checkpoints store the same values
-      // the fresh-pass branch below would derive).
-      cur = resume_cur;
+      // the fresh-pass branch below would derive). The state is evaluated
+      // only to fill the move evaluator; the cost is the snapshot's.
+      moves.reset(std::move(resume_cur));
       cur_cost = resume_cur_cost;
       temperature = resume_temperature;
       first_move = start_move;
     } else {
-      cur = pass == 0 ? init : global_best;
-      cur_cost = cost_of(cur, nullptr, nullptr);
+      cur_cost =
+          cost_of(moves.reset(pass == 0 ? init : global_best), nullptr,
+                  nullptr);
       temperature = opts_.initial_temp_scale * std::fabs(cur_cost);
       // An infinite starting cost (numeric-rejected state) would otherwise
       // set an infinite temperature and turn the anneal into a random walk;
@@ -173,7 +178,7 @@ OptimizationResult AnnealingOptimizer::run(
 
     for (int move = first_move; move < moves_per_pass && !dog.expired();
          ++move) {
-      CircuitState cand = cur;
+      const CircuitState& cur = moves.state();
       const double r = rng.uniform();
       if (r < 0.6) {
         // Perturb one gate's width multiplicatively.
@@ -181,41 +186,45 @@ OptimizationResult AnnealingOptimizer::run(
         if (!logic.empty()) {
           const netlist::GateId id = logic[rng.uniform_index(logic.size())];
           const double factor = std::exp(rng.normal(0.0, 0.25));
-          cand.widths[id] =
-              std::clamp(cand.widths[id] * factor, tech.w_min, tech.w_max);
+          moves.propose_width(
+              id, std::clamp(cur.widths[id] * factor, tech.w_min, tech.w_max));
         }
       } else if (r < 0.8) {
-        cand.vdd = std::clamp(cand.vdd + rng.normal(0.0, 0.08),
-                              tech.vdd_min, tech.vdd_max);
+        moves.propose_vdd(std::clamp(cur.vdd + rng.normal(0.0, 0.08),
+                                     tech.vdd_min, tech.vdd_max));
       } else {
         const double delta = rng.normal(0.0, 0.03);
-        for (double& v : cand.vts) {
+        next_vts = cur.vts;
+        for (double& v : next_vts) {
           v = std::clamp(v + delta, tech.vts_min, tech.vts_max);
         }
+        moves.propose_vts(next_vts);
       }
 
       c_moves.add();
       double crit = 0.0, energy = 0.0;
-      const double cand_cost = cost_of(cand, &crit, &energy);
+      const double cand_cost = cost_of(moves.evaluation(), &crit, &energy);
       const double delta_cost = cand_cost - cur_cost;
       if (delta_cost <= 0.0 ||
           rng.bernoulli(std::exp(-delta_cost / std::max(temperature, 1e-30)))) {
         c_accepts.add();
-        cur = std::move(cand);
+        moves.accept();
         cur_cost = cand_cost;
         if (crit <= limit * (1.0 + 1e-9) && cand_cost < global_best_cost) {
-          global_best = cur;
+          global_best = moves.state();
           global_best_cost = cand_cost;
           global_best_crit = crit;
           global_best_energy = energy;
           record_point(global_best, energy, crit, true, true);
         }
+      } else {
+        moves.reject();
       }
       temperature *= opts_.cooling;
       ++moves_done;
       if (!opts_.checkpoint_path.empty() && opts_.checkpoint_every_moves > 0 &&
           moves_done % opts_.checkpoint_every_moves == 0) {
-        write_checkpoint(pass, move + 1, cur, cur_cost, temperature);
+        write_checkpoint(pass, move + 1, moves.state(), cur_cost, temperature);
       }
     }
     if (!opts_.checkpoint_path.empty() && !dog.expired()) {

@@ -99,6 +99,7 @@ OptimizationResult BaselineOptimizer::run() const {
   phase = "vdd-energy";
   double best_energy = std::numeric_limits<double>::infinity();
   CircuitState best_state;
+  power::EnergyBreakdown best_breakdown;
   double best_crit = 0.0;
   auto energy_at = [&](double vdd) {
     if (dog.expired() && best_energy < std::numeric_limits<double>::infinity()) {
@@ -106,13 +107,15 @@ OptimizationResult BaselineOptimizer::run() const {
     }
     SizedState sized = probe(vdd);
     if (!sized.feasible) return best_energy * 4.0 + 1.0;
-    const double e = eval_.energy(sized.state).total();
+    const power::EnergyBreakdown breakdown = eval_.energy(sized.state);
+    const double e = breakdown.total();
     // Back-fill the probe's trajectory point with the measured energy.
     if (!rep.trajectory.empty()) rep.trajectory.back().energy = e;
     if (e < best_energy) {
       if (!rep.trajectory.empty()) rep.trajectory.back().accepted = true;
       best_energy = e;
       best_state = std::move(sized.state);
+      best_breakdown = breakdown;
       best_crit = sized.report.critical_delay;
     }
     return e;
@@ -122,7 +125,7 @@ OptimizationResult BaselineOptimizer::run() const {
                            opts_.refine ? opts_.refine_steps : 4, energy_at);
 
   result.state = best_state;
-  result.energy = eval_.energy(best_state);
+  result.energy = best_breakdown;
   result.critical_delay = best_crit;
   result.feasible = true;
   result.vdd = best_state.vdd;

@@ -87,12 +87,6 @@ util::RngState read_rng(const JsonValue& v) {
   return s;
 }
 
-// The RunReport already serializes itself; parse + re-emit embeds it as a
-// JSON object instead of an escaped string.
-void write_report(JsonWriter& w, const obs::RunReport& report) {
-  util::emit(w, JsonValue::parse(report.to_json(0), "<report>"));
-}
-
 obs::RunReport read_report(const JsonValue& payload, const std::string& path) {
   if (!payload.has("report")) return {};
   JsonWriter w(0);
@@ -139,7 +133,7 @@ void AnnealCheckpoint::save(const std::string& path) const {
   w.key("rng");
   write_rng(w, rng);
   w.key("report");
-  write_report(w, report);
+  report.write_json(w);
   w.end_object();
   save_or_warn(path, kAnnealCheckpointSchema, w.str());
 }
@@ -183,7 +177,7 @@ void JointCheckpoint::save(const std::string& path) const {
   }
   w.kv("evaluations", evaluations);
   w.key("report");
-  write_report(w, report);
+  report.write_json(w);
   w.end_object();
   save_or_warn(path, kJointCheckpointSchema, w.str());
 }

@@ -140,26 +140,15 @@ power::EnergyBreakdown CircuitEvaluator::energy(
   power::EnergyBreakdown total;
   tech::OperatingPointMemo leaky(dev_);
   for (netlist::GateId id : nl_.combinational()) {
-    total += energy_.gate_energy_uncounted(
-        id, state.widths, leaky.at(state.vdd, leakage_vts(state.vts[id])));
+    total += gate_energy(id, state, leaky);
   }
   if (settings_.include_short_circuit) {
     // Input transition times come from the gate delays of the driving
     // stage: one STA at the delay corner.
     const timing::TimingReport report = sta(state, cycle_time());
     for (netlist::GateId id : nl_.combinational()) {
-      double slowest_fanin = 0.0;
-      bool source_driven_only = true;
-      for (netlist::GateId f : nl_.fanins_of(id)) {
-        if (nl_.is_logic(f)) {
-          slowest_fanin = std::max(slowest_fanin, report.gate_delay[f]);
-          source_driven_only = false;
-        }
-      }
-      const double tau_in = source_driven_only ? settings_.input_slew
-                                               : 2.0 * slowest_fanin;
-      total.short_circuit_energy += energy_.short_circuit_energy(
-          id, state.widths, state.vdd, state.vts[id], tau_in);
+      total.short_circuit_energy +=
+          short_circuit_energy(id, state, report.gate_delay.data());
     }
   }
   // Boundary guard: a single corrupt per-gate term poisons the sum, so on a
@@ -176,6 +165,25 @@ power::EnergyBreakdown CircuitEvaluator::energy(
     throw util::NumericError(total.total(), "total energy per cycle");
   }
   return total;
+}
+
+double CircuitEvaluator::short_circuit_energy(netlist::GateId id,
+                                              const CircuitState& state,
+                                              const double* gate_delay) const {
+  // Twice the slowest logic fanin's delay; the primary-input ramp when
+  // only sources drive the gate.
+  double slowest_fanin = 0.0;
+  bool source_driven_only = true;
+  for (netlist::GateId f : nl_.fanins_of(id)) {
+    if (nl_.is_logic(f)) {
+      slowest_fanin = std::max(slowest_fanin, gate_delay[f]);
+      source_driven_only = false;
+    }
+  }
+  const double tau_in =
+      source_driven_only ? settings_.input_slew : 2.0 * slowest_fanin;
+  return energy_.short_circuit_energy(id, state.widths, state.vdd,
+                                      state.vts[id], tau_in);
 }
 
 SizedState CircuitEvaluator::size_to_budgets(

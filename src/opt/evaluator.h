@@ -100,6 +100,23 @@ class CircuitEvaluator {
   // short-circuit term at nominal Vts.
   power::EnergyBreakdown energy(const CircuitState& state) const;
 
+  // The per-gate terms energy() sums, uncounted. gate_energy is logic gate
+  // id's static and dynamic energy at the leaky corner (`leaky` carries the
+  // device terms from one gate to the next). short_circuit_energy is its
+  // short-circuit energy, with the input transition taken from the gate
+  // delays of an STA of `state` at the delay corner (indexed by gate id).
+  power::EnergyBreakdown gate_energy(netlist::GateId id,
+                                     const CircuitState& state,
+                                     tech::OperatingPointMemo& leaky) const {
+    return energy_.gate_energy_uncounted(
+        id, state.widths, leaky.at(state.vdd, leakage_vts(state.vts[id])));
+  }
+  double short_circuit_energy(netlist::GateId id, const CircuitState& state,
+                              const double* gate_delay) const;
+  bool includes_short_circuit() const {
+    return settings_.include_short_circuit;
+  }
+
   // Procedure 2's inner step at one (Vdd, per-gate nominal Vts): widths
   // sized to the Procedure-1 budgets at the delay corner, one full STA
   // against `limit`, and, when that meets the limit, up to

@@ -44,30 +44,16 @@ TimingReport run_sta(const DelayCalculator& calc,
   std::vector<netlist::GateId> worst_fanin(nl.size(), netlist::kInvalidGate);
   tech::OperatingPointMemo op(calc.device());
   for (netlist::GateId id : nl.combinational()) {
-    double max_fanin_delay = 0.0;
-    double max_fanin_arrival = 0.0;
-    netlist::GateId argmax = netlist::kInvalidGate;
-    for (netlist::GateId f : nl.fanins_of(id)) {
-      max_fanin_delay = std::max(max_fanin_delay, r.gate_delay[f]);
-      if (r.arrival[f] >= max_fanin_arrival) {
-        max_fanin_arrival = r.arrival[f];
-        argmax = nl.is_logic(f) ? f : netlist::kInvalidGate;
-      }
-    }
-    r.gate_delay[id] = calc.gate_delay_uncounted(
-        id, widths, op.at(vdd[id], vts[id]), max_fanin_delay);
-    r.arrival[id] = max_fanin_arrival + r.gate_delay[id];
-    worst_fanin[id] = argmax;
+    const ForwardStep s =
+        forward_step(calc, id, widths, op.at(vdd[id], vts[id]),
+                     r.gate_delay.data(), r.arrival.data());
+    r.gate_delay[id] = s.delay;
+    r.arrival[id] = s.arrival;
+    worst_fanin[id] = s.worst_fanin;
   }
 
   // Critical endpoint.
-  netlist::GateId worst_end = netlist::kInvalidGate;
-  for (netlist::GateId id : nl.sink_drivers()) {
-    if (worst_end == netlist::kInvalidGate ||
-        r.arrival[id] > r.arrival[worst_end]) {
-      worst_end = id;
-    }
-  }
+  const netlist::GateId worst_end = latest_sink(nl, r.arrival.data());
   if (worst_end != netlist::kInvalidGate) {
     r.critical_delay = r.arrival[worst_end];
     for (netlist::GateId id = worst_end; id != netlist::kInvalidGate;

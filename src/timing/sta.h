@@ -5,12 +5,63 @@
 // computed in one topological pass.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "timing/delay_model.h"
 
 namespace minergy::timing {
+
+// One gate of the forward pass.
+struct ForwardStep {
+  double delay = 0.0;
+  double arrival = 0.0;
+  // The logic fanin that set the arrival (the last of equal arrivals);
+  // kInvalidGate when a source did.
+  netlist::GateId worst_fanin = netlist::kInvalidGate;
+};
+
+// Gate id's delay and arrival from its fanins' final delays and arrivals
+// (both indexed by gate id, 0 at sources): the slope input is the largest
+// fanin delay, sources included, and the arrival the latest fanin arrival
+// plus the gate's own delay. run_sta and opt::MoveEvaluator both time
+// gates with this one function, so their results agree bit for bit.
+// Uncounted: callers add their timing.delay.gate_evals in bulk.
+inline ForwardStep forward_step(const DelayCalculator& calc,
+                                netlist::GateId id,
+                                std::span<const double> widths,
+                                const tech::OperatingPoint& op,
+                                const double* gate_delay,
+                                const double* arrival) {
+  const netlist::Netlist& nl = calc.netlist();
+  double max_fanin_delay = 0.0;
+  ForwardStep s;
+  for (netlist::GateId f : nl.fanins_of(id)) {
+    max_fanin_delay = std::max(max_fanin_delay, gate_delay[f]);
+    if (arrival[f] >= s.arrival) {
+      s.arrival = arrival[f];
+      s.worst_fanin = nl.is_logic(f) ? f : netlist::kInvalidGate;
+    }
+  }
+  s.delay = calc.gate_delay_uncounted(id, widths, op, max_fanin_delay);
+  s.arrival += s.delay;
+  return s;
+}
+
+// The sink driver (primary-output or DFF D-pin driver) with the latest
+// arrival, the first of equal ones; kInvalidGate when there is none. Its
+// arrival is the critical delay.
+inline netlist::GateId latest_sink(const netlist::Netlist& nl,
+                                   const double* arrival) {
+  netlist::GateId worst = netlist::kInvalidGate;
+  for (netlist::GateId id : nl.sink_drivers()) {
+    if (worst == netlist::kInvalidGate || arrival[id] > arrival[worst]) {
+      worst = id;
+    }
+  }
+  return worst;
+}
 
 struct TimingReport {
   std::vector<double> gate_delay;  // per gate id; 0 for sources
