@@ -11,7 +11,8 @@
 # (scheduled ENOSPC/EIO, torn writes, short reads). A final leg serves a
 # real spool under a *randomized* storage-fault schedule (reproduce with
 # CI_FAULT_SEED=<seed>) and audits the spool afterwards, then verifies a
-# run report's artifact-envelope footer end to end. Two telemetry legs
+# run report's artifact-envelope footer end to end and that a robust run
+# writes its joint-sweep snapshots at most once a second. Two telemetry legs
 # close the gate: an exposition smoke that scrapes a live daemon's
 # /metrics, /health and /jobs over HTTP and verifies its JSONL event log
 # with trace_check --verify-eventlog, and perf-trajectory legs that
@@ -176,6 +177,38 @@ run_report=build-ci-release/ci_run_report.json
 build-ci-release/tools/minergy_report --builtin=s27 --optimizer=baseline \
   --certify --report="$run_report"
 build-ci-release/tools/trace_check --report="$run_report" --verify-envelope
+
+# Joint snapshot cadence: the sweep writes its checkpoint at most once per
+# kJointCheckpointIntervalSeconds of its watchdog clock (opt/checkpoint.h),
+# so a robust s298* run writes at most floor(wall / interval) snapshots,
+# and none at all (no checkpoint generation on disk) when that is 0. A
+# return to one durable write per outer Vdd step fails here.
+step "joint snapshot cadence (robust s298* with --checkpoint)"
+cadence_ck=build-ci-release/ci_cadence_checkpoint.json
+cadence_perf=build-ci-release/ci_cadence_perf.json
+rm -f "$cadence_ck" "$cadence_ck.1" "$cadence_ck.2" "$cadence_perf"
+build-ci-release/tools/minergy_report --builtin='s298*' --optimizer=robust \
+  --checkpoint="$cadence_ck" --perf-record="$cadence_perf" >/dev/null
+cadence_interval=$(sed -n \
+  's/.*kJointCheckpointIntervalSeconds = \([0-9.]*\);.*/\1/p' \
+  src/opt/checkpoint.h)
+cadence_wall=$(sed -n 's/^ *"wall_seconds": *\([0-9.eE+-]*\).*/\1/p' \
+  "$cadence_perf")
+cadence_writes=$(sed -n \
+  's/^ *"opt\.joint\.checkpoints": *\([0-9]*\).*/\1/p' "$cadence_perf")
+cadence_writes=${cadence_writes:-0}
+cadence_bound=$(awk -v w="$cadence_wall" -v i="$cadence_interval" \
+  'BEGIN { printf "%d", int(w / i) }')
+echo "opt.joint.checkpoints $cadence_writes in $cadence_wall s" \
+  "(at most $cadence_bound at one per $cadence_interval s)"
+[ "$cadence_writes" -le "$cadence_bound" ] \
+  || { echo "the joint sweep wrote $cadence_writes snapshots; at most $cadence_bound allowed"; exit 1; }
+if [ "$cadence_bound" -eq 0 ]; then
+  for gen in "$cadence_ck" "$cadence_ck.1" "$cadence_ck.2"; do
+    [ ! -e "$gen" ] \
+      || { echo "$gen exists, but a run shorter than one interval must write no snapshot"; exit 1; }
+  done
+fi
 
 # Exposition smoke: a real daemon on an ephemeral port, scraped over HTTP
 # while it drains two jobs, with every state transition captured in the

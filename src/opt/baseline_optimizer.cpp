@@ -107,7 +107,8 @@ OptimizationResult BaselineOptimizer::run() const {
     }
     SizedState sized = probe(vdd);
     if (!sized.feasible) return best_energy * 4.0 + 1.0;
-    const power::EnergyBreakdown breakdown = eval_.energy(sized.state);
+    const power::EnergyBreakdown breakdown =
+        eval_.energy(sized.state, sized.report.gate_delay);
     const double e = breakdown.total();
     // Back-fill the probe's trajectory point with the measured energy.
     if (!rep.trajectory.empty()) rep.trajectory.back().energy = e;

@@ -11,8 +11,11 @@
 //   minergy.joint_checkpoint.v1 — the Procedure-2 sweep position after a
 //   completed outer Vdd step: the next step index, the surviving Vdd
 //   bracket, the "energy decreased" reference, the best probe so far and
-//   the partial RunReport. The refine/multi-Vt phases re-run on resume
-//   (they are deterministic given the sweep result).
+//   the partial RunReport. The sweep keeps its latest completed step in
+//   memory and writes it at most once per kJointCheckpointIntervalSeconds,
+//   plus once when the watchdog stops the sweep. The refine/multi-Vt
+//   phases re-run on resume (they are deterministic given the sweep
+//   result).
 //
 // Doubles round-trip exactly (%.17g); non-finite costs are encoded as the
 // strings "inf"/"-inf"/"nan" since JSON has no literals for them. RNG words
@@ -71,6 +74,20 @@ struct JointCheckpoint {
   void save(const std::string& path) const;
   static JointCheckpoint load(const std::string& path);
 };
+
+// The joint sweep's snapshot interval on the run's watchdog clock: a crash
+// loses at most this much completed sweep work plus the step in progress.
+// A paper-circuit sweep takes milliseconds, so it writes no snapshot
+// unless its watchdog stops it.
+inline constexpr double kJointCheckpointIntervalSeconds = 1.0;
+
+// True when a completed sweep step reached at `now_seconds` should be
+// written, the previous write (or the run's start) being at
+// `last_save_seconds` on the same clock.
+inline bool joint_checkpoint_due(double last_save_seconds,
+                                 double now_seconds) {
+  return now_seconds - last_save_seconds >= kJointCheckpointIntervalSeconds;
+}
 
 // Loads the snapshot at `path` (a JointCheckpoint or an AnnealCheckpoint)
 // to resume `optimizer`'s run on `circuit`; nullopt when `path` is empty.

@@ -125,7 +125,7 @@ double CircuitEvaluator::critical_delay(const CircuitState& state) const {
 }
 
 power::EnergyBreakdown CircuitEvaluator::energy(
-    const CircuitState& state) const {
+    const CircuitState& state, std::span<const double> gate_delay) const {
   static obs::Counter& c_calls = obs::counter("opt.eval.energy_calls");
   static obs::Counter& c_evals = obs::counter("power.energy.gate_evals");
   static obs::Histogram& h_micros = obs::histogram("opt.eval.energy_micros");
@@ -144,11 +144,16 @@ power::EnergyBreakdown CircuitEvaluator::energy(
   }
   if (settings_.include_short_circuit) {
     // Input transition times come from the gate delays of the driving
-    // stage: one STA at the delay corner.
-    const timing::TimingReport report = sta(state, cycle_time());
+    // stage at the delay corner: the caller's, or one STA here.
+    timing::TimingReport own;
+    if (gate_delay.empty()) {
+      own = sta(state, cycle_time());
+      gate_delay = own.gate_delay;
+    }
+    MINERGY_CHECK(gate_delay.size() == nl_.size());
     for (netlist::GateId id : nl_.combinational()) {
       total.short_circuit_energy +=
-          short_circuit_energy(id, state, report.gate_delay.data());
+          short_circuit_energy(id, state, gate_delay.data());
     }
   }
   // Boundary guard: a single corrupt per-gate term poisons the sum, so on a

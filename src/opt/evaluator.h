@@ -97,8 +97,13 @@ class CircuitEvaluator {
 
   // Energy per cycle: leakage at the leaky corner, where one evaluation per
   // gate also gives the dynamic term (it does not read Vts); the optional
-  // short-circuit term at nominal Vts.
-  power::EnergyBreakdown energy(const CircuitState& state) const;
+  // short-circuit term at nominal Vts. That term's input transitions come
+  // from `gate_delay` when given (an STA of `state` at the delay corner,
+  // indexed by gate id, e.g. SizedState::report.gate_delay), else from an
+  // STA run here; gate delays do not depend on the cycle limit, so both
+  // give the same energy.
+  power::EnergyBreakdown energy(const CircuitState& state,
+                                std::span<const double> gate_delay = {}) const;
 
   // The per-gate terms energy() sums, uncounted. gate_energy is logic gate
   // id's static and dynamic energy at the leaky corner (`leaky` carries the

@@ -49,7 +49,7 @@ JointOptimizer::Probe JointOptimizer::probe(
   p.state = std::move(sized.state);
   p.critical_delay = sized.report.critical_delay;
   p.feasible = sized.feasible;
-  p.energy = eval_.energy(p.state);
+  p.energy = eval_.energy(p.state, sized.report.gate_delay);
   ctx.dog->note_evaluation();
 
   if (ctx.report != nullptr) {
@@ -256,7 +256,11 @@ OptimizationResult JointOptimizer::run() const {
     const obs::Span span("joint.sweep");
     double prev_total = resume_prev_total;  // "total energy decreased" ref
     util::Range vdd_range = resume_vdd_range;
-    auto write_checkpoint = [&](int next_step) {
+    // The latest completed step not yet written, and when the last write
+    // (or the run's start) was on the watchdog clock.
+    std::optional<JointCheckpoint> pending;
+    double last_save = 0.0;
+    auto snapshot = [&](int next_step) {
       JointCheckpoint ck;
       ck.circuit = eval_.netlist().name();
       ck.next_step = next_step;
@@ -272,8 +276,12 @@ OptimizationResult JointOptimizer::run() const {
       }
       ck.evaluations = resumed_evals + dog.evaluations();
       ck.report = report;
-      ck.save(opts_.checkpoint_path);
+      return ck;
+    };
+    auto write_pending = [&] {
+      pending->save(opts_.checkpoint_path);
       obs::counter("opt.joint.checkpoints").add();
+      pending.reset();
     };
     for (int m = start_step; m < opts_.steps && !dog.expired(); ++m) {
       const double vdd = vdd_range.mid();
@@ -299,11 +307,19 @@ OptimizationResult JointOptimizer::run() const {
       vdd_range = improved_at_this_vdd ? vdd_range.lower()
                                        : vdd_range.higher();
       // Snapshot completed steps only: a step cut short by the watchdog
-      // must be replayed in full on resume, not recorded as done.
+      // must be replayed in full on resume, not recorded as done. Each one
+      // is kept, and written only once the interval has passed.
       if (!opts_.checkpoint_path.empty() && !dog.expired()) {
-        write_checkpoint(m + 1);
+        pending = snapshot(m + 1);
+        const double now = dog.elapsed_seconds();
+        if (joint_checkpoint_due(last_save, now)) {
+          write_pending();
+          last_save = now;
+        }
       }
     }
+    // A sweep the watchdog stopped leaves its last completed step on disk.
+    if (pending && dog.expired()) write_pending();
   }
 
   if (opts_.refine) {

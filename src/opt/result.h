@@ -61,7 +61,8 @@ struct OptimizerOptions {
 
   // Crash-safe snapshots for the JointOptimizer's nested sweep (schema
   // minergy.joint_checkpoint.v1; see opt/checkpoint.h): `checkpoint_path`
-  // writes an atomic snapshot after every completed outer Vdd step;
+  // atomically writes the latest completed outer Vdd step at most once per
+  // kJointCheckpointIntervalSeconds, and when the watchdog stops the sweep;
   // `resume_path` restores one and continues deterministically. Other
   // optimizers sharing these options ignore both fields.
   std::string checkpoint_path;

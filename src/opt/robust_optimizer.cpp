@@ -64,7 +64,7 @@ OptimizationResult RobustOptimizer::last_resort() const {
   result.critical_delay = sized.report.critical_delay;
   result.feasible = true;
   result.circuit_evaluations = 1;
-  result.energy = eval_.energy(result.state);
+  result.energy = eval_.energy(result.state, sized.report.gate_delay);
   result.runtime_seconds = seconds_since(t0);
 
   obs::TrajectoryPoint tp;

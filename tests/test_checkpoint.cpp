@@ -374,6 +374,95 @@ TEST(ResumeRejection, JointFallsBackToFreshRunOnCorruptSnapshot) {
   EXPECT_EQ(r.state.widths, fresh.state.widths);
 }
 
+// Bitwise equality of two runs' answers and probe trajectories.
+void expect_same_run(const OptimizationResult& a, const OptimizationResult& b) {
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.energy.total(), b.energy.total());
+  EXPECT_EQ(a.critical_delay, b.critical_delay);
+  EXPECT_EQ(a.state.vdd, b.state.vdd);
+  EXPECT_EQ(a.state.widths, b.state.widths);
+  EXPECT_EQ(a.state.vts, b.state.vts);
+  ASSERT_EQ(a.report.trajectory.size(), b.report.trajectory.size());
+  for (std::size_t i = 0; i < a.report.trajectory.size(); ++i) {
+    SCOPED_TRACE("trajectory point " + std::to_string(i));
+    const obs::TrajectoryPoint& p = a.report.trajectory[i];
+    const obs::TrajectoryPoint& q = b.report.trajectory[i];
+    EXPECT_EQ(p.phase, q.phase);
+    EXPECT_EQ(p.vdd, q.vdd);
+    EXPECT_EQ(p.vts, q.vts);
+    EXPECT_EQ(p.energy, q.energy);
+    EXPECT_EQ(p.critical_delay, q.critical_delay);
+    EXPECT_EQ(p.feasible, q.feasible);
+    EXPECT_EQ(p.accepted, q.accepted);
+  }
+}
+
+TEST(JointCheckpointCadence, DueOnlyOnceTheIntervalHasPassed) {
+  const double interval = kJointCheckpointIntervalSeconds;
+  EXPECT_FALSE(joint_checkpoint_due(0.0, 0.0));
+  EXPECT_FALSE(joint_checkpoint_due(0.0, std::nextafter(interval, 0.0)));
+  EXPECT_TRUE(joint_checkpoint_due(0.0, interval));
+  EXPECT_TRUE(
+      joint_checkpoint_due(0.0, std::nextafter(interval, 2.0 * interval)));
+  // Measured from the last write, not from the run's start.
+  EXPECT_FALSE(joint_checkpoint_due(2.5, 2.5 + 0.5 * interval));
+  EXPECT_TRUE(joint_checkpoint_due(2.5, 2.5 + interval));
+}
+
+// Snapshots change no answer, and a sweep writes at most one per interval
+// of its runtime: none at all when it finishes inside the first interval.
+// The bound reads the run's own runtime, so the test holds on a machine of
+// any speed.
+TEST(JointCheckpointCadence, WritesAtMostOncePerIntervalWithSameAnswers) {
+  obs::set_enabled(true);
+  obs::Counter& writes = obs::counter("opt.joint.checkpoints");
+  Harness s;
+  const OptimizationResult plain = JointOptimizer(s.eval, {}).run();
+
+  ScratchFile f("joint_cadence");
+  OptimizerOptions snap;
+  snap.checkpoint_path = f.path;
+  const std::int64_t before = writes.value();
+  const OptimizationResult r = JointOptimizer(s.eval, snap).run();
+  const std::int64_t written = writes.value() - before;
+
+  expect_same_run(r, plain);
+  const auto bound = static_cast<std::int64_t>(
+      std::floor(r.runtime_seconds / kJointCheckpointIntervalSeconds));
+  EXPECT_LE(written, bound) << "runtime " << r.runtime_seconds << " s";
+  if (bound == 0) {
+    EXPECT_FALSE(io::Checkpoint::exists(f.path));
+  }
+}
+
+// Whichever completed step the policy leaves on disk must resume: a run
+// stopped 5 probes into step k+1 leaves exactly step k (the flush on a
+// watchdog stop), and resuming from it reproduces the uninterrupted run,
+// trajectory included, bit for bit.
+TEST(JointResume, EveryCompletedStepResumesBitExactly) {
+  Harness s;
+  const OptimizerOptions base;
+  const OptimizationResult uninterrupted = JointOptimizer(s.eval, base).run();
+  const int probes_per_step = base.steps;
+
+  for (int k = 1; k < base.steps; ++k) {
+    SCOPED_TRACE("stopped in step " + std::to_string(k + 1));
+    ScratchFile f("joint_step_" + std::to_string(k));
+    OptimizerOptions interrupted = base;
+    interrupted.checkpoint_path = f.path;
+    interrupted.budget.max_evaluations = probes_per_step * k + 5;
+    ASSERT_TRUE(JointOptimizer(s.eval, interrupted).run().truncated);
+
+    const JointCheckpoint ck = JointCheckpoint::load(f.path);
+    EXPECT_EQ(ck.next_step, k);
+    EXPECT_EQ(ck.evaluations, probes_per_step * k);
+
+    OptimizerOptions resumed = base;
+    resumed.resume_path = f.path;
+    expect_same_run(JointOptimizer(s.eval, resumed).run(), uninterrupted);
+  }
+}
+
 TEST(JointResume, EvaluationCountAccumulatesAcrossResume) {
   Harness s;
   ScratchFile f("joint_evals");

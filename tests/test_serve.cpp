@@ -25,14 +25,20 @@
 #include <thread>
 #include <vector>
 
+#include "bench_suite/experiment.h"
+#include "bench_suite/iscas.h"
+#include "io/checkpoint.h"
 #include "io/durable.h"
 #include "io/envelope.h"
 #include "obs/eventlog.h"
 #include "obs/metrics.h"
+#include "opt/checkpoint.h"
+#include "opt/robust_optimizer.h"
 #include "serve/breaker.h"
 #include "serve/job.h"
 #include "serve/queue.h"
 #include "serve/supervisor.h"
+#include "serve/worker.h"
 #include "util/check.h"
 #include "util/json.h"
 
@@ -803,6 +809,50 @@ TEST(ServeLoop, ServedJobSplitsWorkerTimeIntoFourHistograms) {
     ASSERT_TRUE(hist.has(name)) << name;
     EXPECT_EQ(hist.at(name).get_number("count", 0.0), 1.0) << name;
   }
+}
+
+// A served robust job snapshots its joint sweep on the in-process cadence:
+// at most one write per interval of its runtime, none when it finishes
+// inside the first. Its answer is the in-process answer bit for bit.
+TEST(ServeWorker, RobustJobSnapshotsAtMostOncePerInterval) {
+  obs::set_enabled(true);
+  obs::Counter& writes = obs::counter("opt.joint.checkpoints");
+  ScratchSpool spool("worker_cadence");
+  fs::create_directories(spool.root);
+  Job job;
+  job.id = "job-cadence";
+  job.circuit = "s298*";
+  job.optimizer = "robust";
+  const std::string result_path = spool.root + "/result.json";
+  const std::string ck_path = spool.root + "/checkpoint.json";
+  const std::int64_t before = writes.value();
+  ASSERT_EQ(run_worker_job(job, job.seed, result_path, ck_path), 0);
+  const std::int64_t written = writes.value() - before;
+
+  const util::JsonValue env = read_record(result_path);
+  ASSERT_TRUE(env.get_bool("ok", false));
+  const double runtime = env.get_number("runtime_seconds", -1.0);
+  const auto bound = static_cast<std::int64_t>(
+      std::floor(runtime / opt::kJointCheckpointIntervalSeconds));
+  EXPECT_LE(written, bound) << "runtime " << runtime << " s";
+  if (bound == 0) {
+    EXPECT_FALSE(io::Checkpoint::exists(ck_path));
+  }
+
+  // The same job in-process, set up as the worker sets it up.
+  const netlist::Netlist nl = bench_suite::make_circuit(job.circuit);
+  bench_suite::ExperimentConfig cfg;
+  cfg.clock_frequency = job.clock_frequency;
+  bool scaled = false;
+  const double tc = bench_suite::choose_cycle_time(nl, cfg, &scaled);
+  activity::ActivityProfile profile;
+  profile.input_density = job.activity;
+  const opt::CircuitEvaluator eval(nl, cfg.tech, profile,
+                                   {.clock_frequency = 1.0 / tc});
+  const opt::OptimizationResult r = opt::RobustOptimizer(eval, {}).run();
+  EXPECT_EQ(env.get_number("energy_total", 0.0), r.energy.total());
+  EXPECT_EQ(env.get_number("vdd", 0.0), r.vdd);
+  EXPECT_EQ(env.get_number("vts_primary", 0.0), r.vts_primary);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "activity/activity.h"
+#include "bench_suite/iscas.h"
 #include "interconnect/wire_model.h"
 #include "netlist/bench_io.h"
 #include "netlist/generator.h"
 #include "opt/baseline_optimizer.h"
 #include "opt/evaluator.h"
 #include "opt/joint_optimizer.h"
+#include "obs/metrics.h"
 #include "power/energy_model.h"
 
 namespace minergy::power {
@@ -140,6 +142,47 @@ TEST(ShortCircuit, JointOptimumNearlyEliminatesIt) {
   ASSERT_TRUE(joint.feasible);
   const power::EnergyBreakdown e = eval.energy(joint.state);
   EXPECT_LT(e.short_circuit_energy, 0.15 * e.dynamic_energy);
+}
+
+// energy() given the gate delays of the caller's STA (as every joint,
+// baseline and last-resort probe passes them) equals energy() timing the
+// state itself, bit for bit, on every paper circuit with and without a Vts
+// tolerance; the delays come from an STA against a different limit than
+// energy()'s own, and no STA runs inside energy().
+TEST(ShortCircuit, CallerGateDelaysGiveTheSameEnergy) {
+  obs::set_enabled(true);
+  obs::Counter& sta_calls = obs::counter("opt.eval.sta_calls");
+  const tech::Technology tech = tech::Technology::generic350();
+  activity::ActivityProfile profile;
+  profile.input_density = 0.3;
+  for (const bench_suite::CircuitSpec& spec : bench_suite::paper_circuits()) {
+    const Netlist nl = bench_suite::make_circuit(spec);
+    for (double tolerance : {0.0, 0.1}) {
+      SCOPED_TRACE(spec.name + ", vts_tolerance " + std::to_string(tolerance));
+      const opt::CircuitEvaluator eval(nl, tech, profile,
+                                       {.clock_frequency = 100e6,
+                                        .vts_tolerance = tolerance,
+                                        .include_short_circuit = true});
+      const double limit = 0.95 * eval.cycle_time();
+      const timing::BudgetResult budgets =
+          eval.budgeter().assign(eval.cycle_time(), {.clock_skew_b = 0.95});
+      for (double vdd : {tech.vdd_max, 0.5 * (tech.vdd_min + tech.vdd_max)}) {
+        const opt::SizedState sized = eval.size_to_budgets(
+            budgets, vdd, std::vector<double>(nl.size(), tech.vts_min),
+            limit, /*recovery_passes=*/2);
+        const std::int64_t before = sta_calls.value();
+        const EnergyBreakdown passed =
+            eval.energy(sized.state, sized.report.gate_delay);
+        EXPECT_EQ(sta_calls.value(), before);
+        const EnergyBreakdown own = eval.energy(sized.state);
+        EXPECT_EQ(sta_calls.value(), before + 1);
+        EXPECT_GT(own.short_circuit_energy, 0.0);
+        EXPECT_EQ(passed.short_circuit_energy, own.short_circuit_energy);
+        EXPECT_EQ(passed.static_energy, own.static_energy);
+        EXPECT_EQ(passed.dynamic_energy, own.dynamic_energy);
+      }
+    }
+  }
 }
 
 TEST(EnergyBreakdownSc, TotalsIncludeShortCircuit) {

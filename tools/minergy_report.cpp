@@ -19,7 +19,10 @@
 //   --max-evals=N         watchdog: circuit-evaluation budget
 //   --max-seconds=S       watchdog: wall-clock budget
 //   --seed=S              annealing seed (default 1234)
-//   --checkpoint=FILE     crash-safe snapshots (joint sweep / anneal moves)
+//   --checkpoint=FILE     crash-safe snapshots: the joint sweep's latest
+//                         completed step at most once a second and when a
+//                         --max-* budget stops it; the anneal every 500
+//                         moves and at each pass
 //   --resume=FILE         restore a snapshot and continue deterministically
 //   --certify             independently re-verify the result (Certifier);
 //                         an uncertified result exits 1
