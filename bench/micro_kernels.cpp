@@ -6,7 +6,8 @@
 // The 1600-gate rows of the STA, budgeting, sizing, recovery and energy
 // benchmarks make the per-kernel table of DESIGN.md §7 ("Flat kernel
 // inputs"), which gives the one command that regenerates it; the anneal
-// move rows make its "Incremental anneal moves" table.
+// move rows make its "Incremental anneal moves" table, and the probe step
+// rows its "Load terms shared by sizing and timing" table.
 #include <benchmark/benchmark.h>
 
 #include "activity/activity.h"
@@ -131,6 +132,64 @@ void BM_WidthRecoveryPass(benchmark::State& state) {
                           static_cast<int64_t>(nl.num_combinational()));
 }
 BENCHMARK(BM_WidthRecoveryPass)->Arg(400)->Arg(1600);
+
+// One probe step of Procedure 2 (CircuitEvaluator::size_to_budgets with
+// one recovery pass): size, STA, recover, STA. The load-term form checks
+// each pass with run_sta over the terms its sizing pass returned and fills
+// slack only for the recovery that reads it; the width-reading form re-sums
+// every gate's fanout load in each STA and always fills slack. Same widths
+// and reports either way.
+struct ProbeStepRig {
+  explicit ProbeStepRig(int gates)
+      : nl(circuit_of_size(gates)),
+        tech(tech::Technology::generic350()),
+        dev(tech),
+        wires(tech, nl),
+        calc(nl, dev, wires),
+        budgets(timing::DelayBudgeter(nl).assign(3.33e-9)),
+        vts(nl.size(), 0.15) {}
+
+  const netlist::Netlist nl;
+  const tech::Technology tech;
+  const tech::DeviceModel dev;
+  const interconnect::WireModel wires;
+  const timing::DelayCalculator calc;
+  const timing::BudgetResult budgets;
+  const std::vector<double> vts;
+  const double limit = 0.95 * 3.33e-9;
+};
+
+void BM_ProbeStepLoadTermSta(benchmark::State& state) {
+  const ProbeStepRig rig(static_cast<int>(state.range(0)));
+  const opt::GateSizer sizer(rig.calc);
+  for (auto _ : state) {
+    const opt::SizingResult sized = sizer.size(rig.budgets.t_max, 1.0, rig.vts);
+    const timing::TimingReport report =
+        timing::run_sta(rig.nl, sized.terms, rig.limit, /*with_slack=*/true);
+    const opt::SizingResult rec =
+        sizer.recover(sized.widths, 1.0, rig.vts, rig.limit, report);
+    benchmark::DoNotOptimize(
+        timing::run_sta(rig.nl, rec.terms, rig.limit, /*with_slack=*/false));
+  }
+}
+BENCHMARK(BM_ProbeStepLoadTermSta)->Arg(1600);
+
+void BM_ProbeStepWidthSta(benchmark::State& state) {
+  const ProbeStepRig rig(static_cast<int>(state.range(0)));
+  const opt::GateSizer sizer(rig.calc);
+  for (auto _ : state) {
+    const opt::SizingResult sized = sizer.size(rig.budgets.t_max, 1.0, rig.vts);
+    const timing::TimingReport report = timing::run_sta(
+        rig.calc, sized.widths, 1.0, std::span<const double>(rig.vts),
+        rig.limit);
+    const opt::SizingResult rec =
+        sizer.recover(sized.widths, 1.0, rig.vts, rig.limit, report);
+    benchmark::DoNotOptimize(timing::run_sta(rig.calc, rec.widths, 1.0,
+                                             std::span<const double>(rig.vts),
+                                             rig.limit));
+  }
+}
+BENCHMARK(BM_ProbeStepWidthSta)->Arg(1600);
 
 void BM_EnergySum(benchmark::State& state) {
   const netlist::Netlist nl = circuit_of_size(static_cast<int>(state.range(0)));

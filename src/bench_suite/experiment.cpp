@@ -1,27 +1,42 @@
 #include "bench_suite/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "interconnect/wire_model.h"
 #include "netlist/stats.h"
 #include "opt/baseline_optimizer.h"
 #include "opt/evaluator.h"
 #include "opt/joint_optimizer.h"
+#include "tech/device_model.h"
+#include "timing/delay_budget.h"
+#include "timing/delay_model.h"
 #include "util/check.h"
+#include "util/guard.h"
 
 namespace minergy::bench_suite {
 
 double choose_cycle_time(const netlist::Netlist& nl,
                          const ExperimentConfig& cfg, bool* scaled) {
+  // Timing alone decides the choice, so only the timing models are built:
+  // no activity estimate, no energy model. The technology and the clock
+  // are vetted first, as a CircuitEvaluator would.
+  cfg.tech.validate();
+  if (!std::isfinite(cfg.clock_frequency) || cfg.clock_frequency <= 0.0) {
+    throw util::NumericError(cfg.clock_frequency, "clock frequency");
+  }
   const double requested = 1.0 / cfg.clock_frequency;
+  const tech::DeviceModel dev(cfg.tech);
+  const interconnect::WireModel wires(cfg.tech, nl);
+  const timing::DelayCalculator calc(nl, dev, wires);
+  const timing::DelayBudgeter budgeter(nl);
   // Feasibility of the *baseline* flow gates the choice: it must meet T_c
-  // with the threshold frozen at nominal_vts.
-  activity::ActivityProfile profile;  // activity does not affect timing
-  const opt::CircuitEvaluator eval(nl, cfg.tech, profile,
-                                   {.clock_frequency = cfg.clock_frequency});
-  // The answer is decided once the bisection's feasible end, which only
-  // moves down, reaches `requested`: stop the search there.
-  const double min_tc = eval.minimum_cycle_time(
-      cfg.opts.skew_b, cfg.tech.nominal_vts, /*stop_at=*/requested);
+  // with the threshold frozen at nominal_vts (the delay corner of a zero
+  // process tolerance). The answer is decided once the bisection's feasible
+  // end, which only moves down, reaches `requested`: stop the search there.
+  const double min_tc =
+      opt::minimum_cycle_time(calc, budgeter, cfg.opts.skew_b,
+                              cfg.tech.nominal_vts, /*stop_at=*/requested);
   if (min_tc <= requested) {
     if (scaled) *scaled = false;
     return requested;

@@ -139,13 +139,18 @@ std::string ExpositionServer::render_prometheus() {
         labels.empty() ? "{le=\""
                        : labels.substr(0, labels.size() - 1) + ",le=\"";
     type_line(out, last_family, family, "histogram");
+    // One power-of-two `le` series per octave: its sub-buckets summed.
     std::int64_t cumulative = 0;
-    for (int b = 0; b < Histogram::kBuckets; ++b) {
-      const std::int64_t n = h.buckets[static_cast<std::size_t>(b)];
+    for (int o = 0; o < Histogram::kOctaves; ++o) {
+      std::int64_t n = 0;
+      for (int j = 0; j < Histogram::kSubBuckets; ++j) {
+        n += h.buckets[static_cast<std::size_t>(o * Histogram::kSubBuckets +
+                                                j)];
+      }
       if (n == 0) continue;
       cumulative += n;
       out += family + "_bucket" + label_prefix;
-      append_number(out, Histogram::bucket_upper_bound(b));
+      append_number(out, Histogram::octave_upper_bound(o));
       out += "\"} ";
       out += std::to_string(cumulative);
       out += '\n';

@@ -11,14 +11,26 @@ void Histogram::record(double v) {
   if (!enabled()) return;
   int b = 0;
   if (std::isfinite(v) && v > 0.0) {
-    // ilogb(v) is floor(log2(v)); the bucket upper bound is 2^(b-kOriginExp),
-    // so a value in (2^e, 2^(e+1)] belongs to bucket e+1+kOriginExp. Exact
-    // powers of two sit on their bucket's upper bound.
-    const int e = std::ilogb(v);
-    const bool exact_pow2 = std::ldexp(1.0, e) == v;
-    b = e + kOriginExp + (exact_pow2 ? 0 : 1);
-    if (b < 0) b = 0;
-    if (b >= kBuckets) b = kBuckets - 1;
+    // ilogb(v) is floor(log2(v)); octave o's upper bound is
+    // 2^(o-kOriginExp), so a value in (2^e, 2^(e+1)] belongs to octave
+    // e+1+kOriginExp. Exact powers of two sit on their octave's upper bound.
+    int e = std::ilogb(v);
+    if (std::ldexp(1.0, e) == v) --e;
+    const int octave = e + 1 + kOriginExp;
+    if (octave < 0) {
+      b = 0;
+    } else if (octave >= kOctaves) {
+      b = kBuckets - 1;
+    } else {
+      // v / 2^e - 1 lies in (0, 1] and is exact, so is its scaling to
+      // sub-buckets: a value on a sub-bucket bound lands in the bucket it
+      // bounds from above.
+      const double frac = std::ldexp(v, -e) - 1.0;
+      const int sub = static_cast<int>(
+                          std::ceil(frac * static_cast<double>(kSubBuckets))) -
+                      1;
+      b = octave * kSubBuckets + sub;
+    }
   } else if (!std::isfinite(v)) {
     b = kBuckets - 1;
   }
@@ -31,8 +43,16 @@ std::int64_t Histogram::count() const {
   return n;
 }
 
+double Histogram::octave_upper_bound(int o) {
+  return std::ldexp(1.0, o - kOriginExp);
+}
+
 double Histogram::bucket_upper_bound(int b) {
-  return std::ldexp(1.0, b - kOriginExp);
+  // Sub-bucket j of an octave with upper bound u ends at
+  // u/2 * (1 + (j+1)/kSubBuckets).
+  const int sub = b % kSubBuckets;
+  return octave_upper_bound(b / kSubBuckets) *
+         static_cast<double>(kSubBuckets + sub + 1) / (2.0 * kSubBuckets);
 }
 
 double Histogram::sum() const {
@@ -41,8 +61,11 @@ double Histogram::sum() const {
     const std::int64_t n = buckets_[static_cast<std::size_t>(b)].load(
         std::memory_order_relaxed);
     if (n == 0) continue;
-    // Bucket midpoint: 0.75 * upper bound (geometric-ish center of (u/2, u]).
-    s += static_cast<double>(n) * 0.75 * bucket_upper_bound(b);
+    // Bucket midpoint: its upper bound less half a sub-bucket width (a
+    // sub-bucket spans 1/(2 kSubBuckets) of its octave's upper bound).
+    const double half_width =
+        octave_upper_bound(b / kSubBuckets) / (4.0 * kSubBuckets);
+    s += static_cast<double>(n) * (bucket_upper_bound(b) - half_width);
   }
   return s;
 }

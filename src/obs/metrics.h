@@ -69,14 +69,20 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-// Power-of-two bucket histogram over positive values (bucket b counts
-// samples with 2^(b-kOriginExp-1) < v <= 2^(b-kOriginExp)); values <= 2^-32
-// land in bucket 0, values above 2^31 in the last bucket. Covers ~19 decades
-// — microsecond timings through energy magnitudes — with 64 atomics.
+// Log-linear histogram over positive values. Octave o covers
+// 2^(o-kOriginExp-1) < v <= 2^(o-kOriginExp) and is split into kSubBuckets
+// equal-width sub-buckets, each holding the values above its lower bound up
+// to and including its upper bound; values <= 2^-33 land in the first
+// bucket, values above 2^31 and non-finite ones in the last. Covers ~19
+// decades (microsecond timings through energy magnitudes) with a relative
+// resolution of 1/16 to 1/8. The Prometheus exposition sums each octave's
+// sub-buckets into one power-of-two `le` series.
 class Histogram {
  public:
-  static constexpr int kBuckets = 64;
-  static constexpr int kOriginExp = 32;  // bucket 0 upper bound = 2^-32
+  static constexpr int kOctaves = 64;
+  static constexpr int kSubBuckets = 8;
+  static constexpr int kBuckets = kOctaves * kSubBuckets;
+  static constexpr int kOriginExp = 32;  // octave 0 upper bound = 2^-32
 
   void record(double v);
 
@@ -87,6 +93,7 @@ class Histogram {
         std::memory_order_relaxed);
   }
   static double bucket_upper_bound(int b);
+  static double octave_upper_bound(int o);
   // Upper bound of the bucket containing the p-quantile (p in [0, 1]).
   double percentile(double p) const;
   void reset();

@@ -191,6 +191,17 @@ double CircuitEvaluator::short_circuit_energy(netlist::GateId id,
                                       state.vts[id], tau_in);
 }
 
+timing::TimingReport CircuitEvaluator::sta(
+    std::span<const timing::LoadTerms> terms, double cycle_limit,
+    bool with_slack) const {
+  static obs::Counter& c_calls = obs::counter("opt.eval.sta_calls");
+  c_calls.add();
+  timing::TimingReport report =
+      timing::run_sta(nl_, terms, cycle_limit, with_slack);
+  check_finite_report(nl_, report);
+  return report;
+}
+
 SizedState CircuitEvaluator::size_to_budgets(
     const timing::BudgetResult& budgets, double vdd, std::vector<double> vts,
     double limit, int recovery_passes) const {
@@ -199,26 +210,27 @@ SizedState CircuitEvaluator::size_to_budgets(
     vts_corner[i] = delay_vts(vts[i]);
   }
   const GateSizer sizer(delay_);
+  SizingResult sized = sizer.size(budgets.t_max, vdd, vts_corner);
+  MINERGY_CHECK(sized.widths.size() == nl_.size());
   SizedState s;
   s.state.vdd = vdd;
   s.state.vts = std::move(vts);
-  s.state.widths = sizer.size(budgets.t_max, vdd, vts_corner).widths;
-  MINERGY_CHECK(s.state.widths.size() == nl_.size());
+  s.state.widths = std::move(sized.widths);
 
   auto meets = [&](const timing::TimingReport& r) {
     return r.critical_delay <= limit * (1.0 + 1e-9);
   };
-  s.report = sta(s.state, limit);
+  // Each STA fills slack only when a recovery pass will read it.
+  s.report = sta(sized.terms, limit, /*with_slack=*/recovery_passes > 0);
   s.feasible = meets(s.report);
   if (!s.feasible) return s;
   for (int pass = 0; pass < recovery_passes; ++pass) {
-    CircuitState candidate = s.state;
-    candidate.widths =
-        sizer.recover(s.state.widths, vdd, vts_corner, limit, s.report)
-            .widths;
-    timing::TimingReport check = sta(candidate, limit);
+    SizingResult rec =
+        sizer.recover(s.state.widths, vdd, vts_corner, limit, s.report);
+    timing::TimingReport check =
+        sta(rec.terms, limit, /*with_slack=*/pass + 1 < recovery_passes);
     if (!meets(check)) break;
-    s.state = std::move(candidate);
+    s.state.widths = std::move(rec.widths);
     s.report = std::move(check);
   }
   return s;
@@ -232,18 +244,25 @@ bool CircuitEvaluator::meets_timing(const CircuitState& state,
 
 double CircuitEvaluator::minimum_cycle_time(double skew_b, double vts,
                                             double stop_at) const {
-  const GateSizer sizer(delay_);
   if (vts < 0.0) vts = tech_.vts_min;
-  std::vector<double> vts_corner(nl_.size(), delay_vts(vts));
+  return opt::minimum_cycle_time(delay_, budgeter_, skew_b, delay_vts(vts),
+                                 stop_at);
+}
+
+double minimum_cycle_time(const timing::DelayCalculator& calc,
+                          const timing::DelayBudgeter& budgeter,
+                          double skew_b, double vts_delay, double stop_at) {
+  const netlist::Netlist& nl = calc.netlist();
+  const double vdd_max = calc.device().technology().vdd_max;
+  const GateSizer sizer(calc);
+  const std::vector<double> vts_corner(nl.size(), vts_delay);
 
   auto feasible_at = [&](double tc) {
     const timing::BudgetResult budgets =
-        budgeter_.assign(tc, {.clock_skew_b = skew_b});
-    const SizingResult sized = sizer.size(budgets.t_max, tech_.vdd_max,
-                                          std::span<const double>(vts_corner));
+        budgeter.assign(tc, {.clock_skew_b = skew_b});
+    const SizingResult sized = sizer.size(budgets.t_max, vdd_max, vts_corner);
     const timing::TimingReport report =
-        timing::run_sta(delay_, sized.widths, tech_.vdd_max,
-                        std::span<const double>(vts_corner), tc);
+        timing::run_sta(nl, sized.terms, tc, /*with_slack=*/false);
     return report.critical_delay <= skew_b * tc;
   };
 
@@ -279,8 +298,7 @@ util::InfeasibleError diagnose_infeasibility(const CircuitEvaluator& eval,
                                         std::span<const double>(vts_corner));
   return max_drive_infeasibility(
       eval, skew_b,
-      timing::run_sta(eval.delay_calculator(), sized.widths, tech.vdd_max,
-                      std::span<const double>(vts_corner), tc));
+      timing::run_sta(nl, sized.terms, tc, /*with_slack=*/false));
 }
 
 util::InfeasibleError max_drive_infeasibility(

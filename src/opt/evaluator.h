@@ -44,8 +44,11 @@ struct EvalSettings {
 // One budget-sized point: see CircuitEvaluator::size_to_budgets.
 struct SizedState {
   CircuitState state;
-  timing::TimingReport report;  // full STA of `state` at the delay corner
-  bool feasible = false;        // report.critical_delay meets the limit
+  // Full STA of `state` at the delay corner. report.slack is filled only
+  // when a recovery pass was to read it (recovery_passes > 0, and the
+  // report is not the last pass's); callers that need slack run sta().
+  timing::TimingReport report;
+  bool feasible = false;  // report.critical_delay meets the limit
 };
 
 class CircuitEvaluator {
@@ -128,6 +131,8 @@ class CircuitEvaluator {
   // `recovery_passes` width-recovery passes, each verified by a fresh STA
   // (a pass that breaks timing is dropped and ends the recovery). Meeting
   // the limit allows a 1e-9 relative tolerance for floating-point noise.
+  // Each STA runs on the load terms its sizing pass returned, equal bit for
+  // bit to sta() of the sized state.
   SizedState size_to_budgets(const timing::BudgetResult& budgets, double vdd,
                              std::vector<double> vts, double limit,
                              int recovery_passes) const;
@@ -135,19 +140,17 @@ class CircuitEvaluator {
   // critical_delay(state) <= limit (default: the skewed cycle budget).
   bool meets_timing(const CircuitState& state, double skew_b) const;
 
-  // Smallest cycle time this circuit can meet at (vdd_max, the given
-  // uniform threshold, budget-driven sizing); vts < 0 selects vts_min (the
-  // technology's strongest corner). Used by the experiment harness to scale
-  // infeasible paper constraints. Deterministic bisection: an exponential
-  // bracket up to the first feasible point, then 40 halvings, during which
-  // the feasible end only moves down. With stop_at > 0 the search returns
-  // that end as soon as it is <= stop_at (a caller that only asks "is
-  // stop_at reachable?" needs no more); otherwise it runs to the end.
+  // opt::minimum_cycle_time at the given nominal uniform threshold, taken
+  // to the delay corner; vts < 0 selects vts_min (the technology's
+  // strongest corner).
   double minimum_cycle_time(double skew_b = 0.95, double vts = -1.0,
                             double stop_at = 0.0) const;
 
  private:
   void validate_inputs() const;
+  // STA from a sizing pass's load terms, finite-checked like sta().
+  timing::TimingReport sta(std::span<const timing::LoadTerms> terms,
+                           double cycle_limit, bool with_slack) const;
 
   const netlist::Netlist& nl_;
   tech::Technology tech_;
@@ -168,6 +171,20 @@ class CircuitEvaluator {
 struct EvalCacheBypass {
   EvalCacheBypass() {}
 };
+
+// Smallest cycle time the circuit of `calc` can meet at vdd_max, a uniform
+// delay-corner threshold vts_delay and budget-driven sizing (the budgets
+// from `budgeter`). Timing alone decides it, so no activity or energy
+// model is needed. Used by the experiment harness to scale infeasible
+// paper constraints. Deterministic bisection: an exponential bracket up to
+// the first feasible point, then 40 halvings, during which the feasible end
+// only moves down. With stop_at > 0 the search returns that end as soon as
+// it is <= stop_at (a caller that only asks "is stop_at reachable?" needs
+// no more); otherwise it runs to the end.
+double minimum_cycle_time(const timing::DelayCalculator& calc,
+                          const timing::DelayBudgeter& budgeter,
+                          double skew_b, double vts_delay,
+                          double stop_at = 0.0);
 
 // Diagnoses an unreachable cycle-time constraint: probes the max-drive
 // configuration (vdd_max, strongest threshold, budget-driven sizing) and

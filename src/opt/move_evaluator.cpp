@@ -31,10 +31,6 @@ constexpr std::uint8_t kFanoutWidth = 2;   // a logic fanin of the moved gate
 constexpr std::uint8_t kFaninDelay = 4;    // a fanin's delay changed
 constexpr std::uint8_t kFaninArrival = 8;  // a fanin's arrival changed
 
-obs::Counter& delay_evals() {
-  static obs::Counter& c = obs::counter("timing.delay.gate_evals");
-  return c;
-}
 obs::Counter& energy_evals() {
   static obs::Counter& c = obs::counter("power.energy.gate_evals");
   return c;
@@ -149,7 +145,7 @@ const MoveEvaluation& MoveEvaluator::propose_width(GateId id, double width) {
       flags_[o] |= changed;
     }
   }
-  delay_evals().add(retimed);
+  timing::count_delay_work(retimed, retimed);
   energy_evals().add(energies);
   now_ = summarize(cur_);
   return now_;
@@ -230,7 +226,7 @@ void MoveEvaluator::full_pass(Buffers& b) {
     }
   }
   const auto n = static_cast<std::int64_t>(topo.size());
-  delay_evals().add(n);
+  timing::count_delay_work(n, n);
   energy_evals().add(n);
 }
 

@@ -22,10 +22,10 @@
 // second buffers.
 //
 // Every evaluation equals CircuitEvaluator::critical_delay and energy bit
-// for bit. Gates are timed by timing::forward_step, the function run_sta
-// uses; the energy terms are CircuitEvaluator's own per-gate terms, summed
-// in the same order. tests/test_move_evaluator.cpp checks this with ==
-// after every move.
+// for bit. Gates are timed by timing::forward_step, run_sta's fanin scan
+// and gate delay; the energy terms are CircuitEvaluator's own per-gate
+// terms, summed in the same order. tests/test_move_evaluator.cpp checks
+// this with == after every move.
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,7 @@ namespace {
 
 struct WidthSolve {
   double width = 0.0;
-  bool met = false;  // gate_delay at `width` meets the budget
+  bool met = false;  // the delay at `width` meets the budget
   int evals = 0;     // delay evaluations it took
 };
 
@@ -21,16 +21,12 @@ struct WidthSolve {
 // nudge, before the last one tries the upper bound itself.
 constexpr int kMaxNudges = 4;
 
-// The smallest width in [w_min, w_hi] whose gate_delay meets `budget`, or
-// {w_hi, false} when none does. Overwrites widths[id]. Its delay evals are
-// uncounted; the caller adds them to timing.delay.gate_evals in bulk.
-WidthSolve solve_width(const timing::DelayCalculator& calc, netlist::GateId id,
-                       std::vector<double>& widths,
-                       const tech::OperatingPoint& op, double slope_in,
-                       double budget, double w_min, double w_hi) {
-  widths[id] = w_min;
-  const timing::WidthTerms t =
-      calc.width_terms_uncounted(id, widths, op, slope_in);
+// The smallest width in [w_min, w_hi] whose delay on `curve` meets
+// `budget`, or {w_hi, false} when none does. Its delay evals are uncounted;
+// the caller adds them to timing.delay.gate_evals in bulk.
+WidthSolve solve_width(const timing::WidthCurve& curve, double budget,
+                       double w_min, double w_hi) {
+  const timing::WidthTerms t = curve.terms(w_min);
   if (t.delay <= budget) return {w_min, true, 1};
   // No width reaches a budget at or below the width-independent part
   // (this also covers drive k <= 0, where a = +inf).
@@ -38,19 +34,17 @@ WidthSolve solve_width(const timing::DelayCalculator& calc, netlist::GateId id,
   const double w_star = t.b / (budget - t.a);
   if (!(w_star <= w_hi)) return {w_hi, false, 1};
 
-  // gate_delay rounds differently from a + b/w, so w* itself can miss the
-  // budget by an ulp or two of it. Raising w by the relative amount nudge
-  // lowers b/w by nudge * (budget - a): start at 2 ulps of the budget.
+  // The curve's delay rounds differently from a + b/w, so w* itself can
+  // miss the budget by an ulp or two of it. Raising w by the relative
+  // amount nudge lowers b/w by nudge * (budget - a): start at 2 ulps of the
+  // budget.
   double nudge =
       2.0 * std::numeric_limits<double>::epsilon() * budget / (budget - t.a);
   const double w = std::max(w_min, w_star);
   for (int i = 0;; ++i) {
     const double cand =
         i < kMaxNudges ? std::min(w_hi, w * (1.0 + nudge)) : w_hi;
-    widths[id] = cand;
-    if (calc.gate_delay_uncounted(id, widths, op, slope_in) <= budget) {
-      return {cand, true, i + 2};
-    }
+    if (curve.delay(cand) <= budget) return {cand, true, i + 2};
     if (cand >= w_hi) return {w_hi, false, i + 2};
     nudge *= 2.0;
   }
@@ -81,12 +75,13 @@ SizingResult GateSizer::size(std::span<const double> t_max, double vdd,
 
   static obs::Counter& c_calls = obs::counter("opt.sizer.size_calls");
   static obs::Counter& c_gates = obs::counter("opt.sizer.width_searches");
-  static obs::Counter& c_evals = obs::counter("timing.delay.gate_evals");
+  const auto gates = static_cast<std::int64_t>(nl.num_combinational());
   c_calls.add();
-  c_gates.add(static_cast<std::int64_t>(nl.num_combinational()));
+  c_gates.add(gates);
 
   SizingResult r;
   r.widths.assign(nl.size(), tech.w_min);
+  r.terms.assign(nl.size(), timing::LoadTerms{});
   r.all_budgets_met = true;
 
   // Reverse topological order: the delay model reads the widths of the
@@ -96,19 +91,20 @@ SizingResult GateSizer::size(std::span<const double> t_max, double vdd,
   const auto& topo = nl.combinational();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const netlist::GateId id = *it;
+    const timing::WidthCurve curve = calc_.curve(
+        id, r.widths, op.at(vdd, vts[id]), slope_input(nl, id, t_max));
     const WidthSolve s =
-        solve_width(calc_, id, r.widths, op.at(vdd, vts[id]),
-                    slope_input(nl, id, t_max), t_max[id], tech.w_min,
-                    tech.w_max);
+        solve_width(curve, t_max[id], tech.w_min, tech.w_max);
     evals += s.evals;
     // A miss takes the fastest width.
     r.widths[id] = s.width;
+    r.terms[id] = curve.load_terms(s.width);
     if (!s.met) {
       r.all_budgets_met = false;
       ++r.gates_missed;
     }
   }
-  c_evals.add(evals);
+  timing::count_delay_work(evals, gates);
   return r;
 }
 
@@ -121,9 +117,10 @@ SizingResult GateSizer::recover(std::span<const double> widths, double vdd,
   const tech::Technology& tech = calc_.device().technology();
   MINERGY_CHECK(widths.size() == nl.size());
   MINERGY_CHECK(cycle_limit > 0.0);
+  MINERGY_CHECK_MSG(report.slack.size() == nl.size(),
+                    "width recovery needs an STA report with slack");
 
   static obs::Counter& c_calls = obs::counter("opt.sizer.recover_calls");
-  static obs::Counter& c_evals = obs::counter("timing.delay.gate_evals");
   c_calls.add();
 
   // Relaxed per-gate budgets from the slack redistribution rule. Gates with
@@ -137,6 +134,7 @@ SizingResult GateSizer::recover(std::span<const double> widths, double vdd,
 
   SizingResult r;
   r.widths.assign(widths.begin(), widths.end());
+  r.terms.assign(nl.size(), timing::LoadTerms{});
   r.all_budgets_met = true;
 
   // Same reverse topological order (and the same argument) as size(), with
@@ -147,16 +145,24 @@ SizingResult GateSizer::recover(std::span<const double> widths, double vdd,
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const netlist::GateId id = *it;
     const double w_old = r.widths[id];
-    if (w_old <= tech.w_min * (1.0 + 1e-12)) continue;
+    const tech::OperatingPoint& gate_op = op.at(vdd, vts[id]);
+    if (w_old <= tech.w_min * (1.0 + 1e-12)) {
+      // Not re-solved, but its fanouts may have shrunk: its terms at w_old
+      // over their final widths. The slope input does not enter them.
+      r.terms[id] = calc_.curve(id, r.widths, gate_op, 0.0).load_terms(w_old);
+      continue;
+    }
     // A miss means the relaxed slope input exceeds what this gate can
     // absorb even at its current width: it keeps w_old, never upsizing.
-    const WidthSolve s = solve_width(calc_, id, r.widths, op.at(vdd, vts[id]),
-                                     slope_input(nl, id, t_rec), t_rec[id],
-                                     tech.w_min, w_old);
+    const timing::WidthCurve curve =
+        calc_.curve(id, r.widths, gate_op, slope_input(nl, id, t_rec));
+    const WidthSolve s = solve_width(curve, t_rec[id], tech.w_min, w_old);
     r.widths[id] = s.width;
+    r.terms[id] = curve.load_terms(s.width);
     evals += s.evals;
   }
-  c_evals.add(evals);
+  timing::count_delay_work(evals,
+                           static_cast<std::int64_t>(nl.num_combinational()));
   return r;
 }
 

@@ -3,12 +3,21 @@
 // Given per-gate delay budgets t_MAX,i and a candidate (Vdd, Vts), each
 // gate's width is the smallest w in [w_min, w_max] whose worst-case delay
 // meets its budget. With the fanout widths and the slope input fixed, the
-// Appendix A.2 delay is exactly d(w) = a + b/w (DelayCalculator::
-// width_terms), so that width has a closed form, w* = b / (t_MAX - a):
-// one decomposition eval, one confirming eval at w*, no search. Gates are
-// processed output-side first so every gate sees its final fanout loads;
-// the slope term conservatively uses the fanins' *budgets* (their actual
-// delays can only be smaller).
+// Appendix A.2 delay is exactly d(w) = a + b/w, so that width has a closed
+// form, w* = b / (t_MAX - a). Each gate is solved on its
+// timing::WidthCurve, which holds every operand of Eq. (A3) that does not
+// depend on the gate's own width, read in one pass over its fanouts: (a, b)
+// and the delay at w_min, then one confirming delay at w*, no search and no
+// second load sum. Gates are processed output-side first so every gate sees
+// its final fanout loads; the slope term conservatively uses the fanins'
+// *budgets* (their actual delays can only be smaller).
+//
+// Both passes also return each logic gate's timing::LoadTerms at its final
+// width, so the STA that checks the widths (timing::run_sta's load-term
+// form) evaluates only the slope recurrence. That STA fills slack only on
+// request: CircuitEvaluator::size_to_budgets asks for it only when a
+// recovery pass will read it; minimum_cycle_time and
+// diagnose_infeasibility never do.
 #pragma once
 
 #include <span>
@@ -21,6 +30,10 @@ namespace minergy::opt {
 
 struct SizingResult {
   std::vector<double> widths;  // per gate id (w_min for non-logic entries)
+  // Per gate id: each logic gate's delay terms at its returned width and
+  // final fanout widths, for timing::run_sta's load-term form (zero for
+  // non-logic entries).
+  std::vector<timing::LoadTerms> terms;
   bool all_budgets_met = false;
   int gates_missed = 0;  // budgets unreachable even at w_max
 };
@@ -46,8 +59,10 @@ class GateSizer {
   // through g, all path budget sums stay <= limit) and re-solve the
   // minimum width against it, never increasing any width (a gate whose
   // relaxed budget its current width cannot meet keeps that width).
-  // Callers must re-verify with a full STA; recovery is monotone in
-  // energy. `steps` is ignored, as in size().
+  // Gates at w_min are not re-solved; their terms are still retaken over
+  // the final fanout widths. Callers must re-verify with a full STA;
+  // recovery is monotone in energy. `report` must carry slack (a
+  // MINERGY_CHECK fails otherwise). `steps` is ignored, as in size().
   SizingResult recover(std::span<const double> widths, double vdd,
                        std::span<const double> vts, double cycle_limit,
                        const timing::TimingReport& report,

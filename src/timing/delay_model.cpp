@@ -8,16 +8,16 @@
 #include "util/check.h"
 
 namespace minergy::timing {
-namespace {
 
-// The single hottest counter in the stack: one relaxed add per gate_delay
-// or width_terms call; run_sta and GateSizer add theirs once per call.
-obs::Counter& gate_evals() {
-  static obs::Counter& c = obs::counter("timing.delay.gate_evals");
-  return c;
+// The hottest counters in the stack: each gate_delay / width_terms call
+// adds one to both; run_sta, opt::GateSizer and opt::MoveEvaluator add
+// theirs once per call.
+void count_delay_work(std::int64_t gate_evals, std::int64_t load_sums) {
+  static obs::Counter& c_evals = obs::counter("timing.delay.gate_evals");
+  static obs::Counter& c_sums = obs::counter("timing.delay.load_sums");
+  c_evals.add(gate_evals);
+  c_sums.add(load_sums);
 }
-
-}  // namespace
 
 DelayCalculator::DelayCalculator(const netlist::Netlist& nl,
                                  const tech::DeviceModel& dev,
@@ -50,12 +50,29 @@ double DelayCalculator::load_cap(netlist::GateId id,
   return self + receivers(id, widths) + net_cap_[id];
 }
 
+WidthTerms WidthCurve::terms(double w) const {
+  const DelayComponents c = components(w);
+  WidthTerms t;
+  t.delay = c.total();
+  const double k = drive_per_wunit_;
+  if (k <= 0.0) {
+    t.a = t.b = std::numeric_limits<double>::infinity();
+    return t;
+  }
+  // A dead drive (w <= 0 here) left the wire terms at 0 in c; the receiver
+  // load goes with them.
+  const double recv = w * k <= 0.0 ? 0.0 : recv_;
+  t.a = c.slope + half_vdd_ * self_cap_ / k + c.wire_rc + c.flight;
+  t.b = half_vdd_ * (recv + net_) / k;
+  return t;
+}
+
 DelayComponents DelayCalculator::gate_delay_components(
     netlist::GateId id, std::span<const double> widths, double vdd, double vts,
     double max_fanin_delay) const {
-  gate_evals().add();
-  return components(id, widths, dev_.operating_point(vdd, vts),
-                    max_fanin_delay, nullptr);
+  count_delay_work(1, 1);
+  return curve(id, widths, dev_.operating_point(vdd, vts), max_fanin_delay)
+      .components(widths[id]);
 }
 
 double DelayCalculator::gate_delay(netlist::GateId id,
@@ -69,7 +86,7 @@ double DelayCalculator::gate_delay(netlist::GateId id,
                                    std::span<const double> widths,
                                    const tech::OperatingPoint& op,
                                    double max_fanin_delay) const {
-  gate_evals().add();
+  count_delay_work(1, 1);
   return gate_delay_uncounted(id, widths, op, max_fanin_delay);
 }
 
@@ -77,27 +94,8 @@ WidthTerms DelayCalculator::width_terms(netlist::GateId id,
                                         std::span<const double> widths,
                                         const tech::OperatingPoint& op,
                                         double max_fanin_delay) const {
-  gate_evals().add();
-  return width_terms_uncounted(id, widths, op, max_fanin_delay);
-}
-
-WidthTerms DelayCalculator::width_terms_uncounted(
-    netlist::GateId id, std::span<const double> widths,
-    const tech::OperatingPoint& op, double max_fanin_delay) const {
-  double c_recv = 0.0;
-  const DelayComponents c =
-      components(id, widths, op, max_fanin_delay, &c_recv);
-  WidthTerms t;
-  t.delay = c.total();
-  const GateConsts& g = consts(id);
-  const double k = drive_per_wunit(op, g);
-  if (k <= 0.0) {
-    t.a = t.b = std::numeric_limits<double>::infinity();
-    return t;
-  }
-  t.a = c.slope + 0.5 * op.vdd * g.self_cap / k + c.wire_rc + c.flight;
-  t.b = 0.5 * op.vdd * (c_recv + net_cap_[id]) / k;
-  return t;
+  count_delay_work(1, 1);
+  return curve(id, widths, op, max_fanin_delay).terms(widths[id]);
 }
 
 double DelayCalculator::gate_delay_min(netlist::GateId id,

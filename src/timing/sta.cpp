@@ -9,47 +9,35 @@
 #include "util/check.h"
 
 namespace minergy::timing {
+namespace {
 
-TimingReport run_sta(const DelayCalculator& calc,
-                     std::span<const double> widths, double vdd,
-                     std::span<const double> vts, double cycle_time) {
-  std::vector<double> v(calc.netlist().size(), vdd);
-  return run_sta(calc, widths, std::span<const double>(v), vts, cycle_time);
-}
-
-TimingReport run_sta(const DelayCalculator& calc,
-                     std::span<const double> widths,
-                     std::span<const double> vdd,
-                     std::span<const double> vts, double cycle_time) {
-  const netlist::Netlist& nl = calc.netlist();
-  MINERGY_CHECK(widths.size() == nl.size());
-  MINERGY_CHECK(vdd.size() == nl.size());
-  MINERGY_CHECK(vts.size() == nl.size());
-
+// Both forms of run_sta: the forward pass timing each gate with
+// delay_of(id, max_fanin_delay), the critical path, and with_slack the
+// backward pass. Counts the run; the caller counts its delay evaluations.
+// delay_of is taken by value, so state it carries (an OperatingPointMemo)
+// is local here and not reloaded after every store to the report.
+template <class DelayOf>
+TimingReport analyze(const netlist::Netlist& nl, double cycle_time,
+                     bool with_slack, DelayOf delay_of) {
   static obs::Counter& c_runs = obs::counter("timing.sta.runs");
-  static obs::Counter& c_evals = obs::counter("timing.delay.gate_evals");
   static obs::Histogram& h_micros = obs::histogram("timing.sta.micros");
   c_runs.add();
-  // One delay eval per logic gate, added in bulk.
-  c_evals.add(static_cast<std::int64_t>(nl.num_combinational()));
   const obs::ScopedTimer timer(h_micros);
 
   TimingReport r;
   r.gate_delay.assign(nl.size(), 0.0);
   r.arrival.assign(nl.size(), 0.0);
-  r.slack.assign(nl.size(), 0.0);
 
   // Forward pass: delays and arrivals together (slope coupling), in
   // topological order so every fanin is final before it is read.
   std::vector<netlist::GateId> worst_fanin(nl.size(), netlist::kInvalidGate);
-  tech::OperatingPointMemo op(calc.device());
   for (netlist::GateId id : nl.combinational()) {
-    const ForwardStep s =
-        forward_step(calc, id, widths, op.at(vdd[id], vts[id]),
-                     r.gate_delay.data(), r.arrival.data());
-    r.gate_delay[id] = s.delay;
-    r.arrival[id] = s.arrival;
-    worst_fanin[id] = s.worst_fanin;
+    const FaninScan f =
+        scan_fanins(nl, id, r.gate_delay.data(), r.arrival.data());
+    const double delay = delay_of(id, f.max_fanin_delay);
+    r.gate_delay[id] = delay;
+    r.arrival[id] = f.arrival + delay;
+    worst_fanin[id] = f.worst_fanin;
   }
 
   // Critical endpoint.
@@ -62,12 +50,14 @@ TimingReport run_sta(const DelayCalculator& calc,
     }
     std::reverse(r.critical_path.begin(), r.critical_path.end());
   }
+  if (!with_slack) return r;
 
   // Backward pass: required times -> slack. Pull form of the classic
   // push-form relaxation: a gate's required time is the min over its
   // combinational fanouts of (their required - their delay), seeded with
   // cycle_time at sink drivers. Reverse topological order makes every
   // fanout final before it is pulled from.
+  r.slack.assign(nl.size(), 0.0);
   std::vector<double> required(nl.size(),
                                std::numeric_limits<double>::infinity());
   std::vector<char> is_sink(nl.size(), 0);
@@ -89,6 +79,47 @@ TimingReport run_sta(const DelayCalculator& calc,
                                            : required[id] - r.arrival[id];
   }
   return r;
+}
+
+}  // namespace
+
+TimingReport run_sta(const DelayCalculator& calc,
+                     std::span<const double> widths, double vdd,
+                     std::span<const double> vts, double cycle_time) {
+  std::vector<double> v(calc.netlist().size(), vdd);
+  return run_sta(calc, widths, std::span<const double>(v), vts, cycle_time);
+}
+
+TimingReport run_sta(const DelayCalculator& calc,
+                     std::span<const double> widths,
+                     std::span<const double> vdd,
+                     std::span<const double> vts, double cycle_time) {
+  const netlist::Netlist& nl = calc.netlist();
+  MINERGY_CHECK(widths.size() == nl.size());
+  MINERGY_CHECK(vdd.size() == nl.size());
+  MINERGY_CHECK(vts.size() == nl.size());
+  // One delay eval and load sum per logic gate, added in bulk.
+  const auto gates = static_cast<std::int64_t>(nl.num_combinational());
+  count_delay_work(gates, gates);
+  return analyze(nl, cycle_time, /*with_slack=*/true,
+                 [&calc, widths, vdd, vts,
+                  op = tech::OperatingPointMemo(calc.device())](
+                     netlist::GateId id, double max_fanin_delay) mutable {
+                   return calc.gate_delay_uncounted(
+                       id, widths, op.at(vdd[id], vts[id]), max_fanin_delay);
+                 });
+}
+
+TimingReport run_sta(const netlist::Netlist& nl,
+                     std::span<const LoadTerms> terms, double cycle_time,
+                     bool with_slack) {
+  MINERGY_CHECK(terms.size() == nl.size());
+  // One delay eval per logic gate, added in bulk; no load sums.
+  count_delay_work(static_cast<std::int64_t>(nl.num_combinational()), 0);
+  return analyze(nl, cycle_time, with_slack,
+                 [terms](netlist::GateId id, double max_fanin_delay) {
+                   return terms[id].delay(max_fanin_delay);
+                 });
 }
 
 TimingReport run_sta(const DelayCalculator& calc,

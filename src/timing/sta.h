@@ -22,30 +22,47 @@ struct ForwardStep {
   netlist::GateId worst_fanin = netlist::kInvalidGate;
 };
 
-// Gate id's delay and arrival from its fanins' final delays and arrivals
-// (both indexed by gate id, 0 at sources): the slope input is the largest
-// fanin delay, sources included, and the arrival the latest fanin arrival
-// plus the gate's own delay. run_sta and opt::MoveEvaluator both time
-// gates with this one function, so their results agree bit for bit.
-// Uncounted: callers add their timing.delay.gate_evals in bulk.
+// The fanin side of gate id's forward step, from its fanins' final delays
+// and arrivals (both indexed by gate id, 0 at sources). Both forms of
+// run_sta and opt::MoveEvaluator time gates through this one function, so
+// their results agree bit for bit.
+struct FaninScan {
+  // The slope input: the largest fanin delay, sources included.
+  double max_fanin_delay = 0.0;
+  // The latest fanin arrival, to which the gate's own delay is added, and
+  // the logic fanin that set it (the last of equal arrivals; kInvalidGate
+  // when a source did).
+  double arrival = 0.0;
+  netlist::GateId worst_fanin = netlist::kInvalidGate;
+};
+inline FaninScan scan_fanins(const netlist::Netlist& nl, netlist::GateId id,
+                             const double* gate_delay,
+                             const double* arrival) {
+  FaninScan f;
+  for (netlist::GateId in : nl.fanins_of(id)) {
+    f.max_fanin_delay = std::max(f.max_fanin_delay, gate_delay[in]);
+    if (arrival[in] >= f.arrival) {
+      f.arrival = arrival[in];
+      f.worst_fanin = nl.is_logic(in) ? in : netlist::kInvalidGate;
+    }
+  }
+  return f;
+}
+
+// Gate id's delay and arrival at its widths and operating point.
+// Uncounted: callers count one delay eval and one load sum per step, in
+// bulk (count_delay_work).
 inline ForwardStep forward_step(const DelayCalculator& calc,
                                 netlist::GateId id,
                                 std::span<const double> widths,
                                 const tech::OperatingPoint& op,
                                 const double* gate_delay,
                                 const double* arrival) {
-  const netlist::Netlist& nl = calc.netlist();
-  double max_fanin_delay = 0.0;
+  const FaninScan f = scan_fanins(calc.netlist(), id, gate_delay, arrival);
   ForwardStep s;
-  for (netlist::GateId f : nl.fanins_of(id)) {
-    max_fanin_delay = std::max(max_fanin_delay, gate_delay[f]);
-    if (arrival[f] >= s.arrival) {
-      s.arrival = arrival[f];
-      s.worst_fanin = nl.is_logic(f) ? f : netlist::kInvalidGate;
-    }
-  }
-  s.delay = calc.gate_delay_uncounted(id, widths, op, max_fanin_delay);
-  s.arrival += s.delay;
+  s.delay = calc.gate_delay_uncounted(id, widths, op, f.max_fanin_delay);
+  s.arrival = f.arrival + s.delay;
+  s.worst_fanin = f.worst_fanin;
   return s;
 }
 
@@ -69,8 +86,10 @@ struct TimingReport {
   double critical_delay = 0.0;     // max arrival over PO / DFF-D drivers
   std::vector<netlist::GateId> critical_path;  // source-side first
 
-  // Required times / slack against a cycle constraint.
-  std::vector<double> slack;  // per gate id (filled by run_sta)
+  // Required times / slack against a cycle constraint, per gate id. Every
+  // width-reading run_sta fills it; the load-term form only when asked to,
+  // and leaves it empty otherwise.
+  std::vector<double> slack;
 };
 
 // vts is indexed by gate id (per-gate thresholds support the paper's
@@ -89,6 +108,16 @@ TimingReport run_sta(const DelayCalculator& calc, std::span<const double> widths
 TimingReport run_sta(const DelayCalculator& calc, std::span<const double> widths,
                      std::span<const double> vdd, std::span<const double> vts,
                      double cycle_time);
+
+// The load-term form: each logic gate's delay is terms[id].delay(slowest
+// fanin delay), from the terms opt::GateSizer returns with its widths
+// (indexed by gate id), so only the slope recurrence is evaluated and no
+// fanout load is summed. Bit-identical to the width-reading run_sta at the
+// widths and operating points the terms were taken at. The backward pass
+// runs only `with_slack`.
+TimingReport run_sta(const netlist::Netlist& nl,
+                     std::span<const LoadTerms> terms, double cycle_time,
+                     bool with_slack);
 
 // --- Min-delay (hold) analysis ---------------------------------------------
 

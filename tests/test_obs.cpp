@@ -102,6 +102,48 @@ TEST_F(ObsTest, HistogramPercentilesBracketRecordedValues) {
   EXPECT_LE(p95, 950.0 * 2.0);
 }
 
+TEST_F(ObsTest, HistogramSubOctaveBucketsSeparateCloseValues) {
+  obs::set_enabled(true);
+  // 5,000 and 6,000 share the octave (4096, 8192]; its sub-buckets tell
+  // them apart, so a 20% change in a timing shows in its p50.
+  obs::Histogram& a = obs::histogram("test.hist.sub_5000");
+  obs::Histogram& b = obs::histogram("test.hist.sub_6000");
+  a.reset();
+  b.reset();
+  for (int i = 0; i < 10; ++i) {
+    a.record(5000.0);
+    b.record(6000.0);
+  }
+  EXPECT_LT(a.percentile(0.5), b.percentile(0.5));
+  EXPECT_GE(a.percentile(0.5), 5000.0);
+  EXPECT_LE(a.percentile(0.5), 5000.0 * (1.0 + 1.0 / 8.0));
+  EXPECT_GE(b.percentile(0.5), 6000.0);
+  EXPECT_LE(b.percentile(0.5), 6000.0 * (1.0 + 1.0 / 8.0));
+}
+
+TEST_F(ObsTest, HistogramValueOnASubBucketBoundLandsInTheBucketItBounds) {
+  obs::set_enabled(true);
+  obs::Histogram& h = obs::histogram("test.hist.bounds");
+  for (const int b : {0, 7, 8, 261, 263, 264, 300,
+                      obs::Histogram::kBuckets - 2}) {
+    h.reset();
+    const double bound = obs::Histogram::bucket_upper_bound(b);
+    h.record(bound);
+    EXPECT_EQ(h.bucket_count(b), 1) << "bucket " << b << " bound " << bound;
+    EXPECT_EQ(h.percentile(1.0), bound);
+    // The next value up starts the next bucket.
+    h.reset();
+    h.record(std::nextafter(bound, 2.0 * bound));
+    EXPECT_EQ(h.bucket_count(b + 1), 1) << "bucket " << b + 1;
+  }
+  // Octave bounds are the last sub-bucket's bound: powers of two.
+  EXPECT_EQ(obs::Histogram::bucket_upper_bound(
+                (obs::Histogram::kOriginExp + 10) *
+                    obs::Histogram::kSubBuckets +
+                obs::Histogram::kSubBuckets - 1),
+            1024.0);
+}
+
 // --- tracer -----------------------------------------------------------------
 
 TEST_F(ObsTest, TraceJsonIsWellFormedAndNested) {
