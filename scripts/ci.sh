@@ -1,8 +1,7 @@
 #!/usr/bin/env sh
 # CI gate: builds the tree three times (Release, ASan, TSan), runs the
-# robustness (-L fault), observability (-L obs), service (-L serve),
-# durable-I/O (-L diskfault) and overload-protection (-L overload) test
-# labels, and finishes with a certified
+# robustness (-L fault), observability (-L obs), service (-L serve) and
+# durable-I/O (-L diskfault) test labels, and finishes with a certified
 # minergy_batch run over real circuits — the batch runs on the serve
 # Supervisor, and every completed result must be independently certified
 # (exit 1 otherwise). The serve label includes the
@@ -19,9 +18,7 @@
 # archive the Table-1 baseline's counter snapshot under bench/trajectory/
 # and fail when the Table-2 or SA-comparison work counters drift from the
 # committed records there.
-# An overload smoke drives a live daemon 30x past one worker's capacity and
-# requires sheds, a quota rejection, a brownout, and a full recovery. The
-# high-availability label (-L ha) covers the leader lease, split-brain
+# The high-availability label (-L ha) covers the leader lease, split-brain
 # chaos and the anti-entropy scrubber; a failover smoke then kill -9s a
 # live leader and requires its hot standby to take over and drain cleanly.
 # The par, serve, diskfault and ha labels run a second time pinned to one
@@ -84,7 +81,7 @@ run_labelled_tests() {
 step "configure + build (Release)"
 cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-ci-release -j "$JOBS"
-run_labelled_tests build-ci-release fault obs serve diskfault overload ha par
+run_labelled_tests build-ci-release fault obs serve diskfault ha par
 
 # One-core leg: the same process-spawning and determinism labels pinned to
 # CPU 0, so tier-1 is known to pass on a single core as well as on many
@@ -103,7 +100,7 @@ bash bench/e2e/run.sh --smoke
 step "configure + build (AddressSanitizer)"
 cmake -B build-ci-asan -S . -DMINERGY_SANITIZE=address
 cmake --build build-ci-asan -j "$JOBS"
-run_labelled_tests build-ci-asan fault obs serve diskfault overload ha par
+run_labelled_tests build-ci-asan fault obs serve diskfault ha par
 
 # ThreadSanitizer pass: the serve daemon forks workers, the obs layer
 # shares atomics across threads, and the `par` label drives the thread pool
@@ -112,7 +109,7 @@ run_labelled_tests build-ci-asan fault obs serve diskfault overload ha par
 step "configure + build (ThreadSanitizer)"
 cmake -B build-ci-tsan -S . -DMINERGY_SANITIZE=thread
 cmake --build build-ci-tsan -j "$JOBS"
-run_labelled_tests build-ci-tsan serve obs overload ha par
+run_labelled_tests build-ci-tsan serve obs ha par
 
 # Certified batch run: minergy_batch submits each circuit to a private spool
 # and drains it with the serve Supervisor, so every circuit optimizes in its
@@ -267,99 +264,6 @@ test -s build-ci-release/BENCH_minergy_served.json \
   || { echo "periodic snapshot left no perf record"; exit 1; }
 "$served" --spool="$expo_spool" --status --verify --expect-jobs=2
 
-# Overload + brownout smoke: one worker, a burst of background jobs well
-# over its capacity, a 1 ms SLO with the brownout loop armed, and a 1 rps
-# client quota. The daemon must shed background work (visible in /metrics
-# and as job_shed events), reject the over-quota submission with a typed
-# "shed:" error, brown out under the SLO miss, and — once the burst drains —
-# walk the brownout ladder back to 0. The interactive job must never be
-# shed and must finish certified in done/.
-step "overload + brownout smoke"
-ovl_spool=build-ci-release/ci_overload_spool
-ovl_log=build-ci-release/ci_overload_events.jsonl
-ovl_port_file=build-ci-release/ci_overload_port
-rm -rf "$ovl_spool" "$ovl_log" "$ovl_log.1" "$ovl_port_file"
-"$served" --spool="$ovl_spool" --workers=1 --poll=0.005 --timeout=60 \
-  --listen=0 --port-file="$ovl_port_file" --event-log="$ovl_log" \
-  --shed-target-ms=1 --shed-window-ms=400 \
-  --slo-e2e-ms=1 --brownout --brownout-dwell-s=0.2 \
-  --quota=ci-limited:1 &
-ovl_pid=$!
-ovl_port=""
-for _ in $(seq 1 100); do
-  if [ -s "$ovl_port_file" ]; then ovl_port=$(cat "$ovl_port_file"); break; fi
-  sleep 0.1
-done
-[ -n "$ovl_port" ] || { echo "overload daemon never wrote its port"; exit 1; }
-for _ in $(seq 1 100); do
-  [ -s "$ovl_spool/overload.json" ] && break
-  sleep 0.1
-done
-[ -s "$ovl_spool/overload.json" ] \
-  || { echo "daemon never published its overload policy"; exit 1; }
-
-# Quota: burst is 1 token at 1 rps, so the second back-to-back submission
-# for the same client must be rejected with the typed shed error.
-"$served" --spool="$ovl_spool" --submit --circuit=c17 --seed=50 \
-  --priority=background --client=ci-limited >/dev/null
-quota_err=build-ci-release/ci_overload_quota_err
-if "$served" --spool="$ovl_spool" --submit --circuit=c17 --seed=51 \
-    --priority=background --client=ci-limited >/dev/null 2>"$quota_err"; then
-  echo "over-quota submission was not rejected"; exit 1
-fi
-grep -q '^shed: quota exceeded' "$quota_err" \
-  || { echo "quota rejection lacks the typed shed error"; cat "$quota_err"; exit 1; }
-
-# Burst: 30 background jobs against one worker (admission-side sheds are
-# expected once the policy escalates, hence the || true), plus one
-# interactive job that must survive the storm.
-for i in $(seq 1 30); do
-  "$served" --spool="$ovl_spool" --submit --circuit=c17 --seed="$i" \
-    --priority=background >/dev/null 2>&1 || true
-done
-int_id=$("$served" --spool="$ovl_spool" --submit --circuit=c17 --seed=99 \
-  --priority=interactive --complete-by-s=3600)
-
-# Converged: backlog drained, shedding stopped, and the brownout ladder
-# stepped back to level 0 (the recovery half of the feedback loop).
-converged=""
-for _ in $(seq 1 600); do
-  m=$(curl -sf "http://127.0.0.1:$ovl_port/metrics" || true)
-  if echo "$m" | grep -q '^serve_spool_pending 0' \
-      && echo "$m" | grep -q '^serve_spool_running 0' \
-      && echo "$m" | grep -q '^serve_brownout_level 0'; then
-    converged=1; break
-  fi
-  sleep 0.1
-done
-[ -n "$converged" ] \
-  || { echo "overload daemon never converged"; kill "$ovl_pid"; exit 1; }
-m=$(curl -sf "http://127.0.0.1:$ovl_port/metrics")
-echo "$m" | grep -q '^serve_shed_dropped{priority="background"} ' \
-  || { echo "no background job was shed under 30x overload"; exit 1; }
-echo "$m" | grep -q '^serve_brownout_degrades ' \
-  || { echo "the 1 ms SLO never tripped the brownout loop"; exit 1; }
-# /health republishes on the health interval (250 ms), so give the 503 ->
-# 200 flip a moment after the brownout gauge clears.
-health_ok=""
-for _ in $(seq 1 20); do
-  if curl -sf "http://127.0.0.1:$ovl_port/health" >/dev/null; then
-    health_ok=1; break
-  fi
-  sleep 0.1
-done
-[ -n "$health_ok" ] || { echo "/health still 503 after recovery"; exit 1; }
-kill -TERM "$ovl_pid"
-wait "$ovl_pid"
-build-ci-release/tools/trace_check --verify-eventlog="$ovl_log"
-for kind in job_shed shed_start brownout_degrade brownout_recover; do
-  grep -q "\"kind\":\"$kind\"" "$ovl_log" \
-    || { echo "event log has no $kind event"; exit 1; }
-done
-test -f "$ovl_spool/done/$int_id.json" \
-  || { echo "interactive job $int_id did not finish in done/"; exit 1; }
-"$served" --spool="$ovl_spool" --status --verify
-
 # Failover smoke: a leader and a hot standby share one spool over the
 # leader lease; the leader is SIGKILLed mid-run, the standby must take over
 # within about one lease TTL, drain all six jobs, and leave a spool that
@@ -436,4 +340,4 @@ sa_default=build-ci-release/BENCH_sa_comparison_default.json
 build-ci-release/bench/sa_comparison --perf-record="$sa_default" >/dev/null
 gate_trajectory sa_comparison 'paper suite' "$sa_default"
 
-step "OK: all builds green, fault+obs+serve+diskfault+overload+ha+par labels pass (and on one core), benchmark smoke correct, batch results certified, exposition scraped live, overload shed+browned out+recovered, standby survived kill -9 of its leader"
+step "OK: all builds green, fault+obs+serve+diskfault+ha+par labels pass (and on one core), benchmark smoke correct, batch results certified, exposition scraped live, standby survived kill -9 of its leader"

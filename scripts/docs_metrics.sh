@@ -8,7 +8,7 @@
 # that looks like a metric (lowercase, dot-separated, e.g. timing.sta.runs)
 # must appear as a quoted string literal in a .h or .cpp file under src/ or
 # tools/. Names with placeholders (fault.<catalog>.pass) or labels
-# (serve.shed.dropped{priority=...}) are not checked. So must every dotted
+# (serve.breaker.state{circuit=...}) are not checked. So must every dotted
 # name in the span tree, the first fenced block under "## Tracing" (e.g.
 # joint.sweep). Exits 1 and lists the stale names when any is missing, 2
 # when the document or its span tree is missing.

@@ -22,8 +22,6 @@ namespace {
 constexpr const char kJobSchema[] = "minergy.job.v1";
 constexpr const char kResultSchema[] = "minergy.job_result.v1";
 constexpr const char kHealthSchema[] = "minergy.health.v1";
-constexpr const char kOverloadSchema[] = "minergy.overload.v1";
-constexpr const char kQuotaSchema[] = "minergy.quota.v1";
 constexpr const char kLeaseSchema[] = "minergy.lease.v1";
 
 constexpr const char* kJobStates[] = {"pending", "running", "done", "failed",
@@ -346,9 +344,8 @@ void SpoolScrubber::scrub_singleton(const std::string& name,
     note(report, std::move(f), "reported");
     return;
   }
-  // health/overload/lease documents are republished by the daemon within
-  // one control-loop tick (and admission fails open without a policy), so
-  // retiring a damaged one is a repair.
+  // health/lease documents are republished by the daemon within one
+  // control-loop tick, so retiring a damaged one is a repair.
   const std::string dest = move_to_quarantine(path);
   if (dest.empty()) {
     ++report->vanished;
@@ -359,41 +356,6 @@ void SpoolScrubber::scrub_singleton(const std::string& name,
   note(report, std::move(f), "repaired");
 }
 
-void SpoolScrubber::scrub_quota(ScrubReport* report) {
-  const std::string dir = (fs::path(root_) / "quota").string();
-  if (!fs::exists(dir)) return;
-  for (const std::string& name : list_files(dir)) {
-    const std::string path = (fs::path(dir) / name).string();
-    const Verdict v = verify_file(path, kQuotaSchema);
-    ++report->checked;
-    if (v.state == Verdict::State::kOk) {
-      ++report->clean;
-      continue;
-    }
-    if (v.state == Verdict::State::kVanished) {
-      ++report->vanished;
-      continue;
-    }
-    ScrubFinding f;
-    f.path = std::string("quota/") + name;
-    f.problem = v.problem;
-    f.detail = v.detail;
-    if (!opts_.repair) {
-      note(report, std::move(f), "reported");
-      continue;
-    }
-    const std::string dest = move_to_quarantine(path);
-    if (dest.empty()) {
-      ++report->vanished;
-      continue;
-    }
-    f.detail = "retired damaged quota bucket (resets on next admission); "
-               "bytes in " +
-               dest;
-    note(report, std::move(f), "repaired");
-  }
-}
-
 ScrubReport SpoolScrubber::run() {
   ScrubReport report;
   for (const char* state : kJobStates) {
@@ -402,9 +364,7 @@ ScrubReport SpoolScrubber::run() {
   scrub_results(&report);
   scrub_checkpoints(&report);
   scrub_singleton("health.json", kHealthSchema, &report);
-  scrub_singleton("overload.json", kOverloadSchema, &report);
   scrub_singleton("leader.lease", kLeaseSchema, &report);
-  scrub_quota(&report);
 
   obs::counter("io.scrub.passes").add();
   obs::counter("io.scrub.files_checked").add(report.checked);

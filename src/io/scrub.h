@@ -15,9 +15,8 @@
 //                    (io::Checkpoint keeps kGenerations snapshots)
 //                  - a damaged scratch result envelope is retired (the
 //                    attempt re-runs; results/ is regenerable by design)
-//                  - damaged health/overload/quota/lease documents are
-//                    retired (the daemon republishes them within one
-//                    control-loop tick; admission fails open meanwhile)
+//                  - damaged health/lease documents are retired (the
+//                    daemon republishes them within one control-loop tick)
 //   quarantined  a damaged JOB RECORD (pending/running/done/failed/
 //                quarantined partitions) — genuinely unrecoverable state.
 //                The bytes move to <root>/scrub_quarantine/ and a
@@ -27,8 +26,10 @@
 //
 // Damaged bytes are ALWAYS moved into <root>/scrub_quarantine/, never
 // unlinked: an operator (or a future smarter repair) can still get at
-// them. Files that vanish mid-scrub are normal on a live spool (the leader
-// keeps renaming things) and are counted, not flagged.
+// them. Files the scrubber does not know (say, policy documents an older
+// daemon left behind) are neither checked nor moved. Files that vanish
+// mid-scrub are normal on a live spool (the leader keeps renaming things)
+// and are counted, not flagged.
 //
 // Exit-code mapping for the offline `minergy_served --scrub` mode:
 // 0 = all clean, 1 = damage found and every artifact repaired,
@@ -102,7 +103,6 @@ class SpoolScrubber {
   void scrub_checkpoints(ScrubReport* report);
   void scrub_singleton(const std::string& name, const std::string& schema,
                        ScrubReport* report);
-  void scrub_quota(ScrubReport* report);
   void note(ScrubReport* report, ScrubFinding finding, const char* outcome);
 
   std::string root_;

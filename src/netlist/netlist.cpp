@@ -55,7 +55,17 @@ void Netlist::set_fanins(GateId id, std::vector<GateId> fanins) {
 void Netlist::mark_output(GateId id) {
   MINERGY_CHECK(id < gates_.size());
   gates_[id].is_primary_output = true;
-  if (finalized_) is_po_[id] = 1;
+  if (!finalized_) return;
+  // Keep the role lists (ascending id, as finalize() builds them) and the
+  // role bytes in step.
+  const auto insert_sorted = [id](std::vector<GateId>& ids) {
+    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    if (it == ids.end() || *it != id) ids.insert(it, id);
+  };
+  insert_sorted(outputs_);
+  insert_sorted(sink_drivers_);
+  is_po_[id] = 1;
+  is_sink_[id] = 1;
 }
 
 void Netlist::finalize() {
@@ -160,6 +170,7 @@ void Netlist::finalize() {
   fanout_ids_.clear();
   is_logic_.assign(n, 0);
   is_po_.assign(n, 0);
+  is_sink_.assign(n, 0);
   std::size_t edges = 0;
   for (const Gate& g : gates_) edges += g.fanins.size();
   fanin_ids_.reserve(edges);
@@ -172,6 +183,7 @@ void Netlist::finalize() {
     is_logic_[g.id] = is_combinational(g.type) ? 1 : 0;
     is_po_[g.id] = g.is_primary_output ? 1 : 0;
   }
+  for (GateId id : sink_drivers_) is_sink_[id] = 1;
 
   finalized_ = true;
 }

@@ -105,7 +105,8 @@ class Netlist {
   // The per-gate kernels (STA, sizing, energy, budgeting) read these instead
   // of Gate: fanins_of / fanouts_of hold the ids of gate(id).fanins /
   // .fanouts in the same order, as spans into two CSR arrays; is_logic is
-  // is_combinational(gate(id).type) and is_po gate(id).is_primary_output.
+  // is_combinational(gate(id).type), is_po gate(id).is_primary_output and
+  // is_sink membership in sink_drivers().
   // Unchecked: callers pass ids below size().
   std::span<const GateId> fanins_of(GateId id) const {
     return {fanin_ids_.data() + fanin_off_[id],
@@ -117,6 +118,7 @@ class Netlist {
   }
   bool is_logic(GateId id) const { return is_logic_[id] != 0; }
   bool is_po(GateId id) const { return is_po_[id] != 0; }
+  bool is_sink(GateId id) const { return is_sink_[id] != 0; }
 
  private:
   GateId new_gate(GateType type, const std::string& name);
@@ -131,7 +133,7 @@ class Netlist {
   // fanin_off_[id + 1]), likewise for fanouts.
   std::vector<std::uint32_t> fanin_off_, fanout_off_;
   std::vector<GateId> fanin_ids_, fanout_ids_;
-  std::vector<std::uint8_t> is_logic_, is_po_;
+  std::vector<std::uint8_t> is_logic_, is_po_, is_sink_;
   int depth_ = 0;
   bool finalized_ = false;
 };

@@ -40,10 +40,10 @@ struct RobustOptions {
   // the max-drive configuration.
   bool allow_last_resort = true;
 
-  // First tier to attempt: 0 = joint, 1 = baseline, 2 = last resort. The
-  // service's brownout controller raises this under overload so a degraded
-  // daemon spends less fidelity per job — skipped tiers are recorded in the
-  // run report as "skipped (start_tier)" rather than silently absent.
+  // First tier to attempt: 0 = joint, 1 = baseline, 2 = last resort. A
+  // caller that wants a cheaper answer starts further down the chain;
+  // skipped tiers are recorded in the run report as "skipped (start_tier)"
+  // rather than silently absent.
   int start_tier = 0;
 
   // Independent certification (opt/certifier.h) of every feasible tier

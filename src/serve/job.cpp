@@ -45,9 +45,6 @@ std::string Job::to_json(const std::string& result_json) const {
   w.kv("deadline_seconds", deadline_seconds);
   w.kv("max_evaluations", max_evaluations);
   w.kv("anneal_moves", anneal_moves);
-  w.kv("priority", to_string(priority));
-  if (!client.empty()) w.kv("client", client);
-  if (complete_by_unix > 0.0) w.kv("complete_by_unix", complete_by_unix);
   if (!inject.empty()) w.kv("inject", inject);
   if (fence_token > 0) {
     w.kv("fence_token", static_cast<std::int64_t>(fence_token));
@@ -134,12 +131,6 @@ Job Job::from_json(const std::string& text, const std::string& source) {
   j.max_evaluations =
       static_cast<std::int64_t>(root.get_number("max_evaluations", 0.0));
   j.anneal_moves = static_cast<int>(root.get_number("anneal_moves", 0.0));
-  // Pre-priority job files (and hand-written ones) default to batch; an
-  // unknown class is structural damage and quarantines like any other.
-  j.priority =
-      priority_from_string(root.get_string("priority", "batch"), source);
-  j.client = root.get_string("client", "");
-  j.complete_by_unix = root.get_number("complete_by_unix", 0.0);
   j.inject = root.get_string("inject", "");
   j.fence_token =
       static_cast<std::uint64_t>(root.get_number("fence_token", 0.0));

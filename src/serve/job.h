@@ -19,7 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "serve/sched.h"
 #include "util/json.h"
 
 namespace minergy::serve {
@@ -54,18 +53,6 @@ struct Job {
   double deadline_seconds = 0.0;
   std::int64_t max_evaluations = 0;  // 0 = unlimited
   int anneal_moves = 0;              // 0 = AnnealingOptions default
-  // Scheduling class (serve/sched.h): claim order is priority band first,
-  // EDF within a band; shedding drops background before batch and never
-  // touches interactive. Journaled as a string in minergy.job.v1.
-  Priority priority = Priority::kBatch;
-  // Submitting client, for per-client token-bucket quotas (--quota). Empty
-  // = unattributed (never quota-limited).
-  std::string client;
-  // Absolute completion deadline: a job still queued past this instant is
-  // expired to failed/ with a `deadline_expired` verdict instead of wasting
-  // a worker. Distinct from deadline_seconds (the per-attempt compute
-  // budget). 0 = none.
-  double complete_by_unix = 0.0;
   // Test hook (chaos harness): "crash-pre-run" | "crash-pre-result" | "hang"
   // make the worker die or wedge at a deterministic point.
   std::string inject;
@@ -100,7 +87,9 @@ struct Job {
   // complete JSON value and is embedded under "result".
   std::string to_json(const std::string& result_json = std::string()) const;
   // Parses a job document; throws util::ParseError on a missing schema,
-  // wrong schema name, or structural damage.
+  // wrong schema name, or structural damage. Members this struct does not
+  // hold are ignored, so job files that older daemons wrote with scheduling
+  // fields (priority, client, completion deadline) still load.
   static Job from_json(const std::string& text, const std::string& source);
 };
 
@@ -128,11 +117,10 @@ std::uint64_t attempt_seed(const Job& job, int failed_attempt_index);
 // finite, non-negative delay instead of an overflowing integer shift.
 double retry_backoff_seconds(double base_seconds, int failed_attempts);
 
-// Unix-epoch seconds for backoff eligibility, shed windows and lease
-// timestamps. Backoff must survive daemon restarts, so the LEVEL is wall
-// clock — but the value is routed through util::Clock::system()'s
-// unix_monotone() clamp, so a backward wall-clock jump can never produce a
-// negative backoff or re-open a shed window mid-run.
+// Unix-epoch seconds for backoff eligibility and lease timestamps. Backoff
+// must survive daemon restarts, so the LEVEL is wall clock — but the value
+// is routed through util::Clock::system()'s unix_monotone() clamp, so a
+// backward wall-clock jump can never produce a negative backoff.
 double unix_now();
 
 }  // namespace minergy::serve

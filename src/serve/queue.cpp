@@ -6,13 +6,13 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <tuple>
 
 #include "io/checkpoint.h"
 #include "io/durable.h"
 #include "io/envelope.h"
 #include "obs/eventlog.h"
 #include "obs/metrics.h"
-#include "serve/inject.h"
 #include "util/check.h"
 #include "util/json.h"
 
@@ -82,14 +82,6 @@ std::string SpoolQueue::checkpoint_path(const std::string& id) const {
 }
 
 std::string SpoolQueue::submit(Job job) {
-  // Policy gate first: a shed or quota rejection is the service *choosing*
-  // not to take this work, checked before the cheaper capacity bound so a
-  // browned-out service rejects with the right retry-after even when the
-  // queue happens to have room. Fails open when no daemon has published a
-  // policy (load_policy returns a permissive default).
-  const double admit_now = unix_now();
-  enforce_admission(root_, load_policy(root_, admit_now), job.priority,
-                    job.client, admit_now);
   const std::size_t depth = list_ids(dir("pending")).size();
   if (depth >= opts_.max_pending) {
     obs::counter("serve.queue.full_rejections").add();
@@ -124,33 +116,6 @@ std::string SpoolQueue::submit(Job job) {
   return job.id;
 }
 
-// Expire/shed transition: win the job via the same claim rename, then
-// finalize it to failed/ with a typed verdict. A SIGKILL at the kill point
-// (between rename and finalize) leaves the job in running/ with no result
-// envelope — startup recovery requeues it as interrupted and the next claim
-// pass re-expires or re-sheds it, so the decision is exactly-once like any
-// other transition.
-bool SpoolQueue::drop_pending(const Job& job, const char* kill_pt,
-                              const std::string& type,
-                              const std::string& detail) {
-  if (!io::try_rename(job_path("pending", job.id),
-                      job_path("running", job.id))) {
-    return false;  // raced by another claimant, or vanished
-  }
-  kill_point(kill_pt);
-  obs::Event ev;
-  ev.kind = type == "shed" ? "job_shed" : "deadline_expired";
-  ev.severity = "warn";
-  ev.job = job.id;
-  ev.circuit = job.circuit;
-  ev.detail = detail;
-  obs::event(ev);
-  Job claimed = job;
-  if (lease_ != nullptr) claimed.fence_token = lease_->token();
-  finalize_failed(std::move(claimed), type, detail);
-  return true;
-}
-
 void SpoolQueue::check_fence(const Job& job, const char* op) const {
   if (lease_ == nullptr || job.fence_token == 0) return;
   if (lease_->fence_ok(job.fence_token)) return;
@@ -170,11 +135,10 @@ void SpoolQueue::check_fence(const Job& job, const char* op) const {
 }
 
 std::optional<Job> SpoolQueue::claim(double now_unix) {
-  // Snapshot + parse every pending job first: the scheduler needs the whole
-  // backlog to order it (priority band, then EDF), and the parse pass is
+  // Snapshot + parse every pending job first: the claim order is by
+  // submission time, which only the job files carry, and the parse pass is
   // where corrupt files get quarantined out of the way.
-  std::vector<Job> jobs;
-  std::vector<SchedEntry> entries;
+  std::vector<Job> eligible;
   for (const std::string& id : list_ids(dir("pending"))) {
     const std::string pending = job_path("pending", id);
     Job job;
@@ -204,84 +168,26 @@ std::optional<Job> SpoolQueue::claim(double now_unix) {
       obs::event(ev);
       continue;
     }
-    SchedEntry entry;
-    entry.id = job.id;
-    entry.priority = job.priority;
-    entry.complete_by_unix = job.complete_by_unix;
-    entry.not_before_unix = job.not_before_unix;
-    entry.submitted_unix = job.submitted_unix;
-    entries.push_back(std::move(entry));
-    jobs.push_back(std::move(job));
+    if (job.not_before_unix > now_unix) continue;  // backing off
+    eligible.push_back(std::move(job));
   }
-  const ClaimPlan plan = plan_claims(entries, now_unix);
-  const auto find_job = [&jobs](const std::string& id) -> const Job* {
-    for (const Job& j : jobs) {
-      if (j.id == id) return &j;
-    }
-    return nullptr;
-  };
+  // First in, first out. A total order, so two claimants walking the same
+  // pending/ snapshot agree on it and only the rename race decides
+  // ownership.
+  std::sort(eligible.begin(), eligible.end(), [](const Job& a, const Job& b) {
+    return std::tie(a.submitted_unix, a.id) < std::tie(b.submitted_unix, b.id);
+  });
 
-  // Deadline expiry: a job whose completion deadline has already passed
-  // produces an answer nobody can use — fail it now instead of spending a
-  // worker (backoff ignored; a missed deadline is missed either way).
-  for (const std::string& id : plan.expired) {
-    const Job* job = find_job(id);
-    if (job == nullptr) continue;
-    char detail[128];
-    std::snprintf(detail, sizeof detail,
-                  "completion deadline missed by %.3f s while queued",
-                  now_unix - job->complete_by_unix);
-    if (drop_pending(*job, "daemon.pre-expire", "deadline_expired",
-                     detail)) {
-      obs::counter("serve.sched.expired").add();
-    }
-  }
-
-  // Load shedding: while the controller says the queue is persistently over
-  // its sojourn target, drop the shed classes (background first, then
-  // batch; never interactive) from the backlog before claiming.
-  const int shed_level =
-      overload_ != nullptr ? overload_->shed_level() : 0;
-  std::vector<std::string> shed_ids;
-  if (shed_level > 0) {
-    for (const std::string& id : plan.order) {
-      const Job* job = find_job(id);
-      if (job == nullptr || !sheds_at_level(job->priority, shed_level)) {
-        continue;
-      }
-      char detail[160];
-      std::snprintf(detail, sizeof detail,
-                    "load shed at level %d (queue sojourn over target); "
-                    "retry after %.1f s",
-                    shed_level, overload_->shed_retry_after());
-      if (drop_pending(*job, "daemon.pre-shed", "shed", detail)) {
-        obs::counter(obs::labeled_name("serve.shed.dropped", "priority",
-                                       to_string(job->priority)))
-            .add();
-        shed_ids.push_back(id);
-      }
-    }
-  }
-
-  for (const std::string& id : plan.order) {
-    if (std::find(shed_ids.begin(), shed_ids.end(), id) != shed_ids.end()) {
-      continue;
-    }
-    const Job* planned = find_job(id);
-    if (planned == nullptr) continue;
+  for (Job& job : eligible) {
     // The claim itself: exactly one claimant can win this rename.
-    if (!io::try_rename(job_path("pending", id),
-                        job_path("running", id))) {
+    if (!io::try_rename(job_path("pending", job.id),
+                        job_path("running", job.id))) {
       continue;  // raced by another claimant, or vanished
     }
-    Job job = *planned;
     // Journal the fencing token the claim happened under; every later
     // mutating operation on this job re-validates it (check_fence).
     if (lease_ != nullptr) job.fence_token = lease_->token();
     obs::counter("serve.queue.claimed").add();
-    obs::counter(obs::labeled_name("serve.sched.claimed", "priority",
-                                   to_string(job.priority)))
-        .add();
     // Queue wait: from the instant the job became eligible (submission, or
     // the end of its retry backoff) to this claim.
     const double eligible_unix =
@@ -289,7 +195,6 @@ std::optional<Job> SpoolQueue::claim(double now_unix) {
     const double wait_s =
         eligible_unix > 0.0 ? std::max(0.0, now_unix - eligible_unix) : 0.0;
     obs::histogram("serve.job.queue_wait_micros").record(wait_s * 1e6);
-    if (overload_ != nullptr) overload_->observe_sojourn(wait_s, now_unix);
     obs::Event ev;
     ev.kind = "job_claimed";
     ev.job = job.id;
@@ -297,7 +202,7 @@ std::optional<Job> SpoolQueue::claim(double now_unix) {
     ev.attempt = job.started_attempts() + 1;
     ev.num.emplace_back("queue_wait_s", wait_s);
     obs::event(ev);
-    return job;
+    return std::move(job);
   }
   return std::nullopt;
 }
@@ -320,7 +225,6 @@ void SpoolQueue::note_terminal(const Job& job, const char* kind,
   const double e2e_s =
       job.submitted_unix > 0.0 ? unix_now() - job.submitted_unix : 0.0;
   obs::histogram("serve.job.e2e_micros").record(e2e_s * 1e6);
-  if (overload_ != nullptr) overload_->observe_e2e(e2e_s, unix_now());
   obs::Event ev;
   ev.kind = kind;
   ev.severity = severity;
@@ -490,8 +394,6 @@ std::string SpoolQueue::health_json(const HealthInfo& info) const {
   w.kv("pid", static_cast<std::int64_t>(::getpid()));
   w.kv("updated_unix", unix_now());
   w.kv("workers_active", info.workers_active);
-  w.kv("brownout_level", info.brownout_level);
-  w.kv("shed_level", info.shed_level);
   w.key("queue").begin_object();
   w.kv("pending", c.pending);
   w.kv("running", c.running);

@@ -5,7 +5,7 @@
 // the same filesystem, so a SIGKILL at any instruction leaves the queue in
 // a consistent, recoverable configuration:
 //
-//   <root>/pending/<id>.json      submitted, waiting (FIFO by id)
+//   <root>/pending/<id>.json      submitted, waiting (FIFO)
 //   <root>/running/<id>.json      claimed by the daemon (attempt journaled)
 //   <root>/done/<id>.json         terminal: certified result embedded
 //   <root>/failed/<id>.json       terminal: typed failure {type, detail}
@@ -31,8 +31,6 @@
 
 #include "serve/job.h"
 #include "serve/lease.h"
-#include "serve/overload.h"
-#include "serve/sched.h"
 
 namespace minergy::serve {
 
@@ -82,13 +80,11 @@ struct HealthInfo {
   std::string state = "starting";  // starting | serving | draining | stopped
                                    // | degraded
   // "ok" | "degraded": the load-balancer-facing readiness verdict. The
-  // daemon reports "degraded" (and /health turns 503 + Retry-After) while
-  // ENOSPC-paused or browned out.
+  // daemon reports "degraded" (and /health turns 503 + Retry-After) only
+  // while ENOSPC-paused.
   std::string status = "ok";
   std::string status_reason;
   int workers_active = 0;
-  int brownout_level = 0;
-  int shed_level = 0;
   std::vector<std::string> breaker_open;
   // "leader" | "standby": which role this daemon is serving in the HA
   // plane (serve/lease.h). Single-daemon spools are always the leader.
@@ -105,13 +101,6 @@ class SpoolQueue {
   const std::string& root() const { return root_; }
   const SpoolOptions& options() const { return opts_; }
 
-  // Points claim(), note_terminal() and the shed path at the daemon's
-  // overload controller; nullptr (the default) disables shedding and the
-  // feedback signals. The controller must outlive the queue's use of it.
-  void set_overload_controller(OverloadController* controller) {
-    overload_ = controller;
-  }
-
   // Points the queue at the daemon's leader lease. When set, every claim
   // journals the current fencing token into the job, and every mutating
   // operation (update_running, finalize_*, requeue) re-validates the job's
@@ -122,21 +111,14 @@ class SpoolQueue {
   void set_lease(LeaseManager* lease) { lease_ = lease; }
 
   // Admission: assigns an id (when empty) and a submit timestamp, enforces
-  // the published overload policy (<root>/overload.json: shedding + client
-  // quotas -> ShedError) and the depth bound (-> QueueFullError), then
+  // the depth bound (-> QueueFullError; so does ENOSPC while writing), then
   // writes the job into pending/ atomically.
   std::string submit(Job job);
 
-  // Claims the best eligible pending job (not_before_unix <= now_unix) by
-  // renaming it into running/: priority band first, earliest-deadline-first
-  // within a band (serve/sched.h). Returns nullopt when nothing is
-  // eligible. Along the way this pass also (1) expires jobs whose
-  // complete_by_unix has passed to failed/ with a `deadline_expired`
-  // verdict, (2) sheds queued shed-class jobs to failed/ with a typed
-  // "shed" failure while the overload controller says so — both via the
-  // same claim-rename-then-finalize protocol, so a SIGKILL mid-decision is
-  // recovered exactly-once like any other death. A pending file that fails
-  // to parse is moved aside to quarantined/ as-is
+  // Claims the oldest eligible pending job (not_before_unix <= now_unix),
+  // first-in first-out by (submitted_unix, id), by renaming it into
+  // running/. Returns nullopt when nothing is eligible. A pending file that
+  // fails to parse is moved aside to quarantined/ as-is
   // (serve.queue.corrupt_jobs) rather than wedging the queue head.
   std::optional<Job> claim(double now_unix);
 
@@ -190,22 +172,15 @@ class SpoolQueue {
   // claimed under a token the on-disk lease no longer carries.
   void check_fence(const Job& job, const char* op) const;
   // Latency bookkeeping at a terminal transition: records the end-to-end
-  // histogram, feeds the overload controller, checks the SLO, and logs the
-  // job_* event.
+  // histogram, checks the SLO, and logs the job_* event.
   void note_terminal(const Job& job, const char* kind,
                      const std::string& severity);
   void write_terminal(Job job, const std::string& state,
                       const std::string& result_json);
   void remove_scratch(const std::string& id, bool keep_checkpoint) const;
-  // Claim-rename pending -> running, then finalize to failed/ with the
-  // given verdict (the expire/shed transition). False when the rename was
-  // lost to another claimant.
-  bool drop_pending(const Job& job, const char* kill_pt,
-                    const std::string& type, const std::string& detail);
 
   std::string root_;
   SpoolOptions opts_;
-  OverloadController* overload_ = nullptr;
   LeaseManager* lease_ = nullptr;
 };
 

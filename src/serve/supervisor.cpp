@@ -100,38 +100,16 @@ Supervisor::Supervisor(SpoolQueue& queue, SupervisorOptions opts)
     : queue_(queue),
       opts_(std::move(opts)),
       breaker_(opts_.breaker),
-      overload_(opts_.overload),
       lease_(queue.root(), opts_.lease) {
   MINERGY_CHECK_MSG(!opts_.worker_binary.empty(),
                     "SupervisorOptions.worker_binary is required");
   if (opts_.workers < 1) opts_.workers = 1;
-  // The queue feeds the controller its sojourn/e2e signals and consults it
-  // for the shed level; the controller lives as long as the supervisor,
-  // which run_daemon keeps alive for the queue's whole service life.
-  if (opts_.overload.enabled()) queue_.set_overload_controller(&overload_);
   // Every mutating queue operation from here on re-checks its job's fencing
   // token against the on-disk lease; see SpoolQueue::check_fence.
   queue_.set_lease(&lease_);
 }
 
 Supervisor::~Supervisor() { queue_.set_lease(nullptr); }
-
-// Publish-on-change plus freshness refresh: the policy file carries its
-// updated_unix, and admission-side enforcement ignores a stale one, so the
-// daemon rewrites it at half the staleness horizon even when nothing
-// changed.
-void Supervisor::tick_overload(double now_unix) {
-  if (!opts_.overload.enabled()) return;
-  const bool changed = overload_.tick(now_unix);
-  if (!changed && last_policy_unix_ >= 0.0 &&
-      now_unix - last_policy_unix_ < kPolicyStaleSeconds / 2.0) {
-    return;
-  }
-  io::write_artifact(
-      (std::filesystem::path(queue_.root()) / "overload.json").string(),
-      kOverloadSchema, overload_.policy(now_unix).to_json());
-  last_policy_unix_ = now_unix;
-}
 
 void Supervisor::refresh_health(const std::string& state) {
   const double now_unix = unix_now();
@@ -141,18 +119,12 @@ void Supervisor::refresh_health(const std::string& state) {
   info.lease_token = lease_.token();
   info.workers_active = static_cast<int>(slots_.size());
   info.breaker_open = breaker_.open_circuits(now_unix);
-  info.brownout_level = overload_.brownout_level();
-  info.shed_level = overload_.shed_level();
-  // Readiness verdict for load balancers: an ENOSPC-paused or browned-out
-  // daemon is alive but should not receive traffic — /health turns 503
-  // with a Retry-After while /metrics stays 200 so scrapers keep seeing it.
+  // Readiness verdict for load balancers: an ENOSPC-paused daemon is alive
+  // but should not receive traffic — /health turns 503 with a Retry-After
+  // while /metrics stays 200 so scrapers keep seeing it.
   if (state == "degraded") {
     info.status = "degraded";
     info.status_reason = "storage fault: admissions paused";
-  } else if (info.brownout_level > 0) {
-    info.status = "degraded";
-    info.status_reason =
-        "brownout level " + std::to_string(info.brownout_level);
   }
   queue_.write_health(info);
   last_health_monotonic_ = util::monotonic_seconds();
@@ -163,13 +135,10 @@ void Supervisor::refresh_health(const std::string& state) {
   // block is one relaxed atomic load.
   if (obs::ExpositionServer::instance().running()) {
     const bool degraded = info.status != "ok";
-    const int retry_after = std::max(
-        1, static_cast<int>(overload_.shed_retry_after() + 0.999));
     obs::ExpositionServer::instance().publish(
         "/health", "application/json", queue_.health_json(info),
         degraded ? 503 : 200,
-        degraded ? "Retry-After: " + std::to_string(retry_after) + "\r\n"
-                 : std::string());
+        degraded ? std::string("Retry-After: 1\r\n") : std::string());
     const QueueCounts c = queue_.counts();
     obs::gauge("serve.spool.pending").set(static_cast<double>(c.pending));
     obs::gauge("serve.spool.running").set(static_cast<double>(c.running));
@@ -440,13 +409,6 @@ pid_t Supervisor::spawn_worker(const Job& job, std::uint64_t seed) {
   // 75 instead of landing a stale result.
   if (job.fence_token > 0) {
     args.push_back("--lease-path=" + lease_.lease_path());
-  }
-  // Brownout rides into the worker as a flag (the job file is immutable
-  // once journaled): the level at spawn time decides this attempt's
-  // fidelity, and the envelope records it as provenance.
-  if (overload_.brownout_level() > 0) {
-    args.push_back("--brownout-level=" +
-                   std::to_string(overload_.brownout_level()));
   }
   // Storage-fault schedules propagate like the kill switch: every worker
   // runs under the same per-process fault counters as the daemon.
@@ -755,10 +717,6 @@ int Supervisor::run() {
   obs::histogram("serve.job.certify_micros");
   obs::histogram("serve.job.process_micros");
   obs::counter("serve.slo.violations");
-  // Overload instruments too: CI asserts on serve_brownout_level and
-  // serve_shed_level even for a daemon that never degrades.
-  obs::gauge("serve.brownout.level");
-  obs::gauge("serve.shed.level");
   // Lease + scrub families likewise, so a standby's very first scrape (or a
   // leader that never loses the lease) still exposes the full catalogue.
   obs::gauge("serve.lease.token");
@@ -817,7 +775,6 @@ int Supervisor::run() {
       }
       reap();
       if (g_drain_requested) break;
-      tick_overload(unix_now());
       spawn_ready(unix_now());
       maybe_scrub();
       if (g_drain_requested) break;

@@ -28,7 +28,7 @@
 // requeue ends in a rename there), a worker exits (one pidfd per live
 // slot) or a signal arrives — and never longer than poll_seconds, so every
 // timer the loop owns (kill deadline, lease renewal, health, snapshot,
-// scrub, retry backoff, overload tick) still fires on time. A wake source
+// scrub, retry backoff) still fires on time. A wake source
 // the kernel refuses (inotify_init1 or pidfd_open failing) is simply
 // absent, and the cap alone gives a plain poll. waitpid(WNOHANG) in reap()
 // is the only reaper; a pidfd only ends the wait.
@@ -42,7 +42,6 @@
 
 #include "serve/breaker.h"
 #include "serve/lease.h"
-#include "serve/overload.h"
 #include "serve/queue.h"
 
 namespace minergy::serve {
@@ -70,11 +69,6 @@ struct SupervisorOptions {
   // The hook must not throw (storage faults are its own problem to log).
   double snapshot_interval_seconds = 0.0;
   std::function<void()> snapshot_hook;
-  // Overload protection (serve/overload.h): shedding, quotas and the
-  // brownout feedback loop. Disabled by default; the control loop ticks the
-  // controller, publishes <spool>/overload.json for admission-side
-  // enforcement, and passes the brownout level into every spawned worker.
-  OverloadOptions overload{};
   // HA role (serve/lease.h): every daemon runs under the spool's leader
   // lease. A daemon that holds (or wins) the lease serves; one that does
   // not becomes a hot standby — tails the spool read-only, publishes
@@ -126,9 +120,6 @@ class Supervisor {
   // exits, a signal interrupts it, or poll_seconds pass.
   void wait_for_event();
   void spawn_ready(double now_unix);
-  // Ticks the overload controller and (re)publishes <spool>/overload.json
-  // on level changes or freshness expiry.
-  void tick_overload(double now_unix);
   void drain();
   void refresh_health(const std::string& state);
   void log_spool_state(const std::string& state);
@@ -158,7 +149,6 @@ class Supervisor {
   SpoolQueue& queue_;
   SupervisorOptions opts_;
   CircuitBreaker breaker_;
-  OverloadController overload_;
   LeaseManager lease_;
   std::vector<Slot> slots_;
   // inotify watch on pending/, open while this daemon leads.
@@ -166,7 +156,6 @@ class Supervisor {
   double last_health_monotonic_ = -1.0;
   double last_scrub_monotonic_ = -1.0;
   double last_snapshot_monotonic_ = -1.0;
-  double last_policy_unix_ = -1.0;
   QueueCounts last_logged_counts_{};
   bool counts_ever_logged_ = false;
 };

@@ -68,17 +68,14 @@ int run_worker_mode(const util::Cli& cli, const SpoolQueue& queue) {
   }
   return run_worker_job(job, seed, queue.result_path(id),
                         queue.checkpoint_path(id),
-                        cli.get("brownout-level", 0),
                         cli.get("lease-path", std::string()));
 }
 
 int run_worker_job(const Job& job, std::uint64_t seed,
                    const std::string& result_path,
                    const std::string& checkpoint_path,
-                   int brownout_level, const std::string& lease_path) try {
+                   const std::string& lease_path) try {
   if (job.circuit.empty() || result_path.empty()) return 2;
-  if (brownout_level < 0) brownout_level = 0;
-  if (brownout_level > 2) brownout_level = 2;
 
   // Chaos hooks: die (or wedge) exactly like a real worker fault would —
   // no stack unwinding, no result envelope, nothing cleaned up.
@@ -111,12 +108,6 @@ int run_worker_job(const Job& job, std::uint64_t seed,
   util::WatchdogBudget budget;
   if (job.deadline_seconds > 0.0) budget.wall_seconds = job.deadline_seconds;
   budget.max_evaluations = job.max_evaluations;
-  // Brownout: a degraded daemon buys latency with fidelity — shrink the
-  // wall budget proportionally (1/2 per level) so cheap answers also land
-  // sooner, not just cheaper.
-  if (brownout_level > 0 && budget.wall_seconds > 0.0) {
-    budget.wall_seconds /= static_cast<double>(1 << brownout_level);
-  }
 
   // exists() checks every generation, so a torn newest snapshot still
   // enters the resume path and falls back to an older intact generation.
@@ -131,10 +122,6 @@ int run_worker_job(const Job& job, std::uint64_t seed,
     ropts.baseline.budget = budget;
     ropts.joint.checkpoint_path = checkpoint_path;
     if (resuming) ropts.joint.resume_path = checkpoint_path;
-    // The brownout ladder maps one-to-one onto the degradation chain:
-    // level 1 starts at the baseline tier, level 2 at max-drive. The result
-    // still certifies like any other — degraded answers are still answers.
-    ropts.start_tier = brownout_level;
     result = opt::RobustOptimizer(eval, ropts).run();
     skew_b = ropts.joint.skew_b;
   } else if (job.optimizer == "joint") {
@@ -207,7 +194,6 @@ int run_worker_job(const Job& job, std::uint64_t seed,
   w.kv("truncated", result.truncated);
   if (result.truncated) w.kv("truncation_reason", result.truncation_reason);
   w.kv("tier", opt::to_string(result.tier));
-  w.kv("brownout_level", brownout_level);
   w.kv("vdd", result.vdd);
   w.kv("vts_primary", result.vts_primary);
   w.kv("energy_total", result.energy.total());

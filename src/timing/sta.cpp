@@ -30,22 +30,29 @@ TimingReport analyze(const netlist::Netlist& nl, double cycle_time,
 
   // Forward pass: delays and arrivals together (slope coupling), in
   // topological order so every fanin is final before it is read.
-  std::vector<netlist::GateId> worst_fanin(nl.size(), netlist::kInvalidGate);
   for (netlist::GateId id : nl.combinational()) {
     const FaninScan f =
         scan_fanins(nl, id, r.gate_delay.data(), r.arrival.data());
     const double delay = delay_of(id, f.max_fanin_delay);
     r.gate_delay[id] = delay;
     r.arrival[id] = f.arrival + delay;
-    worst_fanin[id] = f.worst_fanin;
   }
 
-  // Critical endpoint.
+  // Critical endpoint, and the path back from it. A logic gate's step back
+  // re-scans its fanins over the final arrivals, which are the values its
+  // forward step saw, so it picks the same fanin (the last of equal
+  // arrivals); a source endpoint is the whole path.
+  const auto worst_fanin = [&nl, &r](netlist::GateId id) {
+    return nl.is_logic(id) ? scan_fanins(nl, id, r.gate_delay.data(),
+                                         r.arrival.data())
+                                 .worst_fanin
+                           : netlist::kInvalidGate;
+  };
   const netlist::GateId worst_end = latest_sink(nl, r.arrival.data());
   if (worst_end != netlist::kInvalidGate) {
     r.critical_delay = r.arrival[worst_end];
     for (netlist::GateId id = worst_end; id != netlist::kInvalidGate;
-         id = worst_fanin[id]) {
+         id = worst_fanin(id)) {
       r.critical_path.push_back(id);
     }
     std::reverse(r.critical_path.begin(), r.critical_path.end());
@@ -56,27 +63,24 @@ TimingReport analyze(const netlist::Netlist& nl, double cycle_time,
   // push-form relaxation: a gate's required time is the min over its
   // combinational fanouts of (their required - their delay), seeded with
   // cycle_time at sink drivers. Reverse topological order makes every
-  // fanout final before it is pulled from.
+  // fanout final before it is pulled from. Required times are held in
+  // r.slack and turned into slack in place once every gate has one.
   r.slack.assign(nl.size(), 0.0);
-  std::vector<double> required(nl.size(),
-                               std::numeric_limits<double>::infinity());
-  std::vector<char> is_sink(nl.size(), 0);
-  for (netlist::GateId id : nl.sink_drivers()) is_sink[id] = 1;
   const auto& topo = nl.combinational();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const netlist::GateId id = *it;
-    double req = is_sink[id] ? cycle_time
-                             : std::numeric_limits<double>::infinity();
+    double req = nl.is_sink(id) ? cycle_time
+                                : std::numeric_limits<double>::infinity();
     for (netlist::GateId o : nl.fanouts_of(id)) {
       if (nl.is_logic(o)) {
-        req = std::min(req, required[o] - r.gate_delay[o]);
+        req = std::min(req, r.slack[o] - r.gate_delay[o]);
       }
     }
-    required[id] = req;
+    r.slack[id] = req;
   }
-  for (netlist::GateId id : nl.combinational()) {
-    r.slack[id] = std::isinf(required[id]) ? cycle_time - r.arrival[id]
-                                           : required[id] - r.arrival[id];
+  for (netlist::GateId id : topo) {
+    r.slack[id] = std::isinf(r.slack[id]) ? cycle_time - r.arrival[id]
+                                          : r.slack[id] - r.arrival[id];
   }
   return r;
 }

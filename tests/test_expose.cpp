@@ -261,9 +261,9 @@ TEST_F(ExposeTest, PublishedDocumentServedFromMemory) {
 }
 
 TEST_F(ExposeTest, PublishedStatusAndExtraHeadersAreServed) {
-  // The brownout/degraded readiness path: /health publishes as 503 with a
+  // The degraded readiness path: /health publishes as 503 with a
   // Retry-After header so load balancers back off, while /metrics stays 200
-  // (a browned-out service must remain scrapable).
+  // (a degraded service must remain scrapable).
   const int port = start_ephemeral();
   obs::ExpositionServer::instance().publish(
       "/health", "application/json",

@@ -349,6 +349,39 @@ TEST(RobustOptimizer, LastResortDiagnosesFromItsOwnMaxDriveProbe) {
   EXPECT_EQ(sta_runs.value() - stas_before, 1);
 }
 
+TEST(RobustOptimizer, StartTierSkipsTiersWithProvenance) {
+  netlist::GeneratorSpec spec;
+  spec.num_inputs = 4;
+  spec.num_outputs = 4;
+  spec.num_dffs = 4;
+  spec.num_gates = 30;
+  spec.depth = 5;
+  spec.seed = 7;
+  const Netlist nl = netlist::generate_random_logic(spec);
+  const tech::Technology tech = tech::Technology::generic350();
+  activity::ActivityProfile inputs;
+  inputs.input_density = 0.2;
+  const opt::CircuitEvaluator eval(nl, tech, inputs,
+                                   {.clock_frequency = 100e6});
+
+  opt::RobustOptions ropts;
+  ropts.start_tier = 2;
+  const opt::OptimizationResult r = opt::RobustOptimizer(eval, ropts).run();
+  EXPECT_TRUE(r.feasible);
+  EXPECT_EQ(r.tier, opt::ResultTier::kLastResort);
+  ASSERT_EQ(r.report.tiers.size(), 3u);
+  EXPECT_EQ(r.report.tiers[0].failure_reason, "skipped (start_tier)");
+  EXPECT_EQ(r.report.tiers[1].failure_reason, "skipped (start_tier)");
+  EXPECT_TRUE(r.report.tiers[2].selected);
+
+  opt::RobustOptions one;
+  one.start_tier = 1;
+  const opt::OptimizationResult r1 = opt::RobustOptimizer(eval, one).run();
+  EXPECT_TRUE(r1.feasible);
+  EXPECT_EQ(r1.tier, opt::ResultTier::kBaseline);
+  EXPECT_EQ(r1.report.tiers[0].failure_reason, "skipped (start_tier)");
+}
+
 TEST(DiagnoseInfeasibility, ReportsAchievableDelayForFeasibleDesignsToo) {
   const Netlist nl = make_circuit(31);
   const tech::Technology tech = tech::Technology::generic350();

@@ -33,7 +33,6 @@
 #include "obs/metrics.h"
 #include "serve/job.h"
 #include "serve/lease.h"
-#include "serve/overload.h"
 #include "serve/queue.h"
 #include "util/clock.h"
 #include "util/json.h"
@@ -246,19 +245,6 @@ TEST(HaClock, UnixMonotoneNeverDecreasesAcrossWallJumps) {
   const double s0 = util::Clock::system().unix_monotone();
   EXPECT_GT(s0, 1.0e9);
   EXPECT_GE(util::Clock::system().unix_monotone(), s0);
-}
-
-TEST(HaClock, OverloadPolicyFreshnessIsBoundedBothSides) {
-  OverloadPolicy pol;
-  EXPECT_FALSE(pol.fresh(1000.0)) << "never-stamped policy reads fresh";
-  pol.updated_unix = 1000.0;
-  EXPECT_TRUE(pol.fresh(1000.0));
-  EXPECT_TRUE(pol.fresh(1000.0 + kPolicyStaleSeconds - 1.0));
-  EXPECT_FALSE(pol.fresh(1000.0 + kPolicyStaleSeconds + 1.0));
-  // A policy stamped in the FUTURE (written before a backward wall-clock
-  // correction) must also read stale, not fresh-for-hours.
-  EXPECT_TRUE(pol.fresh(1000.0 - kPolicyStaleSeconds + 1.0));
-  EXPECT_FALSE(pol.fresh(1000.0 - kPolicyStaleSeconds - 1.0));
 }
 
 // ------------------------------------------------------- lease state machine

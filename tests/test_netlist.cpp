@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <span>
@@ -214,8 +215,10 @@ TEST(Netlist, SourcesAreInputsAndDffs) {
   EXPECT_FALSE(nl.is_source(g));
 }
 
-// The flat adjacency holds exactly the Gate fields, in their order.
+// The flat adjacency holds exactly the Gate fields, in their order, and
+// the sink bytes exactly the sink_drivers() list.
 void expect_flat_adjacency_matches(const Netlist& nl) {
+  const std::vector<GateId>& sinks = nl.sink_drivers();
   for (const Gate& g : nl.gates()) {
     const std::span<const GateId> fanins = nl.fanins_of(g.id);
     const std::span<const GateId> fanouts = nl.fanouts_of(g.id);
@@ -227,6 +230,9 @@ void expect_flat_adjacency_matches(const Netlist& nl) {
         << nl.name() << " " << g.name;
     EXPECT_EQ(nl.is_po(g.id), g.is_primary_output)
         << nl.name() << " " << g.name;
+    EXPECT_EQ(nl.is_sink(g.id),
+              std::find(sinks.begin(), sinks.end(), g.id) != sinks.end())
+        << nl.name() << " " << g.name;
   }
 }
 
@@ -235,6 +241,26 @@ TEST(NetlistAdjacency, FlatArraysMatchGateFieldsOnEveryBundledCircuit) {
   for (const bench_suite::CircuitSpec& spec : bench_suite::paper_circuits()) {
     expect_flat_adjacency_matches(bench_suite::make_circuit(spec));
   }
+}
+
+TEST(NetlistAdjacency, MarkOutputAfterFinalizeKeepsSinkRolesInStep) {
+  Netlist nl = bench_suite::make_circuit("s27");
+  const std::vector<GateId>& logic = nl.combinational();
+  const auto inner = std::find_if(logic.begin(), logic.end(),
+                                  [&nl](GateId id) { return !nl.is_sink(id); });
+  ASSERT_NE(inner, logic.end());
+  const GateId id = *inner;
+  nl.mark_output(id);
+  EXPECT_TRUE(nl.is_sink(id));
+  EXPECT_TRUE(nl.is_po(id));
+  expect_flat_adjacency_matches(nl);
+  EXPECT_TRUE(std::is_sorted(nl.sink_drivers().begin(),
+                             nl.sink_drivers().end()));
+  EXPECT_TRUE(std::is_sorted(nl.primary_outputs().begin(),
+                             nl.primary_outputs().end()));
+  EXPECT_NE(std::find(nl.primary_outputs().begin(),
+                      nl.primary_outputs().end(), id),
+            nl.primary_outputs().end());
 }
 
 TEST(NetlistAdjacency, CopyOwnsItsFlatArrays) {

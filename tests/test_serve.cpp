@@ -90,6 +90,34 @@ std::string fake_envelope(const std::string& id, bool ok, bool feasible,
   return w.str();
 }
 
+// A pending job file as earlier versions of minergy.job.v1 wrote it: a
+// background scheduling class, a submitting client and an absolute
+// completion deadline, fields this version neither writes nor honors.
+std::string legacy_job_json(const std::string& id, double submitted_unix,
+                            double complete_by_unix) {
+  util::JsonWriter w(2);
+  w.begin_object();
+  w.kv("schema", kJobSchema);
+  w.kv("id", id);
+  w.kv("circuit", "c17");
+  w.kv("optimizer", "robust");
+  w.kv("seed", "1");
+  w.kv("clock_frequency", 300e6);
+  w.kv("activity", 0.3);
+  w.kv("deadline_seconds", 0.0);
+  w.kv("max_evaluations", 0);
+  w.kv("anneal_moves", 0);
+  w.kv("priority", "background");
+  w.kv("client", "legacy-client");
+  w.kv("complete_by_unix", complete_by_unix);
+  w.kv("submitted_unix", submitted_unix);
+  w.kv("not_before_unix", 0.0);
+  w.key("attempts").begin_array();
+  w.end_array();
+  w.end_object();
+  return w.str() + "\n";
+}
+
 // ------------------------------------------------------------------- jobs
 
 TEST(ServeJob, JsonRoundTripPreservesEveryField) {
@@ -356,6 +384,38 @@ TEST(SpoolQueue, CorruptPendingJobIsQuarantinedNotWedged) {
   ASSERT_TRUE(fs::exists(q.job_path("quarantined", "a-corrupt")));
   const util::JsonValue rec = read_record(q.job_path("quarantined", "a-corrupt"));
   EXPECT_EQ(rec.at("failure").get_string("type", ""), "corrupt-job");
+}
+
+// A spool written by an earlier version drains in submission order: its
+// scheduling fields (a background class, a client, a completion deadline
+// an hour past) neither reorder nor fail the job.
+TEST(SpoolQueue, LegacySchedulingFieldsClaimFirstInFirstOut) {
+  ScratchSpool spool("legacy_fifo");
+  SpoolQueue q(spool.root);
+  const double t0 = unix_now() - 60.0;
+  const auto submit_at = [&q](const std::string& id, double submitted) {
+    Job job;
+    job.id = id;
+    job.submitted_unix = submitted;
+    q.submit(job);
+  };
+  // Ids sort against submission order, and the legacy job ties d-new on
+  // submitted_unix, so only the (submitted_unix, id) order passes.
+  submit_at("c-new", t0);
+  io::write_artifact(q.job_path("pending", "b-legacy"), kJobSchema,
+                     legacy_job_json("b-legacy", t0 + 1.0,
+                                     unix_now() - 3600.0));
+  submit_at("d-new", t0 + 1.0);
+  submit_at("a-new", t0 + 2.0);
+
+  std::vector<std::string> order;
+  while (const std::optional<Job> job = q.claim(unix_now())) {
+    order.push_back(job->id);
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"c-new", "b-legacy", "d-new",
+                                             "a-new"}));
+  EXPECT_TRUE(q.ids_in("failed").empty());
+  EXPECT_EQ(q.counts().running, 4u);
 }
 
 TEST(SpoolQueue, RequeueJournalsOutcomeAndControlsCheckpointLifetime) {
@@ -809,6 +869,60 @@ TEST(ServeLoop, ServedJobSplitsWorkerTimeIntoFourHistograms) {
     ASSERT_TRUE(hist.has(name)) << name;
     EXPECT_EQ(hist.at(name).get_number("count", 0.0), 1.0) << name;
   }
+}
+
+// Policy files an earlier daemon left in the spool (a fresh shed level 2
+// policy and a client's quota bucket) change nothing: a default submit is
+// admitted, a --once daemon drains the spool, and the scrubber passes
+// clean without moving either file.
+TEST(ServeLoop, StalePolicyFilesNeitherBlockNorGetScrubbed) {
+  ScratchSpool spool("legacy_policy");
+  SpoolQueue q(spool.root);
+  const std::string policy = spool.root + "/overload.json";
+  const std::string bucket = spool.root + "/quota/legacy-client.json";
+  {
+    util::JsonWriter w(2);
+    w.begin_object();
+    w.kv("schema", "minergy.overload.v1");
+    w.kv("shed_level", 2);
+    w.kv("brownout_level", 0);
+    w.kv("retry_after_seconds", 1.0);
+    w.kv("updated_unix", unix_now());
+    w.key("quotas").begin_object();
+    w.kv("legacy-client", 1.0);
+    w.end_object();
+    w.end_object();
+    io::write_artifact(policy, "minergy.overload.v1", w.str() + "\n");
+  }
+  {
+    fs::create_directories(spool.root + "/quota");
+    util::JsonWriter w(2);
+    w.begin_object();
+    w.kv("schema", "minergy.quota.v1");
+    w.kv("client", "legacy-client");
+    w.kv("tokens", 0.0);
+    w.kv("updated_unix", unix_now());
+    w.end_object();
+    io::write_artifact(bucket, "minergy.quota.v1", w.str() + "\n");
+  }
+  const std::string policy_bytes = io::read_file_or_throw(policy);
+  const std::string bucket_bytes = io::read_file_or_throw(bucket);
+
+  ASSERT_TRUE(wait_exit(spawn_served({"--spool=" + spool.root, "--submit",
+                                      "--circuit=c17"}),
+                        60.0))
+      << "a default submit was refused";
+  ASSERT_EQ(q.counts().pending, 1u);
+  ASSERT_TRUE(
+      wait_exit(spawn_served({"--spool=" + spool.root, "--once"}), 120.0));
+  EXPECT_EQ(q.counts().pending, 0u);
+  EXPECT_EQ(q.counts().done, 1u);
+
+  EXPECT_TRUE(
+      wait_exit(spawn_served({"--spool=" + spool.root, "--scrub"}), 60.0))
+      << "scrub did not pass clean";
+  EXPECT_EQ(io::read_file_or_throw(policy), policy_bytes);
+  EXPECT_EQ(io::read_file_or_throw(bucket), bucket_bytes);
 }
 
 // A served robust job snapshots its joint sweep on the in-process cadence:

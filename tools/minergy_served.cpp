@@ -65,33 +65,10 @@
 //                         S seconds (atomic write), not only at exit, so a
 //                         crashed daemon leaves its last telemetry behind
 //
-// Overload protection flags (daemon mode; see docs/ROBUSTNESS.md,
-// "Overload & brownout"):
-//   --shed-target-ms=N    CoDel-style shedding: when the minimum queue
-//                         sojourn over the sliding window stays above N ms,
-//                         drop background- (then batch-) class work; 0
-//                         (default) disables
-//   --shed-window-ms=N    sliding-window span for both overload signals
-//                         (default 1000)
-//   --quota=CLIENT:RPS[,...]  per-client token-bucket admission quotas
-//   --brownout            enable the SLO feedback loop (requires
-//                         --slo-e2e-ms): windowed p95 over the SLO steps
-//                         the fidelity ladder down (robust jobs start at
-//                         baseline, then max-drive, watchdog budgets
-//                         shrink), hysteretically steps back up
-//   --brownout-dwell-s=S  minimum time between brownout level changes
-//                         (default 2)
-//   --brownout-recover-ratio=R  step back up once p95 < R * SLO (def. 0.7)
-//
 // Submit flags: --circuit, --optimizer (robust|joint|baseline|anneal),
 //   --seed, --fc, --activity, --deadline=S (propagated into the watchdog
-//   budget), --max-evals, --anneal-moves, --inject (worker chaos hook),
-//   --priority=interactive|batch|background (claim order is priority band
-//   then earliest-deadline-first; shedding drops background before batch
-//   and never interactive), --client=NAME (quota attribution),
-//   --complete-by-s=S (completion deadline, S seconds from now: a job
-//   still queued past it is expired to failed/ with a deadline_expired
-//   verdict instead of wasting a worker).
+//   budget), --max-evals, --anneal-moves, --inject (worker chaos hook).
+//   The daemon claims jobs first-in first-out.
 //
 // Status flags: --verify (audit invariants: no pending/running leftovers,
 //   terminal states disjoint, done/ results certified), --expect-jobs=N.
@@ -99,10 +76,10 @@
 // SIGTERM/SIGINT drain gracefully: intake stops, in-flight jobs keep their
 // PR-3 checkpoint snapshots, and the next daemon resumes them bit-exactly.
 //
-// Exit codes: 0 success, 1 validation failure (full queue, shed/quota
-// rejection, failed verify), 2 bad arguments / unreadable input, 4 (status
-// mode) spool holds quarantined job(s) — a poisoned spool operators must
-// look at even when every other invariant verifies clean.
+// Exit codes: 0 success, 1 validation failure (full queue, failed verify),
+// 2 bad arguments / unreadable input, 4 (status mode) spool holds
+// quarantined job(s) — a poisoned spool operators must look at even when
+// every other invariant verifies clean.
 #include <unistd.h>
 
 #include <cstdio>
@@ -118,7 +95,6 @@
 #include "obs/session.h"
 #include "serve/inject.h"
 #include "serve/job.h"
-#include "serve/overload.h"
 #include "serve/queue.h"
 #include "serve/supervisor.h"
 #include "serve/worker.h"
@@ -144,15 +120,10 @@ constexpr const char* kUsage =
     "          [--listen=PORT] [--port-file=FILE] [--event-log=FILE]\n"
     "          [--event-log-max-kb=N] [--slo-e2e-ms=N]\n"
     "          [--snapshot-interval-s=S] [--perf-record[=FILE]]\n"
-    "          [--shed-target-ms=N] [--shed-window-ms=N]\n"
-    "          [--quota=CLIENT:RPS[,...]] [--brownout]\n"
-    "          [--brownout-dwell-s=S] [--brownout-recover-ratio=R]\n"
     "          (--poll: longest wait without an event, default 0.02 s)\n"
     "  submit: --circuit=NAME [--optimizer=robust|joint|baseline|anneal]\n"
     "          [--seed=S] [--fc=HZ] [--activity=D] [--deadline=S]\n"
     "          [--max-evals=N] [--anneal-moves=N] [--max-pending=N]\n"
-    "          [--priority=interactive|batch|background] [--client=NAME]\n"
-    "          [--complete-by-s=S]\n"
     "  status: [--verify] [--expect-jobs=N]\n"
     "  exit codes: 0 ok, 1 validation failure, 2 usage error,\n"
     "              4 (status) quarantined job(s) present\n"
@@ -187,25 +158,9 @@ int run_submit(const util::Cli& cli, serve::SpoolQueue& queue) {
   job.anneal_moves = cli.get("anneal-moves", 0);
   job.inject = cli.get("inject", std::string());
   try {
-    job.priority = serve::priority_from_string(
-        cli.get("priority", std::string("batch")), "--priority");
-  } catch (const util::ParseError& e) {
-    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
-    return 2;
-  }
-  job.client = cli.get("client", std::string());
-  const double complete_by_s = cli.get("complete-by-s", 0.0);
-  if (complete_by_s > 0.0) {
-    job.complete_by_unix = serve::unix_now() + complete_by_s;
-  }
-  try {
     const std::string id = queue.submit(std::move(job));
     std::printf("%s\n", id.c_str());
     return 0;
-  } catch (const serve::ShedError& e) {
-    std::fprintf(stderr, "shed: %s (retry-after: %.1f s)\n", e.what(),
-                 e.retry_after_seconds());
-    return 1;
   } catch (const serve::QueueFullError& e) {
     std::fprintf(stderr, "rejected: %s (retry-after: %.1f s)\n", e.what(),
                  e.retry_after_seconds());
@@ -330,29 +285,6 @@ int run_daemon(const util::Cli& cli, serve::SpoolQueue& queue,
   opts.scrub_interval_seconds = cli.get("scrub-interval-s", 0.0);
   opts.breaker.threshold = cli.get("breaker-threshold", 3);
   opts.breaker.cooldown_seconds = cli.get("breaker-cooldown", 30.0);
-  opts.overload.shed_target_seconds = cli.get("shed-target-ms", 0.0) * 1e-3;
-  opts.overload.shed_window_seconds =
-      cli.get("shed-window-ms", 1000.0) * 1e-3;
-  // Brownout is an explicit opt-in: --slo-e2e-ms alone keeps its PR-6
-  // meaning (SLO violation accounting) without changing service behavior.
-  if (cli.has("brownout")) {
-    opts.overload.slo_e2e_seconds = cli.get("slo-e2e-ms", 0.0) * 1e-3;
-    if (opts.overload.slo_e2e_seconds <= 0.0) {
-      std::fprintf(stderr, "error: --brownout requires --slo-e2e-ms=N\n%s",
-                   kUsage);
-      return 2;
-    }
-    opts.overload.brownout_dwell_seconds = cli.get("brownout-dwell-s", 2.0);
-    opts.overload.brownout_recover_ratio =
-        cli.get("brownout-recover-ratio", 0.7);
-  }
-  try {
-    opts.overload.quotas =
-        serve::parse_quota_spec(cli.get("quota", std::string()));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
-    return 2;
-  }
   opts.snapshot_interval_seconds = cli.get("snapshot-interval-s", 0.0);
   if (opts.snapshot_interval_seconds > 0.0) {
     // Periodic counter-snapshot flush: the daemon's perf record survives a

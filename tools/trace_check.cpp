@@ -249,14 +249,7 @@ int check_eventlog(const std::string& path) {
       return fail("unknown severity '" + severity + "'");
     }
     const std::string job = e.get_string("job", "");
-    // job_shed and deadline_expired record the same pending -> running
-    // rename a claim does (the overload paths win the job before failing
-    // it), so they satisfy claim-before-finalize too.
-    if ((kind == "job_claimed" || kind == "job_shed" ||
-         kind == "deadline_expired") &&
-        !job.empty()) {
-      claimed.insert(job);
-    }
+    if (kind == "job_claimed" && !job.empty()) claimed.insert(job);
     if (kind == "job_done" || kind == "job_failed") {
       ++terminal;
       if (job.empty()) return fail(kind + " event carries no job id");
