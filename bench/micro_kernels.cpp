@@ -211,8 +211,9 @@ BENCHMARK(BM_EnergySum)->Arg(400)->Arg(1600);
 // One annealing move from the annealer's starting state: a width move
 // evaluated in full (copy the state, critical_delay, energy) and by
 // opt::MoveEvaluator, which re-times only what the move reaches, and a
-// supply move (one forward pass). Moves are rejected, so each starts from
-// the same state; the moved gate strides through the circuit.
+// supply or threshold move (one pass over the cached operands). Moves are
+// rejected, so each starts from the same state; the moved gate strides
+// through the circuit.
 struct AnnealMoveRig {
   explicit AnnealMoveRig(int gates)
       : nl(circuit_of_size(gates)),
@@ -273,6 +274,19 @@ void BM_AnnealVddMove(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnnealVddMove)->Arg(287)->Arg(1600);
+
+void BM_AnnealVtsMove(benchmark::State& state) {
+  const AnnealMoveRig rig(static_cast<int>(state.range(0)));
+  opt::MoveEvaluator moves(rig.eval);
+  moves.reset(rig.start);
+  std::vector<double> vts = rig.start.vts;
+  for (double& v : vts) v += 0.02;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(moves.propose_vts(vts));
+    moves.reject();
+  }
+}
+BENCHMARK(BM_AnnealVtsMove)->Arg(287)->Arg(1600);
 
 void BM_JointOptimizerEndToEnd(benchmark::State& state) {
   const netlist::Netlist nl = circuit_of_size(static_cast<int>(state.range(0)));

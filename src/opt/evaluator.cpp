@@ -140,7 +140,8 @@ power::EnergyBreakdown CircuitEvaluator::energy(
   power::EnergyBreakdown total;
   tech::OperatingPointMemo leaky(dev_);
   for (netlist::GateId id : nl_.combinational()) {
-    total += gate_energy(id, state, leaky);
+    total += energy_.gate_energy_uncounted(
+        id, state.widths, leaky.at(state.vdd, leakage_vts(state.vts[id])));
   }
   if (settings_.include_short_circuit) {
     // Input transition times come from the gate delays of the driving

@@ -108,17 +108,9 @@ class CircuitEvaluator {
   power::EnergyBreakdown energy(const CircuitState& state,
                                 std::span<const double> gate_delay = {}) const;
 
-  // The per-gate terms energy() sums, uncounted. gate_energy is logic gate
-  // id's static and dynamic energy at the leaky corner (`leaky` carries the
-  // device terms from one gate to the next). short_circuit_energy is its
-  // short-circuit energy, with the input transition taken from the gate
-  // delays of an STA of `state` at the delay corner (indexed by gate id).
-  power::EnergyBreakdown gate_energy(netlist::GateId id,
-                                     const CircuitState& state,
-                                     tech::OperatingPointMemo& leaky) const {
-    return energy_.gate_energy_uncounted(
-        id, state.widths, leaky.at(state.vdd, leakage_vts(state.vts[id])));
-  }
+  // Logic gate id's short-circuit energy as energy() adds it, uncounted,
+  // with the input transition taken from the gate delays of an STA of
+  // `state` at the delay corner (indexed by gate id).
   double short_circuit_energy(netlist::GateId id, const CircuitState& state,
                               const double* gate_delay) const;
   bool includes_short_circuit() const {

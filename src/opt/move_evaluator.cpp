@@ -45,17 +45,24 @@ obs::Counter& incremental_evals() {
 MoveEvaluator::MoveEvaluator(const CircuitEvaluator& eval)
     : eval_(eval),
       nl_(eval.netlist()),
+      calc_(eval.delay_calculator()),
+      energy_(eval.energy_model()),
       pos_(nl_.size(), 0),
       flags_(nl_.size(), 0),
       delay_op_(eval.device()),
       leaky_op_(eval.device()) {
   const std::vector<GateId>& topo = nl_.combinational();
+  density_.resize(topo.size());
   for (std::size_t p = 0; p < topo.size(); ++p) {
-    pos_[topo[p]] = static_cast<std::uint32_t>(p);
+    const GateId g = topo[p];
+    pos_[g] = static_cast<std::uint32_t>(p);
+    density_[p] = eval.activity().density[g];
   }
+  ops_.resize(topo.size());
   for (Buffers* b : {&cur_, &alt_}) {
     b->delay.assign(nl_.size(), 0.0);
     b->arrival.assign(nl_.size(), 0.0);
+    b->terms.resize(topo.size());
     b->energy.resize(topo.size());
   }
 }
@@ -65,6 +72,9 @@ const MoveEvaluation& MoveEvaluator::reset(CircuitState state) {
   MINERGY_CHECK(state.vts.size() == nl_.size());
   state_ = std::move(state);
   open_ = Open::kNone;
+  // The cache refresh: one fanout-load sum per gate.
+  for (std::size_t p = 0; p < ops_.size(); ++p) refresh_operands(p);
+  timing::count_delay_work(0, static_cast<std::int64_t>(ops_.size()));
   full_pass(cur_);
   now_ = accepted_ = summarize(cur_);
   return now_;
@@ -77,7 +87,16 @@ void MoveEvaluator::open_proposal(Open kind) {
   old_vdd_ = state_.vdd;
   vts_saved_ = false;
   undo_.clear();
+  seed_undo_.clear();
   old_bad_ = cur_.bad;
+}
+
+void MoveEvaluator::refresh_operands(std::size_t p) {
+  const GateId g = nl_.combinational()[p];
+  Operands& o = ops_[p];
+  o.load = calc_.gate_load(g, state_.widths);
+  o.width = state_.widths[g];
+  o.cap = energy_.switched_cap(g, state_.widths);
 }
 
 const MoveEvaluation& MoveEvaluator::propose_width(GateId id, double width) {
@@ -102,9 +121,10 @@ const MoveEvaluation& MoveEvaluator::propose_width(GateId id, double width) {
   }
 
   const std::vector<GateId>& topo = nl_.combinational();
-  const timing::DelayCalculator& calc = eval_.delay_calculator();
   const bool short_circuit = eval_.includes_short_circuit();
-  std::int64_t retimed = 0, energies = 0;
+  const double vdd = state_.vdd;
+  const double fc = energy_.clock_frequency();
+  std::int64_t retimed = 0, seeds = 0;
   for (std::size_t p = first; pending > 0; ++p) {
     const GateId g = topo[p];
     const std::uint8_t why = flags_[g];
@@ -112,27 +132,38 @@ const MoveEvaluation& MoveEvaluator::propose_width(GateId id, double width) {
     flags_[g] = 0;
     --pending;
 
+    timing::LoadTerms& t = cur_.terms[p];
     power::EnergyBreakdown& e = cur_.energy[p];
     undo_.push_back({g, cur_.delay[g], cur_.arrival[g], e});
-    const timing::ForwardStep s = timing::forward_step(
-        calc, g, state_.widths,
-        delay_op_.at(state_.vdd, eval_.delay_vts(state_.vts[g])),
-        cur_.delay.data(), cur_.arrival.data());
+    if (why & (kOwnWidth | kFanoutWidth)) {
+      // A seed: its operands, load terms and energy read the moved width.
+      seed_undo_.push_back({static_cast<std::uint32_t>(p), ops_[p], t});
+      refresh_operands(p);
+      const Operands& o = ops_[p];
+      const double vts = state_.vts[g];
+      t = timing::eq_a3(
+          calc_.gate_drive(g, delay_op_.at(vdd, eval_.delay_vts(vts))),
+          o.load, o.width);
+      const double short_circuit_term = e.short_circuit_energy;
+      e = power::EnergyModel::gate_terms(
+          o.width, o.cap, density_[p], vdd,
+          leaky_op_.at(vdd, eval_.leakage_vts(vts)).ioff, fc);
+      e.short_circuit_energy = short_circuit_term;
+      ++seeds;
+    }
+    const timing::FaninScan f = timing::scan_fanins(
+        nl_, g, cur_.delay.data(), cur_.arrival.data());
+    const double delay = t.delay(f.max_fanin_delay);
+    const double arrival = f.arrival + delay;
     ++retimed;
     const auto changed = static_cast<std::uint8_t>(
-        (same_bits(s.delay, cur_.delay[g]) ? 0 : kFaninDelay) |
-        (same_bits(s.arrival, cur_.arrival[g]) ? 0 : kFaninArrival));
-    cur_.bad += fails_check(s.delay, s.arrival);
+        (same_bits(delay, cur_.delay[g]) ? 0 : kFaninDelay) |
+        (same_bits(arrival, cur_.arrival[g]) ? 0 : kFaninArrival));
+    cur_.bad += fails_check(delay, arrival);
     cur_.bad -= fails_check(cur_.delay[g], cur_.arrival[g]);
-    cur_.delay[g] = s.delay;
-    cur_.arrival[g] = s.arrival;
+    cur_.delay[g] = delay;
+    cur_.arrival[g] = arrival;
 
-    if (why & (kOwnWidth | kFanoutWidth)) {
-      const double short_circuit_term = e.short_circuit_energy;
-      e = eval_.gate_energy(g, state_, leaky_op_);
-      e.short_circuit_energy = short_circuit_term;
-      ++energies;
-    }
     if (short_circuit && (why & (kOwnWidth | kFaninDelay))) {
       e.short_circuit_energy =
           eval_.short_circuit_energy(g, state_, cur_.delay.data());
@@ -145,8 +176,9 @@ const MoveEvaluation& MoveEvaluator::propose_width(GateId id, double width) {
       flags_[o] |= changed;
     }
   }
-  timing::count_delay_work(retimed, retimed);
-  energy_evals().add(energies);
+  // Only the seeds summed a fanout load.
+  timing::count_delay_work(retimed, seeds);
+  energy_evals().add(seeds);
   now_ = summarize(cur_);
   return now_;
 }
@@ -194,6 +226,10 @@ void MoveEvaluator::reject() {
       cur_.arrival[it->id] = it->arrival;
       cur_.energy[pos_[it->id]] = it->energy;
     }
+    for (auto it = seed_undo_.rbegin(); it != seed_undo_.rend(); ++it) {
+      ops_[it->pos] = it->ops;
+      cur_.terms[it->pos] = it->terms;
+    }
     cur_.bad = old_bad_;
   }
   if (moved_ != netlist::kInvalidGate) state_.widths[moved_] = old_width_;
@@ -207,26 +243,45 @@ void MoveEvaluator::full_pass(Buffers& b) {
   static obs::Counter& c_full = obs::counter("opt.anneal.full_evals");
   c_full.add();
   const std::vector<GateId>& topo = nl_.combinational();
-  const timing::DelayCalculator& calc = eval_.delay_calculator();
+  const tech::DeviceModel& dev = eval_.device();
   const bool short_circuit = eval_.includes_short_circuit();
-  b.bad = 0;
+  const double vdd = state_.vdd;
+  const double fc = energy_.clock_frequency();
+  const double* vts = state_.vts.data();
+  double* delay = b.delay.data();
+  double* arrival = b.arrival.data();
+  // The device terms of the threshold of the gate before: the operating
+  // point at the delay corner and the leakage per width unit at the leaky
+  // one.
+  tech::OperatingPoint op;
+  double ioff = 0.0;
+  std::size_t bad = 0;
   for (std::size_t p = 0; p < topo.size(); ++p) {
     const GateId g = topo[p];
-    const timing::ForwardStep s = timing::forward_step(
-        calc, g, state_.widths,
-        delay_op_.at(state_.vdd, eval_.delay_vts(state_.vts[g])),
-        b.delay.data(), b.arrival.data());
-    b.delay[g] = s.delay;
-    b.arrival[g] = s.arrival;
-    b.bad += fails_check(s.delay, s.arrival);
-    b.energy[p] = eval_.gate_energy(g, state_, leaky_op_);
+    if (p == 0 || !same_bits(vts[g], vts[topo[p - 1]])) {
+      op = dev.operating_point(vdd, eval_.delay_vts(vts[g]));
+      ioff = dev.ioff_per_wunit(eval_.leakage_vts(vts[g]));
+    }
+    const Operands& o = ops_[p];
+    const timing::LoadTerms t =
+        timing::eq_a3(calc_.gate_drive(g, op), o.load, o.width);
+    const timing::FaninScan f = timing::scan_fanins(nl_, g, delay, arrival);
+    const double d = t.delay(f.max_fanin_delay);
+    b.terms[p] = t;
+    delay[g] = d;
+    arrival[g] = f.arrival + d;
+    bad += fails_check(d, arrival[g]);
+    b.energy[p] = power::EnergyModel::gate_terms(o.width, o.cap, density_[p],
+                                                 vdd, ioff, fc);
     if (short_circuit) {
       b.energy[p].short_circuit_energy =
-          eval_.short_circuit_energy(g, state_, b.delay.data());
+          eval_.short_circuit_energy(g, state_, delay);
     }
   }
+  b.bad = bad;
+  // No fanout load is summed here.
   const auto n = static_cast<std::int64_t>(topo.size());
-  timing::count_delay_work(n, n);
+  timing::count_delay_work(n, 0);
   energy_evals().add(n);
 }
 

@@ -82,6 +82,36 @@ class EnergyModel {
                               std::span<const double> widths, double vdd,
                               double vts, double input_transition) const;
 
+  // Switched capacitance of logic gate id, the bracket of E_di: its own
+  // parasitics and stack internals, then the receiver inputs of its
+  // fanouts in netlist order, the primary-output pin and the wire. One pass
+  // over its fanouts; uncounted.
+  double switched_cap(netlist::GateId id,
+                      std::span<const double> widths) const {
+    MINERGY_CHECK(id < nl_.size());
+    MINERGY_CHECK(nl_.is_logic(id));
+    double cap = widths[id] * dev_.self_cap_per_wunit(
+                                  static_cast<int>(nl_.fanins_of(id).size()));
+    for (const netlist::GateId out : nl_.fanouts_of(id)) {
+      cap += nl_.is_logic(out) ? widths[out] * cin_ : po_load_cap_;
+    }
+    if (nl_.is_po(id)) cap += po_load_cap_;
+    return cap + net_cap_[id];
+  }
+
+  // E_si and E_di of one gate of width w, switched capacitance `cap`,
+  // transition density `density` and leakage `ioff` per width unit at
+  // supply vdd and clock fc: the one place Eq. (A1) is evaluated (every
+  // gate_energy and opt::MoveEvaluator call it).
+  static EnergyBreakdown gate_terms(double w, double cap, double density,
+                                    double vdd, double ioff, double fc) {
+    EnergyBreakdown e;
+    // E_s = Vdd * w * Ioff / f_c (leakage flows for the full cycle).
+    e.static_energy = vdd * w * ioff / fc;
+    e.dynamic_energy = 0.5 * density * vdd * vdd * cap;
+    return e;
+  }
+
   // Network total over all logic gates. vts indexed by gate id.
   EnergyBreakdown total_energy(std::span<const double> widths, double vdd,
                                std::span<const double> vts) const;
@@ -94,31 +124,12 @@ class EnergyModel {
 
  private:
   // gate_energy with the leakage current per width unit already evaluated;
-  // uncounted. The receiver sum adds the fanouts in netlist order, then the
-  // primary-output pin, then the wire.
+  // uncounted.
   EnergyBreakdown gate_energy_at(netlist::GateId id,
                                  std::span<const double> widths, double vdd,
                                  double ioff) const {
-    MINERGY_CHECK(id < nl_.size());
-    MINERGY_CHECK(nl_.is_logic(id));
-    const double w = widths[id];
-
-    EnergyBreakdown e;
-    // E_s = Vdd * w * Ioff / f_c (leakage flows for the full cycle).
-    e.static_energy = vdd * w * ioff / fc_;
-
-    // Switched capacitance: own parasitics + stack internals + receiver
-    // inputs + wire.
-    double cap = w * dev_.self_cap_per_wunit(
-                         static_cast<int>(nl_.fanins_of(id).size()));
-    for (const netlist::GateId out : nl_.fanouts_of(id)) {
-      cap += nl_.is_logic(out) ? widths[out] * cin_ : po_load_cap_;
-    }
-    if (nl_.is_po(id)) cap += po_load_cap_;
-    cap += net_cap_[id];
-
-    e.dynamic_energy = 0.5 * act_.density[id] * vdd * vdd * cap;
-    return e;
+    const double cap = switched_cap(id, widths);
+    return gate_terms(widths[id], cap, act_.density[id], vdd, ioff, fc_);
   }
 
   const netlist::Netlist& nl_;

@@ -11,7 +11,7 @@ namespace minergy::timing {
 
 // The hottest counters in the stack: each gate_delay / width_terms call
 // adds one to both; run_sta, opt::GateSizer and opt::MoveEvaluator add
-// theirs once per call.
+// theirs once per call, a load sum only where they read fanout widths.
 void count_delay_work(std::int64_t gate_evals, std::int64_t load_sums) {
   static obs::Counter& c_evals = obs::counter("timing.delay.gate_evals");
   static obs::Counter& c_sums = obs::counter("timing.delay.load_sums");
@@ -54,16 +54,16 @@ WidthTerms WidthCurve::terms(double w) const {
   const DelayComponents c = components(w);
   WidthTerms t;
   t.delay = c.total();
-  const double k = drive_per_wunit_;
+  const double k = drive_.per_wunit;
   if (k <= 0.0) {
     t.a = t.b = std::numeric_limits<double>::infinity();
     return t;
   }
   // A dead drive (w <= 0 here) left the wire terms at 0 in c; the receiver
   // load goes with them.
-  const double recv = w * k <= 0.0 ? 0.0 : recv_;
-  t.a = c.slope + half_vdd_ * self_cap_ / k + c.wire_rc + c.flight;
-  t.b = half_vdd_ * (recv + net_) / k;
+  const double recv = w * k <= 0.0 ? 0.0 : load_.recv;
+  t.a = c.slope + drive_.half_vdd * load_.self_cap / k + c.wire_rc + c.flight;
+  t.b = drive_.half_vdd * (recv + load_.net) / k;
   return t;
 }
 

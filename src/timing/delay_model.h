@@ -58,29 +58,53 @@ struct LoadTerms {
   }
 };
 
-// The operands of one gate's Eq. (A3) that do not depend on its own width w
-// (the slope term, the receiver and wire load, the wire RC, the flight time
-// and the drive per width unit), read in one pass over its fanouts by
-// DelayCalculator::curve. Every max delay of the gate is evaluated by
-// components(), in one fixed operand order, so a value does not depend on
-// which entry point or which curve computed it.
+// The operating-point side of one logic gate's Eq. (A3): the slope
+// coefficient, Vdd/2 and the drive per width unit I_D/s_stack - f_in*I_off
+// (DelayCalculator::gate_drive).
+struct GateDrive {
+  double k_slope = 0.0;   // OperatingPoint::k_slope
+  double half_vdd = 0.0;  // Vdd/2
+  double per_wunit = 0.0;
+};
+
+// The width side of one logic gate's Eq. (A3) with its own width w left
+// out: C_L = w*self_cap + recv + net, and the wire terms. recv and wire_rc
+// read the fanout widths (DelayCalculator::gate_load, one pass over the
+// fanouts); the rest are constants of the gate.
+struct GateLoad {
+  double self_cap = 0.0;  // per width unit
+  double recv = 0.0;      // receiver input capacitance
+  double net = 0.0;       // C_INT
+  double wire_rc = 0.0;   // R_INT * (C_INT/2 + recv)
+  double flight = 0.0;    // L_INT / v
+};
+
+// Eq. (A3) at width w, less the slope input: the one place it is evaluated
+// (WidthCurve and opt::MoveEvaluator both call it), in one fixed operand
+// order, so a delay does not depend on which entry point computed it. A
+// drive w*k <= 0 (leakage exceeds drive, or w <= 0) gives switching = +inf
+// and no wire terms.
+inline LoadTerms eq_a3(const GateDrive& drive, const GateLoad& load,
+                       double w) {
+  const double current = w * drive.per_wunit;
+  if (current <= 0.0) {
+    return {drive.k_slope, std::numeric_limits<double>::infinity(), 0.0, 0.0};
+  }
+  const double cap = w * load.self_cap + load.recv + load.net;
+  return {drive.k_slope, drive.half_vdd * cap / current, load.wire_rc,
+          load.flight};
+}
+
+// One gate's Eq. (A3) as a function of its own width w, with its fanout
+// widths, slope input and operating point fixed (DelayCalculator::curve,
+// one pass over the gate's fanouts). Every max delay of a gate is
+// evaluated through eq_a3.
 class WidthCurve {
  public:
-  // The four components at width w. A drive w*k <= 0 (leakage exceeds
-  // drive, or w <= 0) gives switching = +inf and no wire terms.
+  // The four components at width w.
   DelayComponents components(double w) const {
-    DelayComponents c;
-    c.slope = slope_;
-    const double drive = w * drive_per_wunit_;
-    if (drive <= 0.0) {
-      c.switching = std::numeric_limits<double>::infinity();
-      return c;
-    }
-    const double load = w * self_cap_ + recv_ + net_;
-    c.switching = half_vdd_ * load / drive;
-    c.wire_rc = wire_rc_;
-    c.flight = flight_;
-    return c;
+    const LoadTerms t = eq_a3(drive_, load_, w);
+    return {slope_, t.switching, t.wire_rc, t.flight};
   }
   double delay(double w) const { return components(w).total(); }
   // The (a, b) of d(w) = a + b/w and delay(w). With drive per width unit
@@ -88,24 +112,15 @@ class WidthCurve {
   // wire and receiver load, as components(w) does.
   WidthTerms terms(double w) const;
   // Everything but the slope input, at width w.
-  LoadTerms load_terms(double w) const {
-    const DelayComponents c = components(w);
-    return {k_slope_, c.switching, c.wire_rc, c.flight};
-  }
+  LoadTerms load_terms(double w) const { return eq_a3(drive_, load_, w); }
 
  private:
   friend class DelayCalculator;
   WidthCurve() = default;
 
-  double k_slope_ = 0.0;          // OperatingPoint::k_slope
-  double slope_ = 0.0;            // k_slope * max_fanin_delay
-  double drive_per_wunit_ = 0.0;  // I_D/s_stack - f_in*I_off
-  double half_vdd_ = 0.0;         // Vdd/2
-  double self_cap_ = 0.0;         // per width unit
-  double recv_ = 0.0;             // receiver input capacitance
-  double net_ = 0.0;              // C_INT
-  double wire_rc_ = 0.0;          // R_INT * (C_INT/2 + recv)
-  double flight_ = 0.0;           // L_INT / v
+  double slope_ = 0.0;  // k_slope * max_fanin_delay
+  GateDrive drive_;
+  GateLoad load_;
 };
 
 // Adds to timing.delay.gate_evals and timing.delay.load_sums, for the
@@ -121,8 +136,10 @@ void count_delay_work(std::int64_t gate_evals, std::int64_t load_sums);
 // and role bytes (Netlist::fanouts_of, is_logic, is_po), the wire model's
 // per-net tables (WireLoads::net_caps etc., read once when it was built)
 // and the device constants of each fanin count, filled here at
-// construction. Every max-delay entry point goes through curve(), so
-// Eq. (A3) is evaluated in one place (WidthCurve::components).
+// construction. Every max-delay entry point goes through curve(), whose
+// operands gate_drive and gate_load also hand out for callers that keep
+// them (opt::MoveEvaluator), and Eq. (A3) is evaluated in one place
+// (eq_a3).
 class DelayCalculator {
  public:
   DelayCalculator(const netlist::Netlist& nl, const tech::DeviceModel& dev,
@@ -152,20 +169,29 @@ class DelayCalculator {
   WidthCurve curve(netlist::GateId id, std::span<const double> widths,
                    const tech::OperatingPoint& op,
                    double max_fanin_delay) const {
-    check_id(id);
-    MINERGY_CHECK(nl_.is_logic(id));
+    check_logic(id);
     const GateConsts& k = consts(id);
     WidthCurve c;
-    c.k_slope_ = op.k_slope;
     c.slope_ = op.k_slope * max_fanin_delay;
-    c.drive_per_wunit_ = op.idrive / k.stack - k.fanin * op.ioff;
-    c.half_vdd_ = 0.5 * op.vdd;
-    c.self_cap_ = k.self_cap;
-    c.recv_ = receivers(id, widths);
-    c.net_ = net_cap_[id];
-    c.wire_rc_ = net_res_[id] * (0.5 * c.net_ + c.recv_);
-    c.flight_ = flight_[id];
+    // The drive's division before the fanout loop, which it overlaps.
+    c.drive_ = drive_of(k, op);
+    c.load_ = load_of(id, widths, k);
     return c;
+  }
+
+  // The operating-point side of logic gate id's Eq. (A3) at `op`.
+  GateDrive gate_drive(netlist::GateId id,
+                       const tech::OperatingPoint& op) const {
+    check_logic(id);
+    return drive_of(consts(id), op);
+  }
+
+  // The width side of logic gate id's Eq. (A3) over the fanout widths in
+  // `widths`: one pass over its fanouts; uncounted, like curve().
+  GateLoad gate_load(netlist::GateId id,
+                     std::span<const double> widths) const {
+    check_logic(id);
+    return load_of(id, widths, consts(id));
   }
 
   // Worst-case delay of gate id: curve(...).delay(widths[id]).
@@ -193,7 +219,7 @@ class DelayCalculator {
                          double max_fanin_delay) const;
 
   // gate_delay without the counter bumps, for kernel loops that add their
-  // counts once per call (timing::forward_step). Same result, same checks.
+  // counts once per call (run_sta). Same result, same checks.
   double gate_delay_uncounted(netlist::GateId id,
                               std::span<const double> widths,
                               const tech::OperatingPoint& op,
@@ -229,6 +255,10 @@ class DelayCalculator {
   void check_id(netlist::GateId id) const {
     MINERGY_CHECK(id < nl_.size());
   }
+  void check_logic(netlist::GateId id) const {
+    check_id(id);
+    MINERGY_CHECK(nl_.is_logic(id));
+  }
   const GateConsts& consts(netlist::GateId id) const {
     return by_fanin_[nl_.fanins_of(id).size()];
   }
@@ -238,6 +268,16 @@ class DelayCalculator {
       c += nl_.is_logic(out) ? widths[out] * cin_ : po_load_cap_;
     }
     return c;
+  }
+  static GateDrive drive_of(const GateConsts& k,
+                            const tech::OperatingPoint& op) {
+    return {op.k_slope, 0.5 * op.vdd, op.idrive / k.stack - k.fanin * op.ioff};
+  }
+  GateLoad load_of(netlist::GateId id, std::span<const double> widths,
+                   const GateConsts& k) const {
+    const double recv = receivers(id, widths);
+    return {k.self_cap, recv, net_cap_[id],
+            net_res_[id] * (0.5 * net_cap_[id] + recv), flight_[id]};
   }
 
   const netlist::Netlist& nl_;

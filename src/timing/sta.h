@@ -13,19 +13,11 @@
 
 namespace minergy::timing {
 
-// One gate of the forward pass.
-struct ForwardStep {
-  double delay = 0.0;
-  double arrival = 0.0;
-  // The logic fanin that set the arrival (the last of equal arrivals);
-  // kInvalidGate when a source did.
-  netlist::GateId worst_fanin = netlist::kInvalidGate;
-};
-
 // The fanin side of gate id's forward step, from its fanins' final delays
-// and arrivals (both indexed by gate id, 0 at sources). Both forms of
-// run_sta and opt::MoveEvaluator time gates through this one function, so
-// their results agree bit for bit.
+// and arrivals (both indexed by gate id, 0 at sources): the gate's delay is
+// its own Eq. (A3) at max_fanin_delay, and its arrival that delay added to
+// `arrival`. Both forms of run_sta and opt::MoveEvaluator time gates
+// through this one function, so their results agree bit for bit.
 struct FaninScan {
   // The slope input: the largest fanin delay, sources included.
   double max_fanin_delay = 0.0;
@@ -47,23 +39,6 @@ inline FaninScan scan_fanins(const netlist::Netlist& nl, netlist::GateId id,
     }
   }
   return f;
-}
-
-// Gate id's delay and arrival at its widths and operating point.
-// Uncounted: callers count one delay eval and one load sum per step, in
-// bulk (count_delay_work).
-inline ForwardStep forward_step(const DelayCalculator& calc,
-                                netlist::GateId id,
-                                std::span<const double> widths,
-                                const tech::OperatingPoint& op,
-                                const double* gate_delay,
-                                const double* arrival) {
-  const FaninScan f = scan_fanins(calc.netlist(), id, gate_delay, arrival);
-  ForwardStep s;
-  s.delay = calc.gate_delay_uncounted(id, widths, op, f.max_fanin_delay);
-  s.arrival = f.arrival + s.delay;
-  s.worst_fanin = f.worst_fanin;
-  return s;
 }
 
 // The sink driver (primary-output or DFF D-pin driver) with the latest

@@ -8,7 +8,11 @@
 // util::NumericError. The walks cover the 8 paper circuits, a generated
 // 1.6k-gate netlist whose POs mostly drive logic, the default settings, a
 // Vts tolerance, the short-circuit term and placed wire loads, and a walk
-// into a corner where the threshold reaches the supply and back.
+// into a corner where the threshold reaches the supply and back. Shorter
+// sequences pin the operand cache: a full pass after a rejected or an
+// accepted width move, many width moves between two full passes, reset()
+// after moves, and thresholds interleaved along the topological order; a
+// counter test pins which moves sum a fanout load.
 //
 // The annealer built on it must still take exactly the walk of the
 // full-evaluation loop it replaced, which reference_anneal() below keeps.
@@ -308,6 +312,239 @@ TEST(MoveEvaluator, RejectRestoresTheAcceptedStateExactly) {
   moves.reject();
   moves.accept();
   EXPECT_EQ(moves.state().widths, start.widths);
+}
+
+// ------------------------------------------------ the operand cache
+
+// Runs `sequence` from the annealer's starting state on s298* and s832*
+// under every settings of settings_matrix(); `sequence` checks the move
+// evaluator against the full evaluation after each step.
+template <class Sequence>
+void expect_sequence_matches(const std::string& what, Sequence&& sequence) {
+  const tech::Technology tech = tech::Technology::generic350();
+  for (const char* name : {"s298*", "s832*"}) {
+    const Netlist nl = bench_suite::make_circuit(name);
+    int k = 0;
+    for (const EvalSettings& settings : settings_matrix()) {
+      const CircuitEvaluator eval(nl, tech, profile(), settings);
+      MoveEvaluator moves(eval);
+      moves.reset(CircuitState::uniform(
+          nl, tech.vdd_max, 0.5 * (tech.vts_min + tech.vts_max), 4.0));
+      Tally tally;
+      tally.check(eval, moves, "reset");
+      util::Rng rng(21);
+      sequence(eval, moves, tally, rng);
+      tally.expect_none(std::string(name) + " settings " +
+                        std::to_string(k++) + ": " + what);
+    }
+  }
+}
+
+GateId random_logic_gate(const Netlist& nl, util::Rng& rng) {
+  const std::vector<GateId>& logic = nl.combinational();
+  return logic[rng.uniform_index(logic.size())];
+}
+
+// A rejected width move must put back the operands its seeds rebuilt: the
+// supply move after it reads every gate's cached operands.
+TEST(MoveEvaluator, SupplyMoveAfterARejectedWidthMove) {
+  expect_sequence_matches(
+      "rejected width, then supply",
+      [](const CircuitEvaluator& eval, MoveEvaluator& moves, Tally& tally,
+         util::Rng& rng) {
+        for (int i = 0; i < 20; ++i) {
+          const GateId id = random_logic_gate(eval.netlist(), rng);
+          moves.propose_width(id, moves.state().widths[id] * 2.0);
+          tally.check(eval, moves, "width proposed");
+          moves.reject();
+          tally.check(eval, moves, "width rejected");
+          moves.propose_vdd(moves.state().vdd * 0.97);
+          tally.check(eval, moves, "supply proposed");
+          moves.accept();
+          tally.check(eval, moves, "supply accepted");
+        }
+      });
+}
+
+// An accepted width move leaves its seeds' operands rebuilt for the
+// threshold move after it.
+TEST(MoveEvaluator, ThresholdMoveAfterAnAcceptedWidthMove) {
+  expect_sequence_matches(
+      "accepted width, then threshold",
+      [](const CircuitEvaluator& eval, MoveEvaluator& moves, Tally& tally,
+         util::Rng& rng) {
+        std::vector<double> vts;
+        for (int i = 0; i < 20; ++i) {
+          const GateId id = random_logic_gate(eval.netlist(), rng);
+          moves.propose_width(id, moves.state().widths[id] * 1.7);
+          moves.accept();
+          tally.check(eval, moves, "width accepted");
+          vts = moves.state().vts;
+          for (double& v : vts) v += (i % 2 == 0 ? 0.01 : -0.01);
+          moves.propose_vts(vts);
+          tally.check(eval, moves, "threshold proposed");
+          close_at_random(moves, rng);
+          tally.check(eval, moves, "threshold closed");
+        }
+      });
+}
+
+// Width moves alone keep the cached load terms of every gate they do not
+// seed: a long run of them between two full passes.
+TEST(MoveEvaluator, ManyWidthMovesBetweenTwoFullPasses) {
+  expect_sequence_matches(
+      "width moves between full passes",
+      [](const CircuitEvaluator& eval, MoveEvaluator& moves, Tally& tally,
+         util::Rng& rng) {
+        const tech::Technology& tech = eval.technology();
+        moves.propose_vdd(0.9 * tech.vdd_max);
+        moves.accept();
+        tally.check(eval, moves, "first pass");
+        for (int i = 0; i < 300; ++i) {
+          const GateId id = random_logic_gate(eval.netlist(), rng);
+          moves.propose_width(
+              id, std::clamp(moves.state().widths[id] *
+                                 std::exp(rng.normal(0.0, 0.5)),
+                             tech.w_min, tech.w_max));
+          tally.check(eval, moves, "width proposed");
+          close_at_random(moves, rng);
+          tally.check(eval, moves, "width closed");
+        }
+        moves.propose_vdd(0.8 * tech.vdd_max);
+        tally.check(eval, moves, "second pass");
+        moves.accept();
+        tally.check(eval, moves, "second pass accepted");
+      });
+}
+
+// reset() rebuilds every operand from the new state, whatever the moves
+// before it left in the cache.
+TEST(MoveEvaluator, ResetToAnotherStateAfterMoves) {
+  expect_sequence_matches(
+      "reset after moves",
+      [](const CircuitEvaluator& eval, MoveEvaluator& moves, Tally& tally,
+         util::Rng& rng) {
+        const tech::Technology& tech = eval.technology();
+        const Netlist& nl = eval.netlist();
+        for (int i = 0; i < 30; ++i) {
+          const GateId id = random_logic_gate(nl, rng);
+          moves.propose_width(id, moves.state().widths[id] * 1.3);
+          moves.accept();
+        }
+        moves.propose_vdd(0.85 * tech.vdd_max);
+        moves.accept();
+        CircuitState other = CircuitState::uniform(nl, 0.7 * tech.vdd_max,
+                                                   tech.vts_min + 0.05, 2.0);
+        for (GateId id : nl.combinational()) {
+          other.widths[id] = rng.uniform(tech.w_min, 3.0 * tech.w_min);
+        }
+        moves.propose_width(random_logic_gate(nl, rng), 5.0);  // left open
+        moves.reset(other);
+        tally.check(eval, moves, "reset");
+        for (int i = 0; i < 20; ++i) {
+          const GateId id = random_logic_gate(nl, rng);
+          moves.propose_width(id, moves.state().widths[id] * 1.5);
+          tally.check(eval, moves, "width proposed");
+          close_at_random(moves, rng);
+          moves.propose_vdd(moves.state().vdd * 1.02);
+          tally.check(eval, moves, "supply proposed");
+          close_at_random(moves, rng);
+          tally.check(eval, moves, "supply closed");
+        }
+      });
+}
+
+// Three thresholds interleaved along the topological order, so the pass
+// recomputes its device terms at almost every gate.
+TEST(MoveEvaluator, InterleavedThresholdsStayExact) {
+  expect_sequence_matches(
+      "interleaved thresholds",
+      [](const CircuitEvaluator& eval, MoveEvaluator& moves, Tally& tally,
+         util::Rng& rng) {
+        const tech::Technology& tech = eval.technology();
+        const Netlist& nl = eval.netlist();
+        const std::vector<GateId>& topo = nl.combinational();
+        const double levels[] = {tech.vts_min + 0.02,
+                                 0.5 * (tech.vts_min + tech.vts_max),
+                                 tech.vts_max - 0.05, tech.vts_min + 0.1};
+        CircuitState start = moves.state();
+        for (std::size_t p = 0; p < topo.size(); ++p) {
+          // Runs of one, two and three equal thresholds.
+          start.vts[topo[p]] = levels[(p + p / 3) % 4];
+        }
+        moves.reset(start);
+        tally.check(eval, moves, "reset");
+        std::vector<double> vts;
+        for (int i = 0; i < 30; ++i) {
+          const GateId id = random_logic_gate(nl, rng);
+          moves.propose_width(id, moves.state().widths[id] * 1.4);
+          tally.check(eval, moves, "width proposed");
+          close_at_random(moves, rng);
+          moves.propose_vdd(std::clamp(moves.state().vdd - 0.05,
+                                       tech.vdd_min, tech.vdd_max));
+          tally.check(eval, moves, "supply proposed");
+          close_at_random(moves, rng);
+          vts = moves.state().vts;
+          for (double& v : vts) {
+            v = std::clamp(v + rng.normal(0.0, 0.01), tech.vts_min,
+                           tech.vts_max);
+          }
+          moves.propose_vts(vts);
+          tally.check(eval, moves, "threshold proposed");
+          close_at_random(moves, rng);
+          tally.check(eval, moves, "threshold closed");
+        }
+      });
+}
+
+// Supply and threshold moves read the cached operands, so they sum no
+// fanout load; a width move sums one per seed (the moved gate and each of
+// its distinct logic fanins). Every gate is still timed and costed once
+// per full pass, and a width move costs exactly its seeds' energies.
+TEST(MoveEvaluator, OnlyWidthMoveSeedsSumAFanoutLoad) {
+  const Netlist nl = bench_suite::make_circuit("s832*");
+  const tech::Technology tech = tech::Technology::generic350();
+  const CircuitEvaluator eval(nl, tech, profile(), EvalSettings{});
+  MoveEvaluator moves(eval);
+  moves.reset(CircuitState::uniform(nl, tech.vdd_max, 0.4, 4.0));
+  obs::set_enabled(true);
+  obs::Counter& sums = obs::counter("timing.delay.load_sums");
+  obs::Counter& delays = obs::counter("timing.delay.gate_evals");
+  obs::Counter& energies = obs::counter("power.energy.gate_evals");
+  const auto n = static_cast<std::int64_t>(nl.num_combinational());
+  for (const double vdd : {0.9 * tech.vdd_max, 0.8 * tech.vdd_max}) {
+    const std::int64_t s0 = sums.value(), d0 = delays.value(),
+                       e0 = energies.value();
+    moves.propose_vdd(vdd);
+    moves.accept();
+    EXPECT_EQ(sums.value() - s0, 0);
+    EXPECT_EQ(delays.value() - d0, n);
+    EXPECT_EQ(energies.value() - e0, n);
+  }
+  std::int64_t retimed_beyond_seeds = 0;
+  util::Rng rng(9);
+  for (int i = 0; i < 50; ++i) {
+    const GateId id = random_logic_gate(nl, rng);
+    std::vector<GateId> seeds{id};
+    for (GateId f : nl.fanins_of(id)) {
+      if (nl.is_logic(f)) seeds.push_back(f);
+    }
+    std::sort(seeds.begin(), seeds.end());
+    seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+    const auto k = static_cast<std::int64_t>(seeds.size());
+    const std::int64_t s0 = sums.value(), d0 = delays.value(),
+                       e0 = energies.value();
+    moves.propose_width(id, moves.state().widths[id] * 1.5);
+    EXPECT_EQ(sums.value() - s0, k) << "move " << i;
+    EXPECT_EQ(energies.value() - e0, k) << "move " << i;
+    EXPECT_GE(delays.value() - d0, k) << "move " << i;
+    retimed_beyond_seeds += delays.value() - d0 - k;
+    close_at_random(moves, rng);
+  }
+  obs::set_enabled(false);
+  // The walks reached past their seeds, re-timing those gates from their
+  // cached load terms.
+  EXPECT_GT(retimed_beyond_seeds, 0);
 }
 
 // --------------------------------------------- the annealer's walk is kept
