@@ -12,15 +12,15 @@
 # CI_FAULT_SEED=<seed>) and audits the spool afterwards, then verifies a
 # run report's artifact-envelope footer end to end and that a robust run
 # writes its joint-sweep snapshots at most once a second. Two telemetry legs
-# close the gate: an exposition smoke that scrapes a live daemon's
-# /metrics, /health and /jobs over HTTP and verifies its JSONL event log
-# with trace_check --verify-eventlog, and perf-trajectory legs that
-# archive the Table-1 baseline's counter snapshot under bench/trajectory/
-# and fail when the Table-2 or SA-comparison work counters drift from the
-# committed records there.
-# The high-availability label (-L ha) covers the leader lease, split-brain
-# chaos and the anti-entropy scrubber; a failover smoke then kill -9s a
-# live leader and requires its hot standby to take over and drain cleanly.
+# close the gate: an event-log + snapshot smoke that verifies a live
+# daemon's JSONL event log with trace_check --verify-eventlog and its
+# periodic perf record, and perf-trajectory legs that archive the Table-1
+# baseline's counter snapshot under bench/trajectory/ and fail when the
+# Table-2 or SA-comparison work counters drift from the committed records
+# there.
+# The high-availability label (-L ha) covers the leader lease and
+# split-brain chaos; a failover smoke then kill -9s a live leader and
+# requires its hot standby to take over and drain cleanly.
 # The par, serve, diskfault and ha labels run a second time pinned to one
 # core (taskset -c 0), so tier-1 is exercised at 1 core as well as at all.
 # A benchmark smoke leg then runs every bench/e2e workload at ~1/10 size,
@@ -207,69 +207,55 @@ if [ "$cadence_bound" -eq 0 ]; then
   done
 fi
 
-# Exposition smoke: a real daemon on an ephemeral port, scraped over HTTP
-# while it drains two jobs, with every state transition captured in the
-# event log. The scrape must expose the e2e latency histogram (the SLO of
-# 1 ms guarantees at least one slo_violation lands in the log too), /health
-# and /jobs must serve valid JSON from memory, and after the daemon exits
-# the event log must pass the structural verifier.
-step "exposition + event-log smoke"
-expo_spool=build-ci-release/ci_expo_spool
-expo_log=build-ci-release/ci_expo_events.jsonl
-expo_port_file=build-ci-release/ci_expo_port
-rm -rf "$expo_spool" "$expo_log" "$expo_log.1" "$expo_port_file"
-"$served" --spool="$expo_spool" --submit --circuit=c17 --seed=11
-"$served" --spool="$expo_spool" --submit --circuit=s27 --seed=12
-# No --once: the daemon keeps serving so the scrapes cannot race a fast
-# drain; a SIGTERM after the checks exercises the graceful-stop path.
-"$served" --spool="$expo_spool" --workers=2 --poll=0.005 --timeout=60 \
-  --listen=0 --port-file="$expo_port_file" --event-log="$expo_log" \
-  --slo-e2e-ms=1 --snapshot-interval-s=0.2 \
-  --perf-record=build-ci-release/BENCH_minergy_served.json &
+# Event-log + snapshot smoke: a real daemon drains two jobs with every
+# state transition captured in the event log (the SLO of 1 ms guarantees
+# at least one slo_violation lands in it too) and its perf record flushed
+# every 0.2 s while it runs. After a SIGTERM stop the event log must pass
+# the structural verifier, the final perf record must count both jobs in
+# the e2e latency histogram, and the spool must audit clean.
+step "event-log + snapshot smoke"
+log_spool=build-ci-release/ci_eventlog_spool
+log_events=build-ci-release/ci_eventlog_events.jsonl
+log_perf=build-ci-release/BENCH_minergy_served.json
+rm -rf "$log_spool" "$log_events" "$log_events.1" "$log_perf"
+"$served" --spool="$log_spool" --submit --circuit=c17 --seed=11
+"$served" --spool="$log_spool" --submit --circuit=s27 --seed=12
+# No --once: the daemon keeps serving until the SIGTERM below, which
+# exercises the graceful-stop path.
+"$served" --spool="$log_spool" --workers=2 --poll=0.005 --timeout=60 \
+  --event-log="$log_events" --slo-e2e-ms=1 --snapshot-interval-s=0.2 \
+  --perf-record="$log_perf" &
 served_pid=$!
-expo_port=""
-for _ in $(seq 1 100); do
-  if [ -s "$expo_port_file" ]; then expo_port=$(cat "$expo_port_file"); break; fi
-  sleep 0.1
-done
-[ -n "$expo_port" ] || { echo "daemon never wrote its port file"; exit 1; }
-# Scrape until both jobs have drained: the histogram then has samples and
-# the slo_violation events are guaranteed to be in the log.
-metrics=""
+log_done=0
 for _ in $(seq 1 300); do
-  metrics=$(curl -sf "http://127.0.0.1:$expo_port/metrics" || true)
-  if echo "$metrics" | grep -q '^serve_jobs_done 2'; then break; fi
+  log_done=$(ls "$log_spool/done" 2>/dev/null | wc -l)
+  [ "$log_done" -ge 2 ] && break
   sleep 0.1
 done
-echo "$metrics" | grep -q '^serve_jobs_done 2' \
+[ "$log_done" -ge 2 ] \
   || { echo "daemon never finished the two jobs"; kill "$served_pid"; exit 1; }
-echo "$metrics" | grep -q '^# TYPE serve_job_e2e_micros histogram' \
-  || { echo "/metrics lacks the e2e latency histogram"; exit 1; }
-echo "$metrics" | grep -q '^serve_job_e2e_micros_bucket{le="+Inf"} 2' \
-  || { echo "e2e histogram did not record both jobs"; exit 1; }
-echo "$metrics" | grep -q '^serve_spool_pending ' \
-  || { echo "/metrics lacks the spool gauges"; exit 1; }
-curl -sf "http://127.0.0.1:$expo_port/health" \
-  | grep -q '"schema": *"minergy.health.v1"' \
-  || { echo "/health is not a minergy.health.v1 document"; exit 1; }
-curl -sf "http://127.0.0.1:$expo_port/jobs" \
-  | grep -q '"schema": *"minergy.jobs.v1"' \
-  || { echo "/jobs is not a minergy.jobs.v1 document"; exit 1; }
+# The periodic flush, not the exit write: the record must exist while the
+# daemon still runs.
+for _ in $(seq 1 50); do
+  [ -s "$log_perf" ] && break
+  sleep 0.1
+done
+test -s "$log_perf" \
+  || { echo "periodic snapshot left no perf record"; kill "$served_pid"; exit 1; }
 kill -TERM "$served_pid"
 wait "$served_pid"
-build-ci-release/tools/trace_check --verify-eventlog="$expo_log"
-grep -q '"kind":"slo_violation"' "$expo_log" \
+build-ci-release/tools/trace_check --verify-eventlog="$log_events"
+grep -q '"kind":"slo_violation"' "$log_events" \
   || { echo "event log has no slo_violation under a 1 ms SLO"; exit 1; }
-test -s build-ci-release/BENCH_minergy_served.json \
-  || { echo "periodic snapshot left no perf record"; exit 1; }
-"$served" --spool="$expo_spool" --status --verify --expect-jobs=2
+grep -A1 '"serve.job.e2e_micros"' "$log_perf" | grep -q '"count": 2,' \
+  || { echo "the perf record's e2e histogram did not record both jobs"; exit 1; }
+"$served" --spool="$log_spool" --status --verify --expect-jobs=2
 
 # Failover smoke: a leader and a hot standby share one spool over the
 # leader lease; the leader is SIGKILLed mid-run, the standby must take over
 # within about one lease TTL, drain all six jobs, and leave a spool that
-# audits clean — exactly one takeover in the standby's event log, both
-# logs passing the lease-ordering verifier, and an offline scrub finding
-# nothing to repair.
+# audits clean — exactly one takeover in the standby's event log and both
+# logs passing the lease-ordering verifier.
 step "failover smoke (kill -9 the leader, standby finishes)"
 ha_spool=build-ci-release/ci_ha_spool
 ha_leader_log=build-ci-release/ci_ha_leader_events.jsonl
@@ -305,8 +291,6 @@ ha_takeovers=$(grep -c '"kind":"lease_acquired"' "$ha_standby_log")
   || { echo "expected exactly one takeover, saw $ha_takeovers"; exit 1; }
 build-ci-release/tools/trace_check --verify-eventlog="$ha_leader_log"
 build-ci-release/tools/trace_check --verify-eventlog="$ha_standby_log"
-"$served" --spool="$ha_spool" --scrub \
-  || { echo "post-failover scrub found damage"; exit 1; }
 
 # Perf trajectory: re-run the Table-1 baseline with a perf record and
 # archive the counters next to previous runs, so regressions show up as a
@@ -340,4 +324,4 @@ sa_default=build-ci-release/BENCH_sa_comparison_default.json
 build-ci-release/bench/sa_comparison --perf-record="$sa_default" >/dev/null
 gate_trajectory sa_comparison 'paper suite' "$sa_default"
 
-step "OK: all builds green, fault+obs+serve+diskfault+ha+par labels pass (and on one core), benchmark smoke correct, batch results certified, exposition scraped live, standby survived kill -9 of its leader"
+step "OK: all builds green, fault+obs+serve+diskfault+ha+par labels pass (and on one core), benchmark smoke correct, batch results certified, event log verified and snapshot flushed live, standby survived kill -9 of its leader"

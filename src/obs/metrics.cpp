@@ -72,9 +72,9 @@ double Histogram::sum() const {
 
 double Histogram::percentile(double p) const {
   const std::int64_t total = count();
-  // Degenerate inputs must not leak NaN into the exposition gauges: an empty
-  // histogram (freshly started daemon) and a non-positive/NaN quantile both
-  // render as 0; quantiles above 1 saturate at the top bucket.
+  // Degenerate inputs must not leak NaN into perf records: an empty
+  // histogram and a non-positive/NaN quantile both read 0; quantiles above
+  // 1 saturate at the top bucket.
   if (total == 0 || !(p > 0.0)) return 0.0;
   if (p > 1.0) p = 1.0;
   const double target = p * static_cast<double>(total);
@@ -137,9 +137,6 @@ std::map<std::string, HistogramSnapshot> Registry::histogram_snapshot()
   std::map<std::string, HistogramSnapshot> out;
   for (const auto& [name, h] : histograms_) {
     HistogramSnapshot snap;
-    for (int b = 0; b < Histogram::kBuckets; ++b) {
-      snap.buckets[static_cast<std::size_t>(b)] = h.bucket_count(b);
-    }
     snap.count = h.count();
     snap.sum = h.sum();
     snap.p50 = h.percentile(0.50);

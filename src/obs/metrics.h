@@ -75,8 +75,7 @@ class Gauge {
 // to and including its upper bound; values <= 2^-33 land in the first
 // bucket, values above 2^31 and non-finite ones in the last. Covers ~19
 // decades (microsecond timings through energy magnitudes) with a relative
-// resolution of 1/16 to 1/8. The Prometheus exposition sums each octave's
-// sub-buckets into one power-of-two `le` series.
+// resolution of 1/16 to 1/8.
 class Histogram {
  public:
   static constexpr int kOctaves = 64;
@@ -121,10 +120,8 @@ class ScopedTimer {
   double start_us_;
 };
 
-// Point-in-time copy of one histogram: raw bucket counts plus the derived
-// aggregates the Prometheus exposition and perf records need.
+// Point-in-time aggregates of one histogram, as perf records report them.
 struct HistogramSnapshot {
-  std::array<std::int64_t, Histogram::kBuckets> buckets{};
   std::int64_t count = 0;
   double sum = 0.0;  // approximate: bucket midpoints x counts
   double p50 = 0.0;  // bucket upper bounds containing each quantile
@@ -176,12 +173,9 @@ inline Histogram& histogram(std::string_view name) {
   return Registry::instance().histogram(name);
 }
 
-// Builds the labeled-instrument naming convention understood by the
-// Prometheus exposition (obs/expose.h): `family{key="value"}`. The family
-// part is translated to a Prometheus name; the label set is emitted
-// verbatim (value quotes/backslashes escaped here). Instruments sharing a
-// family but differing in label sort adjacently in the registry, so the
-// exposition emits one TYPE line per family.
+// Builds a labeled instrument name, `family{key="value"}`, with quotes and
+// backslashes in the value escaped. Instruments sharing a family but
+// differing in label sort adjacently in the registry.
 std::string labeled_name(std::string_view family, std::string_view key,
                          std::string_view value);
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/eventlog.h"
-#include "obs/expose.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/clock.h"
@@ -25,10 +24,8 @@ Session::Session(const util::Cli& cli, std::string default_name)
       perf_path_ = "BENCH_" + name_ + ".json";
     }
   }
-  const bool listen = cli.has("listen");
   const bool event_log = cli.has("event-log");
-  if (!trace_path_.empty() || metrics_ || !perf_path_.empty() || listen ||
-      event_log) {
+  if (!trace_path_.empty() || metrics_ || !perf_path_.empty() || event_log) {
     set_enabled(true);
     start_us_ = util::monotonic_micros();
   }
@@ -45,32 +42,6 @@ Session::Session(const util::Cli& cli, std::string default_name)
     }
     event_log_ = true;
   }
-  if (listen) {
-    std::string error;
-    if (!ExpositionServer::instance().start(cli.get("listen", 0), &error)) {
-      throw std::runtime_error("--listen: cannot bind: " + error);
-    }
-    exposing_ = true;
-    const int port = ExpositionServer::instance().port();
-    std::fprintf(stderr, "[obs] exposition: http://127.0.0.1:%d/metrics\n",
-                 port);
-    const std::string port_file = cli.get("port-file", std::string());
-    if (!port_file.empty()) {
-      // Write-then-rename so a polling script never reads a torn port.
-      const std::string tmp = port_file + ".tmp";
-      std::ofstream out(tmp, std::ios::trunc);
-      out << port << '\n';
-      out.close();
-      if (!out || std::rename(tmp.c_str(), port_file.c_str()) != 0) {
-        ExpositionServer::instance().stop();
-        throw std::runtime_error("--port-file: cannot write " + port_file);
-      }
-    }
-  }
-}
-
-int Session::listen_port() const {
-  return exposing_ ? ExpositionServer::instance().port() : 0;
 }
 
 std::string Session::perf_record_json() const {
@@ -108,10 +79,6 @@ std::string Session::perf_record_json() const {
 void Session::finish() {
   if (finished_) return;
   finished_ = true;
-  if (exposing_) {
-    ExpositionServer::instance().stop();
-    exposing_ = false;
-  }
   if (event_log_) EventLog::instance().close();
   if (!trace_path_.empty()) {
     Tracer::instance().stop();

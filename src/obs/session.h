@@ -13,11 +13,6 @@
 //   --verbose           alias for --metrics
 //   --perf-record[=F]   write a BENCH_<name>.json perf record (wall time +
 //                       counter snapshot) at exit; F overrides the filename
-//   --listen=PORT       serve GET /metrics (Prometheus text format),
-//                       /health and /jobs over HTTP on 127.0.0.1:PORT while
-//                       the process runs; PORT 0 picks an ephemeral port
-//   --port-file=FILE    write the bound exposition port to FILE (how
-//                       scripts discover a --listen=0 port)
 //   --event-log=FILE    append-only JSONL structured event log (schema
 //                       minergy.event.v1; see obs/eventlog.h)
 //   --event-log-max-kb=N  event-log segment size cap before rotation to
@@ -25,7 +20,7 @@
 //
 // Any of the flags enables metric collection for the process; with none of
 // them the session is inert and instrumentation stays on its disabled fast
-// path — no exposition thread, no open log, no clocks.
+// path — no open log, no clocks.
 #pragma once
 
 #include <string>
@@ -36,9 +31,8 @@ namespace minergy::obs {
 
 class Session {
  public:
-  // Throws std::runtime_error when --listen is given but the port cannot
-  // be bound, or --event-log cannot be opened: a daemon asked to be
-  // observable must not silently run blind.
+  // Throws std::runtime_error when --event-log cannot be opened: a daemon
+  // asked to be observable must not silently run blind.
   Session(const util::Cli& cli, std::string default_name);
   ~Session();
   Session(const Session&) = delete;
@@ -46,10 +40,6 @@ class Session {
 
   bool verbose() const { return metrics_; }
   bool tracing() const { return !trace_path_.empty(); }
-  // True when the embedded HTTP exposition server is running.
-  bool exposing() const { return exposing_; }
-  // Bound exposition port (0 when not exposing).
-  int listen_port() const;
 
   // The perf-record document (schema minergy.perf_record.v1) as of now.
   // Used by the daemon's periodic snapshot flush as well as finish().
@@ -58,7 +48,7 @@ class Session {
   const std::string& perf_path() const { return perf_path_; }
 
   // Writes all requested outputs now (idempotent; the destructor calls it).
-  // Also stops the exposition server and closes the event log.
+  // Also closes the event log.
   void finish();
 
  private:
@@ -66,7 +56,6 @@ class Session {
   std::string trace_path_;
   std::string perf_path_;
   bool metrics_ = false;
-  bool exposing_ = false;
   bool event_log_ = false;
   bool finished_ = false;
   double start_us_ = 0.0;

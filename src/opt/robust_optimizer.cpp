@@ -33,24 +33,28 @@ RobustOptimizer::RobustOptimizer(const CircuitEvaluator& eval,
                                  RobustOptions options)
     : eval_(eval), opts_(std::move(options)) {}
 
-OptimizationResult RobustOptimizer::last_resort() const {
+SizedState RobustOptimizer::size_max_drive() const {
+  const tech::Technology& tech = eval_.technology();
+  const double skew_b = opts_.joint.skew_b;
+  const timing::BudgetResult budgets = eval_.budgeter().assign(
+      eval_.cycle_time(), {.clock_skew_b = skew_b});
+  return eval_.size_to_budgets(
+      budgets, tech.vdd_max,
+      std::vector<double>(eval_.netlist().size(), tech.vts_min),
+      skew_b * eval_.cycle_time(), /*recovery_passes=*/0);
+}
+
+OptimizationResult RobustOptimizer::last_resort(
+    std::optional<SizedState> max_drive) const {
   const obs::Span span("robust.tier.last_resort");
   obs::counter("opt.robust.tier_attempts").add();
   const auto t0 = std::chrono::steady_clock::now();
   const netlist::Netlist& nl = eval_.netlist();
   const tech::Technology& tech = eval_.technology();
-  const double skew_b = opts_.joint.skew_b;
 
-  // Maximum drive: highest supply, strongest threshold, widths sized to the
-  // Procedure-1 budgets. If this cannot meet timing, nothing in the
-  // technology's variable ranges can, and its STA report is the diagnosis.
-  const timing::BudgetResult budgets = eval_.budgeter().assign(
-      eval_.cycle_time(), {.clock_skew_b = skew_b});
-  SizedState sized = eval_.size_to_budgets(
-      budgets, tech.vdd_max, std::vector<double>(nl.size(), tech.vts_min),
-      skew_b * eval_.cycle_time(), /*recovery_passes=*/0);
+  SizedState sized = max_drive ? std::move(*max_drive) : size_max_drive();
   if (!sized.feasible) {
-    throw max_drive_infeasibility(eval_, skew_b, sized.report);
+    throw max_drive_infeasibility(eval_, opts_.joint.skew_b, sized.report);
   }
 
   OptimizationResult result;
@@ -145,6 +149,20 @@ OptimizationResult RobustOptimizer::run() const {
     return cert_out->certified;
   };
 
+  // Maximum drive alone decides whether the clock can be met, so it is
+  // sized before any tier: a miss throws here, not after a joint sweep and
+  // a baseline probe. A sizing that throws leaves the decision to the
+  // tiers, which then run exactly as they would without it.
+  std::optional<SizedState> max_drive;
+  try {
+    max_drive = size_max_drive();
+  } catch (const std::exception&) {
+  }
+  if (max_drive && !max_drive->feasible) {
+    throw max_drive_infeasibility(eval_, opts_.joint.skew_b,
+                                  max_drive->report);
+  }
+
   // --- Tier 0: full joint optimization -----------------------------------
   if (opts_.start_tier > 0) {
     // Brownout (or an explicit caller choice): the expensive tier is
@@ -222,10 +240,12 @@ OptimizationResult RobustOptimizer::run() const {
 
   // --- Tier 2: max-drive emergency configuration --------------------------
   if (!opts_.allow_last_resort) {
-    throw diagnose_infeasibility(eval_, opts_.joint.skew_b);
+    throw max_drive ? max_drive_infeasibility(eval_, opts_.joint.skew_b,
+                                              max_drive->report)
+                    : diagnose_infeasibility(eval_, opts_.joint.skew_b);
   }
   const double started = seconds_since(t0);
-  OptimizationResult r = last_resort();
+  OptimizationResult r = last_resort(std::move(max_drive));
   r.tier = ResultTier::kLastResort;
   Certificate cert;
   if (try_certify(r, "last-resort", opts_.joint.skew_b, &cert)) {

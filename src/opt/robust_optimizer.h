@@ -16,13 +16,16 @@
 //
 // A tier is rejected when it throws (util::NumericError from the evaluator
 // boundary, or any std::exception) or returns an infeasible result; a
-// truncated-but-feasible result is accepted (the flag rides along). If even
-// maximum drive cannot meet timing, run() throws util::InfeasibleError
-// carrying the requested limit, the best achievable critical-path delay and
-// the limiting path's endpoint gate (see diagnose_infeasibility).
+// truncated-but-feasible result is accepted (the flag rides along). The
+// max-drive state is sized once, before tier 0: if even maximum drive
+// cannot meet timing, run() throws util::InfeasibleError at once, carrying
+// the requested limit, the best achievable critical-path delay and the
+// limiting path's endpoint gate (see max_drive_infeasibility). If that
+// sizing throws, the tiers run as they would without it.
 #pragma once
 
 #include <functional>
+#include <optional>
 
 #include "opt/certifier.h"
 #include "opt/evaluator.h"
@@ -73,8 +76,13 @@ class RobustOptimizer {
   OptimizationResult run() const;
 
  private:
-  // Tier 2: vdd_max / vts_min / budget-driven sizing. Feasible-or-throws.
-  OptimizationResult last_resort() const;
+  // Maximum drive: vdd_max, strongest threshold, widths sized to the
+  // Procedure-1 budgets. If this cannot meet timing, nothing in the
+  // technology's variable ranges can, and its STA report is the diagnosis.
+  SizedState size_max_drive() const;
+  // Tier 2: the max-drive state (sized here when `max_drive` is empty) as
+  // a result. Feasible-or-throws.
+  OptimizationResult last_resort(std::optional<SizedState> max_drive) const;
 
   const CircuitEvaluator& eval_;
   RobustOptions opts_;

@@ -7,8 +7,8 @@ namespace minergy::serve {
 
 namespace {
 
-// Live per-circuit state gauge for the /metrics exposition:
-// 0 = closed, 0.5 = half-open (probe in flight), 1 = open.
+// Per-circuit state gauge: 0 = closed, 0.5 = half-open (probe in flight),
+// 1 = open.
 void set_state_gauge(const std::string& circuit, double state) {
   obs::gauge(obs::labeled_name("serve.breaker.state", "circuit", circuit))
       .set(state);
@@ -94,22 +94,6 @@ std::vector<std::string> CircuitBreaker::open_circuits(
     }
   }
   return open;
-}
-
-std::vector<std::pair<std::string, std::string>> CircuitBreaker::states(
-    double now_unix) const {
-  std::vector<std::pair<std::string, std::string>> out;
-  for (const auto& [circuit, s] : by_circuit_) {
-    const char* state = "closed";
-    if (s.tripped) {
-      state = s.probe_in_flight ? "half_open"
-              : now_unix - s.tripped_at < opts_.cooldown_seconds
-                  ? "open"
-                  : "half_open";
-    }
-    out.emplace_back(circuit, state);
-  }
-  return out;
 }
 
 }  // namespace minergy::serve

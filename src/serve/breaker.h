@@ -20,7 +20,6 @@
 
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace minergy::serve {
@@ -45,12 +44,6 @@ class CircuitBreaker {
   bool should_short_circuit(const std::string& circuit, double now_unix);
 
   std::vector<std::string> open_circuits(double now_unix) const;
-
-  // Every tracked circuit with its current state: "closed" | "open" |
-  // "half_open" (tripped and either probing or past the cooldown). Feeds
-  // the /jobs exposition endpoint.
-  std::vector<std::pair<std::string, std::string>> states(
-      double now_unix) const;
 
  private:
   struct State {

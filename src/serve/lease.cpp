@@ -436,7 +436,9 @@ bool lease_token_matches(const std::string& lease_path, std::uint64_t token) {
         io::unwrap_envelope(bytes, kLeaseSchema, lease_path), lease_path);
     return rec.fencing_token == token;
   } catch (const util::ParseError&) {
-    return true;  // damaged lease: the scrubber's problem, not the worker's
+    // Damaged lease: a standby steals it after one expiry window
+    // (steal-damaged), and the queue's fence is the hard backstop.
+    return true;
   }
 }
 

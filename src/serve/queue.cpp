@@ -375,18 +375,15 @@ std::vector<std::string> SpoolQueue::ids_in(const std::string& state) const {
 }
 
 void SpoolQueue::write_health(const HealthInfo& info) const {
-  io::write_artifact((fs::path(root_) / "health.json").string(),
-                     "minergy.health.v1", health_json(info));
-}
-
-std::string SpoolQueue::health_json(const HealthInfo& info) const {
   const QueueCounts c = counts();
   util::JsonWriter w(2);
   w.begin_object();
   w.kv("schema", "minergy.health.v1");
   w.kv("state", info.state);
   w.kv("status", info.status);
-  w.kv("role", info.role);
+  // Only the leader writes health.json; a standby writes nothing into the
+  // spool.
+  w.kv("role", "leader");
   if (info.lease_token > 0) {
     w.kv("lease_token", static_cast<std::int64_t>(info.lease_token));
   }
@@ -405,7 +402,8 @@ std::string SpoolQueue::health_json(const HealthInfo& info) const {
   for (const std::string& circuit : info.breaker_open) w.value(circuit);
   w.end_array();
   w.end_object();
-  return w.str() + "\n";
+  io::write_artifact((fs::path(root_) / "health.json").string(),
+                     "minergy.health.v1", w.str() + "\n");
 }
 
 }  // namespace minergy::serve

@@ -79,17 +79,13 @@ struct QueueCounts {
 struct HealthInfo {
   std::string state = "starting";  // starting | serving | draining | stopped
                                    // | degraded
-  // "ok" | "degraded": the load-balancer-facing readiness verdict. The
-  // daemon reports "degraded" (and /health turns 503 + Retry-After) only
-  // while ENOSPC-paused.
+  // "ok" | "degraded": the readiness verdict. The daemon reports
+  // "degraded" only while ENOSPC-paused.
   std::string status = "ok";
   std::string status_reason;
   int workers_active = 0;
   std::vector<std::string> breaker_open;
-  // "leader" | "standby": which role this daemon is serving in the HA
-  // plane (serve/lease.h). Single-daemon spools are always the leader.
-  std::string role = "leader";
-  // The leader's current fencing token (0 for a standby / no lease).
+  // The leader's current fencing token (serve/lease.h; 0 = no lease).
   std::uint64_t lease_token = 0;
 };
 
@@ -158,13 +154,8 @@ class SpoolQueue {
   std::string checkpoint_path(const std::string& id) const;
   std::string job_path(const std::string& state, const std::string& id) const;
 
-  // Atomically refreshes <root>/health.json.
+  // Atomically refreshes <root>/health.json (schema minergy.health.v1).
   void write_health(const HealthInfo& info) const;
-
-  // The minergy.health.v1 document as a string — write_health persists it,
-  // and the daemon publishes the same bytes to the /health exposition
-  // endpoint so scrapes are served from memory, not the file.
-  std::string health_json(const HealthInfo& info) const;
 
  private:
   std::string dir(const std::string& state) const;

@@ -26,9 +26,7 @@
 #include "io/durable.h"
 #include "io/envelope.h"
 #include "io/fault_fs.h"
-#include "io/scrub.h"
 #include "obs/eventlog.h"
-#include "obs/expose.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/inject.h"
@@ -115,66 +113,17 @@ void Supervisor::refresh_health(const std::string& state) {
   const double now_unix = unix_now();
   HealthInfo info;
   info.state = state;
-  info.role = "leader";
   info.lease_token = lease_.token();
   info.workers_active = static_cast<int>(slots_.size());
   info.breaker_open = breaker_.open_circuits(now_unix);
-  // Readiness verdict for load balancers: an ENOSPC-paused daemon is alive
-  // but should not receive traffic — /health turns 503 with a Retry-After
-  // while /metrics stays 200 so scrapers keep seeing it.
+  // Readiness verdict: an ENOSPC-paused daemon is alive but should not be
+  // sent work, and health.json says why.
   if (state == "degraded") {
     info.status = "degraded";
     info.status_reason = "storage fault: admissions paused";
   }
   queue_.write_health(info);
   last_health_monotonic_ = util::monotonic_seconds();
-
-  // Live exposition: the same health document the file just got, plus the
-  // /jobs spool partition, published from memory so a scrape never touches
-  // the spool filesystem. Gated on running() — without --listen this whole
-  // block is one relaxed atomic load.
-  if (obs::ExpositionServer::instance().running()) {
-    const bool degraded = info.status != "ok";
-    obs::ExpositionServer::instance().publish(
-        "/health", "application/json", queue_.health_json(info),
-        degraded ? 503 : 200,
-        degraded ? std::string("Retry-After: 1\r\n") : std::string());
-    const QueueCounts c = queue_.counts();
-    obs::gauge("serve.spool.pending").set(static_cast<double>(c.pending));
-    obs::gauge("serve.spool.running").set(static_cast<double>(c.running));
-    obs::gauge("serve.spool.done").set(static_cast<double>(c.done));
-    obs::gauge("serve.spool.failed").set(static_cast<double>(c.failed));
-    obs::gauge("serve.spool.quarantined")
-        .set(static_cast<double>(c.quarantined));
-    obs::gauge("serve.workers.active")
-        .set(static_cast<double>(info.workers_active));
-    obs::gauge("serve.lease.token")
-        .set(static_cast<double>(info.lease_token));
-    obs::gauge("serve.lease.is_leader").set(lease_.is_leader() ? 1.0 : 0.0);
-    util::JsonWriter w(2);
-    w.begin_object();
-    w.kv("schema", "minergy.jobs.v1");
-    w.kv("state", state);
-    w.kv("workers_active", info.workers_active);
-    w.key("queue").begin_object();
-    w.kv("pending", c.pending);
-    w.kv("running", c.running);
-    w.kv("done", c.done);
-    w.kv("failed", c.failed);
-    w.kv("quarantined", c.quarantined);
-    w.end_object();
-    w.key("breakers").begin_array();
-    for (const auto& [circuit, breaker_state] : breaker_.states(now_unix)) {
-      w.begin_object();
-      w.kv("circuit", circuit);
-      w.kv("state", breaker_state);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    obs::ExpositionServer::instance().publish("/jobs", "application/json",
-                                              w.str() + "\n");
-  }
   log_spool_state(state);
 }
 
@@ -661,9 +610,8 @@ void Supervisor::on_lease_lost(const std::string& why) {
                why.c_str());
 }
 
-// Standby heartbeat: everything a monitor needs (role, spool partition,
-// gauges) without a single spool write — health.json belongs to the
-// leader; the standby's view is served from memory over /health.
+// Standby heartbeat: the spool partition in the event log, without a single
+// spool write — health.json belongs to the leader.
 void Supervisor::standby_tick() {
   if (last_health_monotonic_ >= 0.0 &&
       util::monotonic_seconds() - last_health_monotonic_ <
@@ -671,58 +619,13 @@ void Supervisor::standby_tick() {
     return;
   }
   last_health_monotonic_ = util::monotonic_seconds();
-  HealthInfo info;
-  info.state = "standby";
-  info.role = "standby";
-  info.workers_active = 0;
   obs::gauge("serve.lease.is_leader").set(0.0);
-  if (obs::ExpositionServer::instance().running()) {
-    obs::ExpositionServer::instance().publish("/health", "application/json",
-                                              queue_.health_json(info));
-    const QueueCounts c = queue_.counts();
-    obs::gauge("serve.spool.pending").set(static_cast<double>(c.pending));
-    obs::gauge("serve.spool.running").set(static_cast<double>(c.running));
-    obs::gauge("serve.spool.done").set(static_cast<double>(c.done));
-    obs::gauge("serve.spool.failed").set(static_cast<double>(c.failed));
-    obs::gauge("serve.spool.quarantined")
-        .set(static_cast<double>(c.quarantined));
-    obs::gauge("serve.workers.active").set(0.0);
-  }
   log_spool_state("standby");
-}
-
-void Supervisor::maybe_scrub() {
-  if (opts_.scrub_interval_seconds <= 0.0 || !lease_.is_leader()) return;
-  const double now = util::monotonic_seconds();
-  if (last_scrub_monotonic_ >= 0.0 &&
-      now - last_scrub_monotonic_ < opts_.scrub_interval_seconds) {
-    return;
-  }
-  last_scrub_monotonic_ = now;
-  const obs::Span span("serve.scrub");
-  io::SpoolScrubber(queue_.root()).run();
 }
 
 int Supervisor::run() {
   g_drain_requested = 0;
   install_drain_handlers();
-  // Pre-register the service latency instruments so the very first
-  // /metrics scrape — before any job completes — already exposes the
-  // serve_job_* histogram families instead of an absent series.
-  obs::histogram("serve.job.queue_wait_micros");
-  obs::histogram("serve.job.exec_micros");
-  obs::histogram("serve.job.e2e_micros");
-  obs::histogram("serve.job.load_micros");
-  obs::histogram("serve.job.optimize_micros");
-  obs::histogram("serve.job.certify_micros");
-  obs::histogram("serve.job.process_micros");
-  obs::counter("serve.slo.violations");
-  // Lease + scrub families likewise, so a standby's very first scrape (or a
-  // leader that never loses the lease) still exposes the full catalogue.
-  obs::gauge("serve.lease.token");
-  obs::gauge("serve.lease.is_leader");
-  obs::counter("serve.lease.fenced_rejects");
-  obs::counter("io.scrub.passes");
   {
     obs::Event ev;
     ev.kind = "daemon_start";
@@ -776,7 +679,6 @@ int Supervisor::run() {
       reap();
       if (g_drain_requested) break;
       spawn_ready(unix_now());
-      maybe_scrub();
       if (g_drain_requested) break;
       if (opts_.once && slots_.empty() && queue_.ids_in("pending").empty()) {
         break;

@@ -28,7 +28,7 @@
 // requeue ends in a rename there), a worker exits (one pidfd per live
 // slot) or a signal arrives — and never longer than poll_seconds, so every
 // timer the loop owns (kill deadline, lease renewal, health, snapshot,
-// scrub, retry backoff) still fires on time. A wake source
+// retry backoff) still fires on time. A wake source
 // the kernel refuses (inotify_init1 or pidfd_open failing) is simply
 // absent, and the cap alone gives a plain poll. waitpid(WNOHANG) in reap()
 // is the only reaper; a pidfd only ends the wait.
@@ -71,14 +71,11 @@ struct SupervisorOptions {
   std::function<void()> snapshot_hook;
   // HA role (serve/lease.h): every daemon runs under the spool's leader
   // lease. A daemon that holds (or wins) the lease serves; one that does
-  // not becomes a hot standby — tails the spool read-only, publishes
-  // /health + /metrics with role=standby, and takes over within about one
-  // lease TTL of leader death. lease.standby additionally makes a cold
-  // start defer to a racing leader on a fresh spool (--standby).
+  // not becomes a hot standby — tails the spool read-only, writes nothing
+  // into it, and takes over within about one lease TTL of leader death.
+  // lease.standby additionally makes a cold start defer to a racing leader
+  // on a fresh spool (--standby).
   LeaseOptions lease{};
-  // Leader-only anti-entropy pass (io/scrub.h) every this many seconds
-  // between claim passes; 0 disables.
-  double scrub_interval_seconds = 0.0;
 };
 
 class Supervisor {
@@ -132,11 +129,9 @@ class Supervisor {
   // every worker WITHOUT touching the spool — this process no longer owns
   // it; the new leader's recovery requeues the stranded running/ entries.
   void on_lease_lost(const std::string& why);
-  // Standby heartbeat: publish /health (role=standby) and the spool gauges
-  // from memory + read-only spool counts. Never writes into the spool.
+  // Standby heartbeat: logs the spool partition from read-only counts.
+  // Never writes into the spool.
   void standby_tick();
-  // Leader-only anti-entropy pass at the configured cadence.
-  void maybe_scrub();
 
   // Judges and finalizes a committed result envelope. `worker_wall_seconds`
   // is the attempt's wall time when the envelope comes from a worker reap()
@@ -154,7 +149,6 @@ class Supervisor {
   // inotify watch on pending/, open while this daemon leads.
   OwnedFd pending_watch_;
   double last_health_monotonic_ = -1.0;
-  double last_scrub_monotonic_ = -1.0;
   double last_snapshot_monotonic_ = -1.0;
   QueueCounts last_logged_counts_{};
   bool counts_ever_logged_ = false;

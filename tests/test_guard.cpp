@@ -309,6 +309,16 @@ TEST(RobustOptimizer, ImpossibleClockThrowsRichInfeasibleError) {
   const tech::Technology tech = tech::Technology::generic350();
   const opt::CircuitEvaluator eval(nl, tech, profile(),
                                    {.clock_frequency = 50e9});
+
+  const MetricsOn metrics;
+  const obs::Counter& size_calls = obs::counter("opt.sizer.size_calls");
+  const obs::Counter& sta_runs = obs::counter("timing.sta.runs");
+  const obs::Counter& joint_probes = obs::counter("opt.joint.probes");
+  const obs::Counter& baseline_probes = obs::counter("opt.baseline.probes");
+  const std::int64_t sizes_before = size_calls.value();
+  const std::int64_t stas_before = sta_runs.value();
+  const std::int64_t joint_before = joint_probes.value();
+  const std::int64_t baseline_before = baseline_probes.value();
   try {
     opt::RobustOptimizer(eval).run();
     FAIL() << "expected util::InfeasibleError";
@@ -319,6 +329,12 @@ TEST(RobustOptimizer, ImpossibleClockThrowsRichInfeasibleError) {
     EXPECT_NE(std::string(e.what()).find(e.limiting_gate()),
               std::string::npos);
   }
+  // The max-drive probe runs first and alone decides: one sizing, one STA,
+  // and no tier probes at all.
+  EXPECT_EQ(size_calls.value() - sizes_before, 1);
+  EXPECT_EQ(sta_runs.value() - stas_before, 1);
+  EXPECT_EQ(joint_probes.value() - joint_before, 0);
+  EXPECT_EQ(baseline_probes.value() - baseline_before, 0);
 }
 
 TEST(RobustOptimizer, LastResortDiagnosesFromItsOwnMaxDriveProbe) {

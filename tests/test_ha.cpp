@@ -321,6 +321,42 @@ TEST(HaLease, StealsOnlyAfterObservedExpiryDespiteWallJumps) {
   EXPECT_TRUE(b.fence_ok(2));
 }
 
+// A lease that no longer parses is what a standby repairs: it watches the
+// damaged bytes for one expiry window, then steals with a higher token,
+// which fences the old leader.
+TEST(HaLease, DamagedLeaseIsStolenAfterOneExpiryWindow) {
+  ScratchSpool spool("lease_damaged");
+  fs::create_directories(spool.root);
+  auto* vc = new util::VirtualClock();
+  LeaseOptions oa;
+  oa.ttl_seconds = 0.3;
+  oa.margin_seconds = 0.2;  // steal horizon: 0.5 observed seconds
+  oa.host_override = "hostA";
+  LeaseOptions ob = oa;
+  ob.host_override = "hostB";
+  LeaseManager a(spool.root, oa, vc);
+  LeaseManager b(spool.root, ob, vc);
+
+  ASSERT_TRUE(a.try_acquire());
+  EXPECT_FALSE(b.try_acquire()) << "standby stole a fresh lease";
+
+  std::ofstream(spool.root + "/leader.lease", std::ios::trunc)
+      << "garbage, not an envelope\n";
+  EXPECT_FALSE(b.try_acquire()) << "damaged lease stolen on first sight";
+  vc->advance(0.4);  // 0.4 observed seconds < 0.5 horizon
+  EXPECT_FALSE(b.try_acquire()) << "damaged lease stolen before ttl + margin";
+
+  obs::set_enabled(true);
+  const std::int64_t takeovers_before =
+      obs::counter("serve.lease.takeovers").value();
+  vc->advance(0.2);  // 0.6 observed seconds
+  ASSERT_TRUE(b.try_acquire()) << "damaged lease was never stolen";
+  EXPECT_GT(b.token(), 1u);
+  EXPECT_EQ(obs::counter("serve.lease.takeovers").value(),
+            takeovers_before + 1);
+  EXPECT_FALSE(a.fence_ok(1));
+}
+
 TEST(HaLease, RenewalResetsStandbyObservation) {
   ScratchSpool spool("lease_renew");
   fs::create_directories(spool.root);
@@ -507,7 +543,8 @@ TEST(HaFence, WorkerProbeFailsOpenWithoutALeaseAndClosedOnMismatch) {
 
   std::ofstream(lease, std::ios::trunc) << "garbage, not an envelope\n";
   EXPECT_TRUE(lease_token_matches(lease, 7))
-      << "a damaged lease must fail open (it is the scrubber's problem)";
+      << "a damaged lease must fail open (a standby steals it after one "
+         "expiry window; the queue's fence is the backstop)";
 }
 
 // ----------------------------------------------------- subprocess chaos

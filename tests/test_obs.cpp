@@ -1,17 +1,26 @@
-// Observability layer: counters/gauges/histograms, Chrome-trace spans, and
-// the RunReport telemetry carried by every OptimizationResult.
+// Observability layer: counters/gauges/histograms, Chrome-trace spans, the
+// RunReport telemetry carried by every OptimizationResult, and the daemon's
+// JSONL event log.
 //
 // Metric-collection state is process-global, so every test restores the
 // enabled flag and resets the registry/tracer it touched (the ObsTest
-// fixture); the suite runs under the CTest label `obs`.
+// fixture; ExposeTest does the same for the event log); the suite runs
+// under the CTest label `obs`, also under ThreadSanitizer.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_suite/iscas.h"
+#include "obs/eventlog.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -142,6 +151,101 @@ TEST_F(ObsTest, HistogramValueOnASubBucketBoundLandsInTheBucketItBounds) {
                     obs::Histogram::kSubBuckets +
                 obs::Histogram::kSubBuckets - 1),
             1024.0);
+}
+
+TEST_F(ObsTest, RegistrySnapshotsReadEveryInstrumentKind) {
+  obs::set_enabled(true);
+  obs::counter("test.snapshot.requests").add(7);
+  obs::gauge("test.snapshot.depth").set(3.5);
+  obs::gauge(obs::labeled_name("test.snapshot.state", "circuit", "s27"))
+      .set(1.0);
+  obs::gauge(obs::labeled_name("test.snapshot.state", "circuit", "s298"))
+      .set(0.5);
+  obs::Histogram& h = obs::histogram("test.snapshot.latency_micros");
+  h.record(3.0);
+  h.record(100.0);
+  h.record(100000.0);
+  // Registered before any sample lands, as a freshly started daemon's
+  // histograms are: its aggregates read 0, never NaN.
+  obs::histogram("test.snapshot.empty_micros");
+
+  EXPECT_EQ(obs::Registry::instance().counter_snapshot().at(
+                "test.snapshot.requests"),
+            7);
+  const auto gauges = obs::Registry::instance().gauge_snapshot();
+  EXPECT_EQ(gauges.at("test.snapshot.depth"), 3.5);
+  EXPECT_EQ(gauges.at("test.snapshot.state{circuit=\"s27\"}"), 1.0);
+  EXPECT_EQ(gauges.at("test.snapshot.state{circuit=\"s298\"}"), 0.5);
+  // A family's label children sort next to each other.
+  const auto child = gauges.find("test.snapshot.state{circuit=\"s298\"}");
+  ASSERT_NE(child, gauges.begin());
+  EXPECT_EQ(std::prev(child)->first, "test.snapshot.state{circuit=\"s27\"}");
+
+  const auto hists = obs::Registry::instance().histogram_snapshot();
+  const obs::HistogramSnapshot& full = hists.at("test.snapshot.latency_micros");
+  EXPECT_EQ(full.count, 3);
+  EXPECT_GT(full.sum, 0.0);
+  EXPECT_GT(full.p50, 0.0);
+  EXPECT_LE(full.p50, full.p95);
+  EXPECT_LE(full.p95, full.p99);
+  const obs::HistogramSnapshot& empty = hists.at("test.snapshot.empty_micros");
+  EXPECT_EQ(empty.count, 0);
+  for (const double v : {empty.sum, empty.p50, empty.p95, empty.p99}) {
+    EXPECT_EQ(v, 0.0);
+  }
+  obs::histogram("test.snapshot.empty_micros").record(42.0);
+  const obs::HistogramSnapshot one = obs::Registry::instance()
+                                         .histogram_snapshot()
+                                         .at("test.snapshot.empty_micros");
+  EXPECT_EQ(one.count, 1);
+  EXPECT_TRUE(std::isfinite(one.p50));
+  EXPECT_GE(one.p50, 42.0);
+}
+
+// Writer threads mutate counters, gauges and histograms while reader
+// threads take snapshots, as the daemon's periodic perf-record flush does;
+// under ThreadSanitizer this is the Registry's data-race oracle.
+TEST_F(ObsTest, SnapshotsRunConcurrentlyWithWriters) {
+  obs::set_enabled(true);
+  obs::Counter& c = obs::counter("test.snapshot.load");
+  obs::Histogram& h = obs::histogram("test.snapshot.load_micros");
+  constexpr int kWriters = 2;
+  constexpr int kPerWriter = 20000;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&stop] {
+      std::int64_t last = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::int64_t now =
+            obs::Registry::instance().counter_snapshot()["test.snapshot.load"];
+        EXPECT_GE(now, last) << "a counter snapshot went backwards";
+        last = now;
+        obs::Registry::instance().gauge_snapshot();
+        obs::Registry::instance().histogram_snapshot();
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&c, &h] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        c.add();
+        h.record(static_cast<double>((i % 1000) + 1));
+        obs::gauge("test.snapshot.load_gauge").set(static_cast<double>(i));
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+  const std::int64_t total = static_cast<std::int64_t>(kWriters) * kPerWriter;
+  EXPECT_EQ(c.value(), total);
+  EXPECT_EQ(obs::Registry::instance()
+                .histogram_snapshot()
+                .at("test.snapshot.load_micros")
+                .count,
+            total);
 }
 
 // --- tracer -----------------------------------------------------------------
@@ -341,6 +445,167 @@ TEST_F(ObsTest, FaultCatalogTallyFillsCounterFamily) {
   EXPECT_EQ(obs::counter("fault.netlist.pass").value(), tally.netlist_pass);
   EXPECT_EQ(obs::counter("fault.stress.pass").value(), tally.stress_pass);
   EXPECT_EQ(obs::counter("fault.tech.fail").value(), 0);
+}
+
+// --- event log and labeled names -------------------------------------------
+
+class ExposeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    was_enabled_ = obs::enabled();
+    obs::set_enabled(true);
+    obs::Registry::instance().reset();
+  }
+  void TearDown() override {
+    obs::EventLog::instance().close();
+    obs::set_enabled(was_enabled_);
+    obs::Registry::instance().reset();
+  }
+
+ private:
+  bool was_enabled_ = false;
+};
+
+TEST_F(ExposeTest, LabeledNameKeepsLabelSet) {
+  const std::string name =
+      obs::labeled_name("serve.breaker.state", "circuit", "s27");
+  EXPECT_EQ(name, "serve.breaker.state{circuit=\"s27\"}");
+  // Quotes and backslashes in values are escaped, not injected.
+  EXPECT_EQ(obs::labeled_name("f.g", "k", "a\"b\\c"),
+            "f.g{k=\"a\\\"b\\\\c\"}");
+}
+
+std::string scratch_log_path(const char* tag) {
+  return ::testing::TempDir() + "minergy_eventlog_" + tag + "_" +
+         std::to_string(::getpid()) + ".jsonl";
+}
+
+std::vector<util::JsonValue> read_events(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::vector<util::JsonValue> events;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    events.push_back(util::JsonValue::parse(line, path));
+  }
+  return events;
+}
+
+TEST_F(ExposeTest, EventLogLinesParseWithStrictSeq) {
+  const std::string path = scratch_log_path("basic");
+  std::string error;
+  ASSERT_TRUE(obs::EventLog::instance().open(path, 1 << 20, &error)) << error;
+
+  obs::Event claimed;
+  claimed.kind = "job_claimed";
+  claimed.job = "j-0001";
+  claimed.circuit = "s27";
+  claimed.attempt = 1;
+  claimed.num.push_back({"queue_wait_s", 0.25});
+  obs::event(claimed);
+
+  obs::Event done;
+  done.kind = "job_done";
+  done.job = "j-0001";
+  done.circuit = "s27";
+  done.attempt = 1;
+  obs::event(done);
+
+  obs::EventLog::instance().close();
+
+  const std::vector<util::JsonValue> events = read_events(path);
+  ASSERT_EQ(events.size(), 2u);
+  std::int64_t prev = 0;
+  for (const util::JsonValue& e : events) {
+    EXPECT_EQ(e.get_string("schema", ""), obs::kEventSchema);
+    const std::int64_t seq = static_cast<std::int64_t>(e.at("seq").as_number());
+    EXPECT_GT(seq, prev);
+    prev = seq;
+  }
+  EXPECT_EQ(events[0].get_string("kind", ""), "job_claimed");
+  EXPECT_EQ(events[0].get_string("span", ""), "j-0001#1");
+  EXPECT_NEAR(events[0].get_number("queue_wait_s", 0.0), 0.25, 1e-12);
+  EXPECT_EQ(events[1].get_string("kind", ""), "job_done");
+  std::remove(path.c_str());
+}
+
+TEST_F(ExposeTest, EventLogRotatesAtSizeCapAndKeepsSeq) {
+  const std::string path = scratch_log_path("rotate");
+  std::string error;
+  // A cap small enough that a handful of events forces rotation.
+  ASSERT_TRUE(obs::EventLog::instance().open(path, 512, &error)) << error;
+  for (int i = 0; i < 12; ++i) {
+    obs::Event e;
+    e.kind = "worker_spawned";
+    e.detail = "padding padding padding padding padding";
+    obs::event(e);
+  }
+  const std::int64_t final_seq = obs::EventLog::instance().last_seq();
+  obs::EventLog::instance().close();
+
+  const std::vector<util::JsonValue> tail = read_events(path);
+  const std::vector<util::JsonValue> head = read_events(path + ".1");
+  ASSERT_FALSE(tail.empty());
+  ASSERT_FALSE(head.empty());
+  // Single-level rotation: .1 holds the most recently rotated segment and
+  // the live tail continues its seq with a log_rotated marker first —
+  // never resetting or repeating, so the two files splice seamlessly.
+  const std::int64_t head_last =
+      static_cast<std::int64_t>(head.back().at("seq").as_number());
+  EXPECT_EQ(static_cast<std::int64_t>(tail.front().at("seq").as_number()),
+            head_last + 1);
+  EXPECT_EQ(tail.front().get_string("kind", ""), "log_rotated");
+  EXPECT_EQ(static_cast<std::int64_t>(tail.back().at("seq").as_number()),
+            final_seq);
+  std::int64_t prev = 0;
+  for (const util::JsonValue& e : head) {
+    const std::int64_t seq = static_cast<std::int64_t>(e.at("seq").as_number());
+    EXPECT_GT(seq, prev);
+    prev = seq;
+  }
+  for (const util::JsonValue& e : tail) {
+    const std::int64_t seq = static_cast<std::int64_t>(e.at("seq").as_number());
+    EXPECT_GT(seq, prev);
+    prev = seq;
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".1").c_str());
+}
+
+TEST_F(ExposeTest, EventLogOpenRotatesPreviousRun) {
+  const std::string path = scratch_log_path("reopen");
+  std::string error;
+  ASSERT_TRUE(obs::EventLog::instance().open(path, 1 << 20, &error)) << error;
+  obs::Event e;
+  e.kind = "daemon_start";
+  obs::event(e);
+  obs::EventLog::instance().close();
+
+  // A second run rotates the first segment aside and restarts seq at 1 —
+  // the verifier's claim/finalize pairing oracle depends on this.
+  ASSERT_TRUE(obs::EventLog::instance().open(path, 1 << 20, &error)) << error;
+  obs::Event e2;
+  e2.kind = "daemon_start";
+  obs::event(e2);
+  obs::EventLog::instance().close();
+
+  const std::vector<util::JsonValue> fresh = read_events(path);
+  const std::vector<util::JsonValue> old = read_events(path + ".1");
+  ASSERT_EQ(fresh.size(), 1u);
+  ASSERT_EQ(old.size(), 1u);
+  EXPECT_EQ(static_cast<std::int64_t>(fresh[0].at("seq").as_number()), 1);
+  std::remove(path.c_str());
+  std::remove((path + ".1").c_str());
+}
+
+TEST_F(ExposeTest, DisarmedEventIsNoOp) {
+  obs::EventLog::instance().close();
+  EXPECT_FALSE(obs::EventLog::instance().armed());
+  obs::Event e;
+  e.kind = "job_claimed";
+  obs::event(e);  // must not crash, write, or arm
+  EXPECT_FALSE(obs::EventLog::instance().armed());
 }
 
 }  // namespace

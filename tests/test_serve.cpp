@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_suite/experiment.h"
@@ -783,8 +784,9 @@ bool wait_until(const std::function<bool()>& done, double seconds) {
   return true;
 }
 
-// Reaps `pid`, SIGKILLing it after `seconds`; true when it exited 0 alone.
-bool wait_exit(pid_t pid, double seconds) {
+// Reaps `pid`, SIGKILLing it after `seconds`; its exit code when it exited
+// alone, -1 otherwise.
+int exit_code(pid_t pid, double seconds) {
   int status = 0;
   const bool exited =
       wait_until([&] { return waitpid(pid, &status, WNOHANG) == pid; },
@@ -793,7 +795,12 @@ bool wait_exit(pid_t pid, double seconds) {
     kill(pid, SIGKILL);
     waitpid(pid, &status, 0);
   }
-  return exited && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  return exited && WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// True when `pid` exited 0 alone within `seconds`.
+bool wait_exit(pid_t pid, double seconds) {
+  return exit_code(pid, seconds) == 0;
 }
 
 std::string read_text(const std::string& path) {
@@ -873,8 +880,8 @@ TEST(ServeLoop, ServedJobSplitsWorkerTimeIntoFourHistograms) {
 
 // Policy files an earlier daemon left in the spool (a fresh shed level 2
 // policy and a client's quota bucket) change nothing: a default submit is
-// admitted, a --once daemon drains the spool, and the scrubber passes
-// clean without moving either file.
+// admitted, and a --once daemon drains the spool without touching either
+// file.
 TEST(ServeLoop, StalePolicyFilesNeitherBlockNorGetScrubbed) {
   ScratchSpool spool("legacy_policy");
   SpoolQueue q(spool.root);
@@ -917,12 +924,63 @@ TEST(ServeLoop, StalePolicyFilesNeitherBlockNorGetScrubbed) {
       wait_exit(spawn_served({"--spool=" + spool.root, "--once"}), 120.0));
   EXPECT_EQ(q.counts().pending, 0u);
   EXPECT_EQ(q.counts().done, 1u);
-
-  EXPECT_TRUE(
-      wait_exit(spawn_served({"--spool=" + spool.root, "--scrub"}), 60.0))
-      << "scrub did not pass clean";
   EXPECT_EQ(io::read_file_or_throw(policy), policy_bytes);
   EXPECT_EQ(io::read_file_or_throw(bucket), bucket_bytes);
+}
+
+// --scrub is no longer a mode. util::Cli ignores unknown flags, so without
+// a usage check it would start a daemon that serves the spool until killed.
+TEST(ServeLoop, RemovedScrubModeIsAUsageErrorAndServesNothing) {
+  ScratchSpool spool("removed_scrub");
+  SpoolQueue q(spool.root);
+  Job job;
+  job.circuit = "c17";
+  const std::string id = q.submit(job);
+  EXPECT_EQ(exit_code(spawn_served({"--spool=" + spool.root, "--scrub"}),
+                      10.0),
+            2);
+  EXPECT_TRUE(fs::exists(q.job_path("pending", id)));
+  EXPECT_EQ(q.counts().pending, 1u);
+  EXPECT_EQ(q.counts().terminal(), 0u);
+}
+
+// The at-rest audit: --status --verify re-reads every terminal record
+// through its envelope, so a done/ record cut short or with one flipped bit
+// fails it (exit 1), and the intact record passes (exit 0).
+TEST(ServeStatus, VerifyRejectsEveryDamagedTerminalRecord) {
+  ScratchSpool spool("status_damage");
+  SpoolQueue q(spool.root);
+  Job job;
+  job.circuit = "c17";
+  const std::string id = q.submit(job);
+  std::optional<Job> claimed = q.claim(unix_now());
+  ASSERT_TRUE(claimed.has_value());
+  q.finalize_done(*claimed, fake_envelope(id, true, true, true));
+  const std::string path = q.job_path("done", id);
+  const std::string intact = io::read_file_or_throw(path);
+  ASSERT_GT(intact.size(), 2u);
+  const auto verify = [&] {
+    return exit_code(spawn_served({"--spool=" + spool.root, "--status",
+                                   "--verify", "--expect-jobs=1"}),
+                     60.0);
+  };
+  EXPECT_EQ(verify(), 0) << "the intact record failed the audit";
+
+  std::string flipped = intact;
+  flipped[flipped.size() / 2] =
+      static_cast<char>(flipped[flipped.size() / 2] ^ 0x01);
+  const std::vector<std::pair<std::string, std::string>> damaged = {
+      {"truncated to 0 bytes", ""},
+      {"truncated to half", intact.substr(0, intact.size() / 2)},
+      {"all but the last byte", intact.substr(0, intact.size() - 1)},
+      {"one flipped bit", flipped},
+  };
+  for (const auto& [what, bytes] : damaged) {
+    write_file(path, bytes);
+    EXPECT_EQ(verify(), 1) << what;
+  }
+  write_file(path, intact);
+  EXPECT_EQ(verify(), 0) << "the restored record failed the audit";
 }
 
 // A served robust job snapshots its joint sweep on the in-process cadence:

@@ -36,24 +36,16 @@
 //                         propagated into workers like --inject-kill
 //
 // High-availability flags (daemon mode; see docs/ROBUSTNESS.md, "High
-// availability & scrubbing"): every daemon runs under the spool's fenced
-// leader lease (<spool>/leader.lease, schema minergy.lease.v1); exactly one
-// serves, the rest stand by and take over within ~1 lease TTL:
+// availability"): every daemon runs under the spool's fenced leader lease
+// (<spool>/leader.lease, schema minergy.lease.v1); exactly one serves, the
+// rest stand by and take over within ~1 lease TTL:
 //   --standby             hot-standby start: never claim a fresh spool until
 //                         it has been observed leaderless for a full expiry
 //                         window (defers to a cold-starting leader)
 //   --lease-ttl-s=S       lease heartbeat TTL (default 2); renewed at TTL/3
 //   --lease-margin-s=S    extra observed staleness before a steal (def. 0.5)
-//   --scrub-interval-s=S  leader-only anti-entropy pass cadence (0 = off)
-//   --scrub               offline mode: one scrubber pass over the spool,
-//                         then exit 0 (clean) / 1 (repaired) / 2 (quarantined)
 //
-// Live telemetry flags (daemon mode; see docs/OBSERVABILITY.md):
-//   --listen=PORT         embedded HTTP exposition on 127.0.0.1:PORT
-//                         (0 = ephemeral): GET /metrics (Prometheus text),
-//                         /health (minergy.health.v1, from memory), /jobs
-//                         (spool partition + breaker states)
-//   --port-file=FILE      write the bound port to FILE (--listen=0 discovery)
+// Telemetry flags (daemon mode; see docs/OBSERVABILITY.md):
 //   --event-log=FILE      append-only JSONL event log (minergy.event.v1):
 //                         one line per state transition, retry, breaker
 //                         action, degradation, certification verdict;
@@ -76,6 +68,10 @@
 // SIGTERM/SIGINT drain gracefully: intake stops, in-flight jobs keep their
 // PR-3 checkpoint snapshots, and the next daemon resumes them bit-exactly.
 //
+// Damage at rest is handled when a file is read (docs/ROBUSTNESS.md, "Damage
+// at rest"); --status --verify audits the terminal records. The former
+// offline --scrub mode is a usage error, so it never starts a daemon.
+//
 // Exit codes: 0 success, 1 validation failure (full queue, failed verify),
 // 2 bad arguments / unreadable input, 4 (status mode) spool holds
 // quarantined job(s) — a poisoned spool operators must look at even when
@@ -90,7 +86,6 @@
 #include "io/durable.h"
 #include "io/envelope.h"
 #include "io/fault_fs.h"
-#include "io/scrub.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
 #include "serve/inject.h"
@@ -108,17 +103,14 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: minergy_served --spool=DIR [mode] [flags]\n"
-    "  modes: (default) daemon | --submit | --status | --scrub |\n"
-    "         --worker (internal)\n"
+    "  modes: (default) daemon | --submit | --status | --worker (internal)\n"
     "  daemon: [--workers=N] [--once] [--poll=S]\n"
     "          [--timeout=S] [--retries=N]\n"
     "          [--backoff=S] [--breaker-threshold=N] [--breaker-cooldown=S]\n"
     "          [--drain-grace=S] [--inject-kill=POINT[@K]]\n"
     "          [--inject-stop=POINT[@K]] [--inject-io=SPEC]\n"
     "          [--standby] [--lease-ttl-s=S] [--lease-margin-s=S]\n"
-    "          [--scrub-interval-s=S]\n"
-    "          [--listen=PORT] [--port-file=FILE] [--event-log=FILE]\n"
-    "          [--event-log-max-kb=N] [--slo-e2e-ms=N]\n"
+    "          [--event-log=FILE] [--event-log-max-kb=N] [--slo-e2e-ms=N]\n"
     "          [--snapshot-interval-s=S] [--perf-record[=FILE]]\n"
     "          (--poll: longest wait without an event, default 0.02 s)\n"
     "  submit: --circuit=NAME [--optimizer=robust|joint|baseline|anneal]\n"
@@ -126,8 +118,7 @@ constexpr const char* kUsage =
     "          [--max-evals=N] [--anneal-moves=N] [--max-pending=N]\n"
     "  status: [--verify] [--expect-jobs=N]\n"
     "  exit codes: 0 ok, 1 validation failure, 2 usage error,\n"
-    "              4 (status) quarantined job(s) present\n"
-    "              (--scrub: 0 clean, 1 repaired, 2 quarantined)\n";
+    "              4 (status) quarantined job(s) present\n";
 
 serve::SpoolOptions spool_options(const util::Cli& cli) {
   serve::SpoolOptions o;
@@ -166,24 +157,6 @@ int run_submit(const util::Cli& cli, serve::SpoolQueue& queue) {
                  e.retry_after_seconds());
     return 1;
   }
-}
-
-// Offline anti-entropy pass: one scrubber sweep, a human-readable summary,
-// and the repair verdict as the exit code (0 clean, 1 repaired,
-// 2 quarantined) so CI and operators can gate on it.
-int run_scrub(serve::SpoolQueue& queue) {
-  const io::ScrubReport report = io::SpoolScrubber(queue.root()).run();
-  for (const io::ScrubFinding& f : report.findings) {
-    std::fprintf(stderr, "scrub: %s %s: %s%s%s\n", f.action.c_str(),
-                 f.path.c_str(), f.problem.c_str(),
-                 f.detail.empty() ? "" : " — ", f.detail.c_str());
-  }
-  std::printf(
-      "scrub %s\n  checked %d  clean %d  repaired %d  quarantined %d  "
-      "vanished %d\n",
-      queue.root().c_str(), report.checked, report.clean, report.repaired,
-      report.quarantined, report.vanished);
-  return report.exit_code();
 }
 
 int run_status(const util::Cli& cli, serve::SpoolQueue& queue) {
@@ -282,7 +255,6 @@ int run_daemon(const util::Cli& cli, serve::SpoolQueue& queue,
   opts.lease.standby = cli.has("standby");
   opts.lease.ttl_seconds = cli.get("lease-ttl-s", 2.0);
   opts.lease.margin_seconds = cli.get("lease-margin-s", 0.5);
-  opts.scrub_interval_seconds = cli.get("scrub-interval-s", 0.0);
   opts.breaker.threshold = cli.get("breaker-threshold", 3);
   opts.breaker.cooldown_seconds = cli.get("breaker-cooldown", 30.0);
   opts.snapshot_interval_seconds = cli.get("snapshot-interval-s", 0.0);
@@ -319,6 +291,16 @@ int main(int argc, char** argv) try {
     std::printf("%s", kUsage);
     return 0;
   }
+  // util::Cli ignores flags it does not know, so without this check the
+  // removed --scrub mode would fall through to serving the spool.
+  if (cli.has("scrub")) {
+    std::fprintf(stderr,
+                 "error: --scrub is no longer a mode (damage is handled "
+                 "when a file is read; --status --verify audits the "
+                 "terminal records)\n%s",
+                 kUsage);
+    return 2;
+  }
   serve::configure_kill_switch(cli.get("inject-kill", std::string()));
   serve::configure_stop_switch(cli.get("inject-stop", std::string()));
   io::FaultFs::instance().configure(cli.get("inject-io", std::string()));
@@ -331,7 +313,6 @@ int main(int argc, char** argv) try {
   if (cli.has("worker")) return serve::run_worker_mode(cli, queue);
   if (cli.has("submit")) return run_submit(cli, queue);
   if (cli.has("status")) return run_status(cli, queue);
-  if (cli.has("scrub")) return run_scrub(queue);
   obs::Session session(cli, "minergy_served");
   obs::set_enabled(true);
   return run_daemon(cli, queue, session);

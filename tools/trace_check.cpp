@@ -25,8 +25,8 @@
 // never-decreasing fencing token and must alternate with lease_lost (no
 // double-acquire, no loss while not leader); no job_claimed may appear in
 // a known-not-leader window (between a lease_lost and the next
-// lease_acquired); fenced_reject / scrub_repair / scrub_quarantine events
-// must carry a non-empty detail naming the refused op or damaged artifact.
+// lease_acquired); fenced_reject events must carry a non-empty detail
+// naming the refused op.
 //
 // Report checks (--report=FILE): the file round-trips through
 // obs::RunReport::from_json (schema minergy.run_report.v1) and the energies
@@ -288,9 +288,7 @@ int check_eventlog(const std::string& path) {
       // take work it could never finalize.
       return fail("job_claimed between lease_lost and lease_acquired");
     }
-    if ((kind == "fenced_reject" || kind == "scrub_repair" ||
-         kind == "scrub_quarantine") &&
-        e.get_string("detail", "").empty()) {
+    if (kind == "fenced_reject" && e.get_string("detail", "").empty()) {
       return fail(kind + " event carries no detail");
     }
   }
