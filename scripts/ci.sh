@@ -18,11 +18,8 @@
 # baseline's counter snapshot under bench/trajectory/ and fail when the
 # Table-2 or SA-comparison work counters drift from the committed records
 # there.
-# The high-availability label (-L ha) covers the leader lease and
-# split-brain chaos; a failover smoke then kill -9s a live leader and
-# requires its hot standby to take over and drain cleanly.
-# The par, serve, diskfault and ha labels run a second time pinned to one
-# core (taskset -c 0), so tier-1 is exercised at 1 core as well as at all.
+# The par, serve and diskfault labels run a second time pinned to one core
+# (taskset -c 0), so tier-1 is exercised at 1 core as well as at all.
 # A benchmark smoke leg then runs every bench/e2e workload at ~1/10 size,
 # serve_open against a live daemon, and fails on a missing metric or a
 # failed correctness check.
@@ -81,13 +78,13 @@ run_labelled_tests() {
 step "configure + build (Release)"
 cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-ci-release -j "$JOBS"
-run_labelled_tests build-ci-release fault obs serve diskfault ha par
+run_labelled_tests build-ci-release fault obs serve diskfault par
 
 # One-core leg: the same process-spawning and determinism labels pinned to
 # CPU 0, so tier-1 is known to pass on a single core as well as on many
 # (the anneal-resume tests are bounded by move count, not machine speed).
-step "build-ci-release: serve+diskfault+ha+par labels on one core (taskset -c 0)"
-taskset -c 0 ctest --test-dir build-ci-release -L 'par|serve|diskfault|ha' \
+step "build-ci-release: serve+diskfault+par labels on one core (taskset -c 0)"
+taskset -c 0 ctest --test-dir build-ci-release -L 'par|serve|diskfault' \
   --output-on-failure -j "$JOBS"
 
 # Benchmark smoke: all four bench/e2e workloads at ~1/10 size, built into
@@ -100,7 +97,7 @@ bash bench/e2e/run.sh --smoke
 step "configure + build (AddressSanitizer)"
 cmake -B build-ci-asan -S . -DMINERGY_SANITIZE=address
 cmake --build build-ci-asan -j "$JOBS"
-run_labelled_tests build-ci-asan fault obs serve diskfault ha par
+run_labelled_tests build-ci-asan fault obs serve diskfault par
 
 # ThreadSanitizer pass: the serve daemon forks workers, the obs layer
 # shares atomics across threads, and the `par` label drives the thread pool
@@ -109,7 +106,7 @@ run_labelled_tests build-ci-asan fault obs serve diskfault ha par
 step "configure + build (ThreadSanitizer)"
 cmake -B build-ci-tsan -S . -DMINERGY_SANITIZE=thread
 cmake --build build-ci-tsan -j "$JOBS"
-run_labelled_tests build-ci-tsan serve obs ha par
+run_labelled_tests build-ci-tsan serve obs par
 
 # Certified batch run: minergy_batch submits each circuit to a private spool
 # and drains it with the serve Supervisor, so every circuit optimizes in its
@@ -251,47 +248,6 @@ grep -A1 '"serve.job.e2e_micros"' "$log_perf" | grep -q '"count": 2,' \
   || { echo "the perf record's e2e histogram did not record both jobs"; exit 1; }
 "$served" --spool="$log_spool" --status --verify --expect-jobs=2
 
-# Failover smoke: a leader and a hot standby share one spool over the
-# leader lease; the leader is SIGKILLed mid-run, the standby must take over
-# within about one lease TTL, drain all six jobs, and leave a spool that
-# audits clean — exactly one takeover in the standby's event log and both
-# logs passing the lease-ordering verifier.
-step "failover smoke (kill -9 the leader, standby finishes)"
-ha_spool=build-ci-release/ci_ha_spool
-ha_leader_log=build-ci-release/ci_ha_leader_events.jsonl
-ha_standby_log=build-ci-release/ci_ha_standby_events.jsonl
-rm -rf "$ha_spool" "$ha_leader_log" "$ha_leader_log.1" \
-  "$ha_standby_log" "$ha_standby_log.1"
-for i in $(seq 1 6); do
-  "$served" --spool="$ha_spool" --submit --circuit=c17 --seed="$i" >/dev/null
-done
-"$served" --spool="$ha_spool" --workers=2 --poll=0.005 --timeout=60 \
-  --lease-ttl-s=1 --lease-margin-s=0.25 --event-log="$ha_leader_log" &
-ha_leader_pid=$!
-"$served" --spool="$ha_spool" --once --standby --workers=2 --poll=0.005 \
-  --timeout=60 --lease-ttl-s=1 --lease-margin-s=0.25 \
-  --event-log="$ha_standby_log" &
-ha_standby_pid=$!
-# Let the leader finish at least two jobs, then murder it mid-run.
-ha_done=0
-for _ in $(seq 1 600); do
-  ha_done=$(ls "$ha_spool/done" 2>/dev/null | wc -l)
-  [ "$ha_done" -ge 2 ] && break
-  sleep 0.1
-done
-[ "$ha_done" -ge 2 ] \
-  || { echo "leader never finished two jobs"; kill "$ha_leader_pid"; exit 1; }
-kill -9 "$ha_leader_pid"
-wait "$ha_leader_pid" || true
-wait "$ha_standby_pid" \
-  || { echo "standby did not drain the spool after the takeover"; exit 1; }
-"$served" --spool="$ha_spool" --status --verify --expect-jobs=6
-ha_takeovers=$(grep -c '"kind":"lease_acquired"' "$ha_standby_log")
-[ "$ha_takeovers" -eq 1 ] \
-  || { echo "expected exactly one takeover, saw $ha_takeovers"; exit 1; }
-build-ci-release/tools/trace_check --verify-eventlog="$ha_leader_log"
-build-ci-release/tools/trace_check --verify-eventlog="$ha_standby_log"
-
 # Perf trajectory: re-run the Table-1 baseline with a perf record and
 # archive the counters next to previous runs, so regressions show up as a
 # diffable series rather than vibes (see bench/trajectory/README.md).
@@ -324,4 +280,4 @@ sa_default=build-ci-release/BENCH_sa_comparison_default.json
 build-ci-release/bench/sa_comparison --perf-record="$sa_default" >/dev/null
 gate_trajectory sa_comparison 'paper suite' "$sa_default"
 
-step "OK: all builds green, fault+obs+serve+diskfault+ha+par labels pass (and on one core), benchmark smoke correct, batch results certified, event log verified and snapshot flushed live, standby survived kill -9 of its leader"
+step "OK: all builds green, fault+obs+serve+diskfault+par labels pass (and on one core), benchmark smoke correct, batch results certified, event log verified and snapshot flushed live"

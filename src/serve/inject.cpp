@@ -38,21 +38,15 @@ struct Switch {
 };
 
 Switch g_kill;
-Switch g_stop;
 
 }  // namespace
 
 void configure_kill_switch(const std::string& spec) { g_kill.configure(spec); }
 
-void configure_stop_switch(const std::string& spec) { g_stop.configure(spec); }
-
 const std::string& kill_switch_spec() { return g_kill.spec; }
-
-const std::string& stop_switch_spec() { return g_stop.spec; }
 
 void kill_point(const char* point) {
   if (g_kill.fires(point)) std::raise(SIGKILL);
-  if (g_stop.fires(point)) std::raise(SIGSTOP);
 }
 
 }  // namespace minergy::serve

@@ -1,4 +1,4 @@
-// Deterministic SIGKILL/SIGSTOP injection points for the chaos harness.
+// Deterministic SIGKILL injection points for the chaos harness.
 //
 // The serve chaos tests (tests/test_serve_chaos.cpp, `ctest -L serve`) must
 // prove the queue's exactly-once guarantee holds when the daemon or a
@@ -9,14 +9,8 @@
 // the OOM killer) at the K-th time it reaches that point. Everything is
 // counted per process, so a given (point, K) pair reproduces byte-for-byte.
 //
-// The HA suite (tests/test_ha.cpp, `ctest -L ha`) additionally needs
-// deterministic ZOMBIE leaders: a daemon that pauses mid-protocol (losing
-// its lease to a standby) and later resumes to attempt a stale finalize.
-// --inject-stop=name@K raises SIGSTOP at the same points; the test sends
-// SIGCONT when it wants the zombie to wake up exactly there.
-//
-// In a normal run neither switch is configured and kill_point() is two
-// branches on empty strings.
+// In a normal run the switch is not configured and kill_point() is one
+// branch on an empty string.
 #pragma once
 
 #include <string>
@@ -27,18 +21,12 @@ namespace minergy::serve {
 // ("point" alone means K=1). An empty spec disables injection.
 void configure_kill_switch(const std::string& spec);
 
-// Configures the stop switch (same grammar): the process raises SIGSTOP —
-// pausing until SIGCONT — at the K-th visit to the named point.
-void configure_stop_switch(const std::string& spec);
-
-// The currently configured specs ("" when disabled) — used to propagate the
-// switches into spawned workers.
+// The currently configured spec ("" when disabled) — used to propagate the
+// switch into spawned workers.
 const std::string& kill_switch_spec();
-const std::string& stop_switch_spec();
 
 // Marks one protocol step. If the configured kill point matches and this is
-// the K-th visit, the process raises SIGKILL and never returns. If the stop
-// point matches, the process raises SIGSTOP and continues after SIGCONT.
+// the K-th visit, the process raises SIGKILL and never returns.
 void kill_point(const char* point);
 
 }  // namespace minergy::serve

@@ -46,9 +46,6 @@ std::string Job::to_json(const std::string& result_json) const {
   w.kv("max_evaluations", max_evaluations);
   w.kv("anneal_moves", anneal_moves);
   if (!inject.empty()) w.kv("inject", inject);
-  if (fence_token > 0) {
-    w.kv("fence_token", static_cast<std::int64_t>(fence_token));
-  }
   w.kv("submitted_unix", submitted_unix);
   w.kv("not_before_unix", not_before_unix);
   if (next_backoff_seconds > 0.0) {
@@ -132,8 +129,6 @@ Job Job::from_json(const std::string& text, const std::string& source) {
       static_cast<std::int64_t>(root.get_number("max_evaluations", 0.0));
   j.anneal_moves = static_cast<int>(root.get_number("anneal_moves", 0.0));
   j.inject = root.get_string("inject", "");
-  j.fence_token =
-      static_cast<std::uint64_t>(root.get_number("fence_token", 0.0));
   j.submitted_unix = root.get_number("submitted_unix", 0.0);
   j.not_before_unix = root.get_number("not_before_unix", 0.0);
   j.next_backoff_seconds = root.get_number("next_backoff_seconds", 0.0);

@@ -57,13 +57,6 @@ struct Job {
   // make the worker die or wedge at a deterministic point.
   std::string inject;
 
-  // The leader-lease fencing token (serve/lease.h) under which this job was
-  // claimed, journaled into the running record and re-checked at every
-  // mutating queue operation: a paused-and-resumed zombie leader whose
-  // lease was stolen carries a stale token and its finalizes are rejected.
-  // 0 = claimed outside any lease (in-process tests, legacy spools).
-  std::uint64_t fence_token = 0;
-
   double submitted_unix = 0.0;
   double not_before_unix = 0.0;  // backoff: ineligible for claim before this
   // Backoff that produced not_before_unix; copied into the next attempt's
@@ -89,7 +82,8 @@ struct Job {
   // Parses a job document; throws util::ParseError on a missing schema,
   // wrong schema name, or structural damage. Members this struct does not
   // hold are ignored, so job files that older daemons wrote with scheduling
-  // fields (priority, client, completion deadline) still load.
+  // fields (priority, client, completion deadline) or a lease fencing token
+  // still load.
   static Job from_json(const std::string& text, const std::string& source);
 };
 
@@ -117,7 +111,7 @@ std::uint64_t attempt_seed(const Job& job, int failed_attempt_index);
 // finite, non-negative delay instead of an overflowing integer shift.
 double retry_backoff_seconds(double base_seconds, int failed_attempts);
 
-// Unix-epoch seconds for backoff eligibility and lease timestamps. Backoff
+// Unix-epoch seconds for backoff eligibility and job timestamps. Backoff
 // must survive daemon restarts, so the LEVEL is wall clock — but the value
 // is routed through util::Clock::system()'s unix_monotone() clamp, so a
 // backward wall-clock jump can never produce a negative backoff.

@@ -116,24 +116,6 @@ std::string SpoolQueue::submit(Job job) {
   return job.id;
 }
 
-void SpoolQueue::check_fence(const Job& job, const char* op) const {
-  if (lease_ == nullptr || job.fence_token == 0) return;
-  if (lease_->fence_ok(job.fence_token)) return;
-  const std::optional<LeaseRecord> rec = lease_->read();
-  const std::uint64_t current = rec ? rec->fencing_token : 0;
-  obs::counter("serve.lease.fenced_rejects").add();
-  obs::Event ev;
-  ev.kind = "fenced_reject";
-  ev.severity = "warn";
-  ev.job = job.id;
-  ev.circuit = job.circuit;
-  ev.detail = op;
-  ev.num.emplace_back("held_token", static_cast<double>(job.fence_token));
-  ev.num.emplace_back("current_token", static_cast<double>(current));
-  obs::event(ev);
-  throw FencedError(job.fence_token, current, op);
-}
-
 std::optional<Job> SpoolQueue::claim(double now_unix) {
   // Snapshot + parse every pending job first: the claim order is by
   // submission time, which only the job files carry, and the parse pass is
@@ -184,9 +166,6 @@ std::optional<Job> SpoolQueue::claim(double now_unix) {
                         job_path("running", job.id))) {
       continue;  // raced by another claimant, or vanished
     }
-    // Journal the fencing token the claim happened under; every later
-    // mutating operation on this job re-validates it (check_fence).
-    if (lease_ != nullptr) job.fence_token = lease_->token();
     obs::counter("serve.queue.claimed").add();
     // Queue wait: from the instant the job became eligible (submission, or
     // the end of its retry backoff) to this claim.
@@ -208,7 +187,6 @@ std::optional<Job> SpoolQueue::claim(double now_unix) {
 }
 
 void SpoolQueue::update_running(const Job& job) {
-  check_fence(job, "update_running");
   io::write_artifact(job_path("running", job.id), kJobSchema, job.to_json());
 }
 
@@ -261,10 +239,6 @@ void SpoolQueue::write_terminal(Job job, const std::string& state,
 
 void SpoolQueue::finalize_done(const Job& job,
                                const std::string& result_json) {
-  // Fence BEFORE the duplicate check: a zombie leader's duplicate
-  // finalize must reject loudly, not silently clear the new leader's
-  // running/ entry on its way out.
-  check_fence(job, "finalize_done");
   if (fs::exists(job_path("done", job.id))) {
     // First write wins: a duplicate finalization (late retry landing after
     // a success, or recovery replaying a finished attempt) is dropped.
@@ -281,7 +255,6 @@ void SpoolQueue::finalize_done(const Job& job,
 void SpoolQueue::finalize_failed(Job job, const std::string& type,
                                  const std::string& detail,
                                  const std::string& result_json) {
-  check_fence(job, "finalize_failed");
   job.failure_type = type;
   job.failure_detail = detail;
   note_terminal(job, "job_failed", "warn");
@@ -290,7 +263,6 @@ void SpoolQueue::finalize_failed(Job job, const std::string& type,
 }
 
 void SpoolQueue::finalize_quarantined(Job job, const std::string& reason) {
-  check_fence(job, "finalize_quarantined");
   job.failure_type = "quarantined";
   job.failure_detail = reason;
   note_terminal(job, "job_quarantined", "warn");
@@ -300,7 +272,6 @@ void SpoolQueue::finalize_quarantined(Job job, const std::string& reason) {
 
 void SpoolQueue::requeue(Job job, const std::string& outcome,
                          double not_before_unix, bool keep_checkpoint) {
-  check_fence(job, "requeue");
   if (!job.attempts.empty() && job.attempts.back().outcome == "running") {
     job.attempts.back().outcome = outcome;
   }
@@ -381,12 +352,6 @@ void SpoolQueue::write_health(const HealthInfo& info) const {
   w.kv("schema", "minergy.health.v1");
   w.kv("state", info.state);
   w.kv("status", info.status);
-  // Only the leader writes health.json; a standby writes nothing into the
-  // spool.
-  w.kv("role", "leader");
-  if (info.lease_token > 0) {
-    w.kv("lease_token", static_cast<std::int64_t>(info.lease_token));
-  }
   if (!info.status_reason.empty()) w.kv("status_reason", info.status_reason);
   w.kv("pid", static_cast<std::int64_t>(::getpid()));
   w.kv("updated_unix", unix_now());

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "serve/job.h"
-#include "serve/lease.h"
 
 namespace minergy::serve {
 
@@ -85,8 +84,6 @@ struct HealthInfo {
   std::string status_reason;
   int workers_active = 0;
   std::vector<std::string> breaker_open;
-  // The leader's current fencing token (serve/lease.h; 0 = no lease).
-  std::uint64_t lease_token = 0;
 };
 
 class SpoolQueue {
@@ -96,15 +93,6 @@ class SpoolQueue {
 
   const std::string& root() const { return root_; }
   const SpoolOptions& options() const { return opts_; }
-
-  // Points the queue at the daemon's leader lease. When set, every claim
-  // journals the current fencing token into the job, and every mutating
-  // operation (update_running, finalize_*, requeue) re-validates the job's
-  // token against the on-disk lease first, throwing FencedError when the
-  // lease moved on — the backstop that stops a paused-and-resumed zombie
-  // leader from finalizing stale work. nullptr (the default) disables
-  // fencing: in-process tests and single-daemon spools are unaffected.
-  void set_lease(LeaseManager* lease) { lease_ = lease; }
 
   // Admission: assigns an id (when empty) and a submit timestamp, enforces
   // the depth bound (-> QueueFullError; so does ENOSPC while writing), then
@@ -159,9 +147,6 @@ class SpoolQueue {
 
  private:
   std::string dir(const std::string& state) const;
-  // Throws FencedError (and logs a fenced_reject event) when `job` was
-  // claimed under a token the on-disk lease no longer carries.
-  void check_fence(const Job& job, const char* op) const;
   // Latency bookkeeping at a terminal transition: records the end-to-end
   // histogram, checks the SLO, and logs the job_* event.
   void note_terminal(const Job& job, const char* kind,
@@ -172,7 +157,6 @@ class SpoolQueue {
 
   std::string root_;
   SpoolOptions opts_;
-  LeaseManager* lease_ = nullptr;
 };
 
 }  // namespace minergy::serve

@@ -1,6 +1,8 @@
 #include "serve/supervisor.h"
 
+#include <fcntl.h>
 #include <poll.h>
+#include <sys/file.h>
 #include <sys/inotify.h>
 #include <sys/syscall.h>
 #include <sys/types.h>
@@ -70,6 +72,20 @@ int watch_renames_into(const std::string& dir) {
   return fd;
 }
 
+// Takes an exclusive flock on the open spool directory `fd`, retrying for
+// half a second: a worker that a killed daemon forked but had not yet
+// exec'ed still shares the lock until its exec closes the descriptor or
+// PDEATHSIG ends it, a few milliseconds after the daemon itself is reaped,
+// and a restart right after such a kill must not mistake that for another
+// daemon.
+bool lock_spool(int fd) {
+  for (int retries = 50;; --retries) {
+    if (flock(fd, LOCK_EX | LOCK_NB) == 0) return true;
+    if (errno != EWOULDBLOCK || retries == 0) return false;
+    sleep_seconds(0.01);
+  }
+}
+
 // pidfd of a child, close-on-exec by default; -1 when the kernel refuses
 // one. A child that exited before the call is still an unreaped zombie, so
 // its pidfd is readable at once.
@@ -95,25 +111,16 @@ Supervisor::OwnedFd::~OwnedFd() {
 }
 
 Supervisor::Supervisor(SpoolQueue& queue, SupervisorOptions opts)
-    : queue_(queue),
-      opts_(std::move(opts)),
-      breaker_(opts_.breaker),
-      lease_(queue.root(), opts_.lease) {
+    : queue_(queue), opts_(std::move(opts)), breaker_(opts_.breaker) {
   MINERGY_CHECK_MSG(!opts_.worker_binary.empty(),
                     "SupervisorOptions.worker_binary is required");
   if (opts_.workers < 1) opts_.workers = 1;
-  // Every mutating queue operation from here on re-checks its job's fencing
-  // token against the on-disk lease; see SpoolQueue::check_fence.
-  queue_.set_lease(&lease_);
 }
-
-Supervisor::~Supervisor() { queue_.set_lease(nullptr); }
 
 void Supervisor::refresh_health(const std::string& state) {
   const double now_unix = unix_now();
   HealthInfo info;
   info.state = state;
-  info.lease_token = lease_.token();
   info.workers_active = static_cast<int>(slots_.size());
   info.breaker_open = breaker_.open_circuits(now_unix);
   // Readiness verdict: an ENOSPC-paused daemon is alive but should not be
@@ -168,15 +175,6 @@ void Supervisor::recover() {
     // After a degraded-mode pause, recovery re-sweeps running/ while
     // workers may still be alive; their jobs are not orphans.
     if (owned_by_live_slot(job.id)) continue;
-    // Token adoption: the orphan was claimed under a previous leadership
-    // (possibly a different daemon's). This leader now owns its
-    // disposition, so the journaled token is rewritten to the current one
-    // — otherwise every finalize/requeue below would fence against a token
-    // the current lease no longer carries.
-    if (job.fence_token != lease_.token()) {
-      kill_point("daemon.pre-adopt");
-      job.fence_token = lease_.token();
-    }
     if (job.circuit.empty()) {  // torn record (should be impossible)
       queue_.finalize_quarantined(std::move(job), "corrupt running record");
       continue;
@@ -349,15 +347,6 @@ pid_t Supervisor::spawn_worker(const Job& job, std::uint64_t seed) {
   };
   if (!kill_switch_spec().empty()) {
     args.push_back("--inject-kill=" + kill_switch_spec());
-  }
-  if (!stop_switch_spec().empty()) {
-    args.push_back("--inject-stop=" + stop_switch_spec());
-  }
-  // Fenced claims re-verify the lease immediately before the envelope
-  // commit (worker.cpp): a worker spawned by a since-deposed leader exits
-  // 75 instead of landing a stale result.
-  if (job.fence_token > 0) {
-    args.push_back("--lease-path=" + lease_.lease_path());
   }
   // Storage-fault schedules propagate like the kill switch: every worker
   // runs under the same per-process fault counters as the daemon.
@@ -588,48 +577,23 @@ void Supervisor::degraded_wait(const std::string& what) {
   std::fprintf(stderr, "served: storage writable again; resuming\n");
 }
 
-// The lease is gone (renew observed a steal, or a mutating queue op
-// fenced). This process must stop acting as leader IMMEDIATELY and must
-// not write another byte into the spool under its stale token: the workers
-// are SIGKILLed (no requeue, no journaling — the new leader's recovery
-// sweep owns those running/ entries now) and the daemon drops back into
-// the standby acquisition loop.
-void Supervisor::on_lease_lost(const std::string& why) {
-  obs::counter("serve.lease.workers_reaped")
-      .add(static_cast<std::int64_t>(slots_.size()));
-  for (Slot& slot : slots_) {
-    kill(slot.pid, SIGKILL);
-    int status = 0;
-    waitpid(slot.pid, &status, 0);
-  }
-  slots_.clear();
-  pending_watch_ = OwnedFd();
-  lease_.demote(why);  // no-op when renew() already noted the loss
-  obs::gauge("serve.lease.is_leader").set(0.0);
-  std::fprintf(stderr, "served: lease lost (%s); demoting to standby\n",
-               why.c_str());
-}
-
-// Standby heartbeat: the spool partition in the event log, without a single
-// spool write — health.json belongs to the leader.
-void Supervisor::standby_tick() {
-  if (last_health_monotonic_ >= 0.0 &&
-      util::monotonic_seconds() - last_health_monotonic_ <
-          opts_.health_interval_seconds) {
-    return;
-  }
-  last_health_monotonic_ = util::monotonic_seconds();
-  obs::gauge("serve.lease.is_leader").set(0.0);
-  log_spool_state("standby");
-}
-
 int Supervisor::run() {
+  // One daemon per spool (see supervisor.h). The lock is plain POSIX, not
+  // io::FaultFs, so storage-fault schedules keep their event counts.
+  const OwnedFd lock(
+      open(queue_.root().c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
+  if (lock.get() < 0 || !lock_spool(lock.get())) {
+    std::fprintf(stderr, "served: not serving %s: %s\n",
+                 queue_.root().c_str(),
+                 errno == EWOULDBLOCK ? "another daemon serves this spool"
+                                      : std::strerror(errno));
+    return 1;
+  }
   g_drain_requested = 0;
   install_drain_handlers();
   {
     obs::Event ev;
     ev.kind = "daemon_start";
-    ev.detail = opts_.lease.standby ? "standby" : "leader";
     ev.num.emplace_back("pid", static_cast<double>(::getpid()));
     ev.num.emplace_back("workers", static_cast<double>(opts_.workers));
     obs::event(ev);
@@ -637,24 +601,6 @@ int Supervisor::run() {
   bool started = false;
   for (;;) {
     try {
-      // Role gate: everything below this block runs only while holding the
-      // lease. A non-leader polls for acquisition; winning it restarts the
-      // startup sequence (recover under the freshly-journaled token).
-      if (!lease_.is_leader()) {
-        if (!lease_.try_acquire()) {
-          standby_tick();
-          if (g_drain_requested) break;
-          if (opts_.once && queue_.ids_in("pending").empty() &&
-              queue_.ids_in("running").empty()) {
-            break;
-          }
-          sleep_seconds(std::max(opts_.poll_seconds,
-                                 opts_.lease.ttl_seconds / 8.0));
-          continue;
-        }
-        kill_point("lease.post-acquire");
-        started = false;
-      }
       if (!started) {
         refresh_health("starting");
         recover();
@@ -668,14 +614,6 @@ int Supervisor::run() {
         refresh_health("serving");
       }
       obs::counter("serve.loop.iterations").add();
-      // Heartbeat before touching any work: a failed renew means some other
-      // daemon owns the spool now — reap without writing and re-enter the
-      // acquisition loop.
-      if (!lease_.renew()) {
-        on_lease_lost("lease expired or stolen");
-        started = false;
-        continue;
-      }
       reap();
       if (g_drain_requested) break;
       spawn_ready(unix_now());
@@ -697,11 +635,6 @@ int Supervisor::run() {
       // write) has already run its handler: do not wait out the cap for it.
       if (g_drain_requested) break;
       wait_for_event();
-    } catch (const FencedError& e) {
-      // A mutating queue op lost the fencing race before renew() noticed:
-      // identical reaction, the queue already refused the stale write.
-      on_lease_lost(e.what());
-      started = false;
     } catch (const io::IoError& e) {
       degraded_wait(e.what());
       if (g_drain_requested) break;
@@ -710,26 +643,19 @@ int Supervisor::run() {
       started = false;
     }
   }
-  if (lease_.is_leader()) {
-    if (g_drain_requested) {
-      try {
-        drain();
-      } catch (const FencedError& e) {
-        on_lease_lost(e.what());
-      } catch (const io::IoError& e) {
-        // Requeue blocked by the fault: the jobs stay in running/ and the
-        // next daemon's recovery requeues them — nothing is lost.
-        std::fprintf(stderr, "served: drain degraded (%s)\n", e.what());
-      }
-    }
+  if (g_drain_requested) {
     try {
-      refresh_health("stopped");
-    } catch (const io::IoError&) {
+      drain();
+    } catch (const io::IoError& e) {
+      // Requeue blocked by the fault: the jobs stay in running/ and the
+      // next daemon's recovery requeues them — nothing is lost.
+      std::fprintf(stderr, "served: drain degraded (%s)\n", e.what());
     }
   }
-  // Clean handover: mark the record released so a standby skips the expiry
-  // wait. No-op when this daemon is not (or no longer) the leader.
-  lease_.release();
+  try {
+    refresh_health("stopped");
+  } catch (const io::IoError&) {
+  }
   // Final snapshot + lifecycle marker: the event log's tail reconstructs
   // the terminal spool partition even for a daemon that never exits
   // cleanly (spool_state lines were also emitted on every change).

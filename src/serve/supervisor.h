@@ -12,11 +12,20 @@
 //                               budget is spent; every death also feeds the
 //                               per-circuit breaker (serve/breaker.h)
 //
-// Workers set PDEATHSIG so a dying daemon takes its children with it —
-// combined with the queue's claim/finalize protocol that is what makes
-// execution exactly-once: after any SIGKILL there is either a committed
-// result envelope (recovery finalizes it without re-running) or no trace of
-// the attempt (recovery requeues it).
+// One daemon serves a spool: run() takes an exclusive flock on the spool
+// directory before it touches the spool and holds it until it returns, and
+// a second daemon on a served spool exits 1 within half a second without
+// writing into it. The kernel drops the lock when its holder dies, so a
+// restart after a crash serves immediately; nothing takes over from a
+// daemon that is stopped or wedged. The lock is a local-filesystem,
+// one-host guarantee.
+//
+// Only the lock holder mutates the spool. Workers exec without the lock
+// descriptor (O_CLOEXEC) and set PDEATHSIG so a dying daemon takes its
+// children with it — combined with the queue's claim/finalize protocol that
+// is what makes execution exactly-once: after any SIGKILL there is either a
+// committed result envelope (recovery finalizes it without re-running) or
+// no trace of the attempt (recovery requeues it).
 //
 // SIGTERM/SIGINT start a graceful drain: intake stops, workers get a grace
 // period to finish, survivors are SIGKILLed and their jobs requeued with
@@ -27,11 +36,11 @@
 // lands in pending/ (an inotify watch for IN_MOVED_TO: every submit and
 // requeue ends in a rename there), a worker exits (one pidfd per live
 // slot) or a signal arrives — and never longer than poll_seconds, so every
-// timer the loop owns (kill deadline, lease renewal, health, snapshot,
-// retry backoff) still fires on time. A wake source
-// the kernel refuses (inotify_init1 or pidfd_open failing) is simply
-// absent, and the cap alone gives a plain poll. waitpid(WNOHANG) in reap()
-// is the only reaper; a pidfd only ends the wait.
+// timer the loop owns (kill deadline, health, snapshot, retry backoff)
+// still fires on time. A wake source the kernel refuses (inotify_init1 or
+// pidfd_open failing) is simply absent, and the cap alone gives a plain
+// poll. waitpid(WNOHANG) in reap() is the only reaper; a pidfd only ends
+// the wait.
 #pragma once
 
 #include <sys/types.h>
@@ -41,7 +50,6 @@
 #include <vector>
 
 #include "serve/breaker.h"
-#include "serve/lease.h"
 #include "serve/queue.h"
 
 namespace minergy::serve {
@@ -69,23 +77,17 @@ struct SupervisorOptions {
   // The hook must not throw (storage faults are its own problem to log).
   double snapshot_interval_seconds = 0.0;
   std::function<void()> snapshot_hook;
-  // HA role (serve/lease.h): every daemon runs under the spool's leader
-  // lease. A daemon that holds (or wins) the lease serves; one that does
-  // not becomes a hot standby — tails the spool read-only, writes nothing
-  // into it, and takes over within about one lease TTL of leader death.
-  // lease.standby additionally makes a cold start defer to a racing leader
-  // on a fresh spool (--standby).
-  LeaseOptions lease{};
 };
 
 class Supervisor {
  public:
   Supervisor(SpoolQueue& queue, SupervisorOptions opts);
-  ~Supervisor();
 
-  // Installs SIGTERM/SIGINT drain handlers, recovers running/ orphans, then
-  // serves until drained (signal) or — with options.once — until the queue
-  // is empty. Returns the process exit code (0 = clean stop or drain).
+  // Locks the spool, installs SIGTERM/SIGINT drain handlers, recovers
+  // running/ orphans, then serves until drained (signal) or — with
+  // options.once — until the queue is empty. Returns the process exit code:
+  // 0 = clean stop or drain, 1 = the spool could not be locked (another
+  // daemon serves it), in which case nothing in the spool was touched.
   int run();
 
  private:
@@ -125,13 +127,6 @@ class Supervisor {
   // again (or a drain is requested). See docs/ROBUSTNESS.md.
   void degraded_wait(const std::string& what);
   bool owned_by_live_slot(const std::string& id) const;
-  // Lease loss (renew failure or a FencedError from the queue): SIGKILL
-  // every worker WITHOUT touching the spool — this process no longer owns
-  // it; the new leader's recovery requeues the stranded running/ entries.
-  void on_lease_lost(const std::string& why);
-  // Standby heartbeat: logs the spool partition from read-only counts.
-  // Never writes into the spool.
-  void standby_tick();
 
   // Judges and finalizes a committed result envelope. `worker_wall_seconds`
   // is the attempt's wall time when the envelope comes from a worker reap()
@@ -144,9 +139,8 @@ class Supervisor {
   SpoolQueue& queue_;
   SupervisorOptions opts_;
   CircuitBreaker breaker_;
-  LeaseManager lease_;
   std::vector<Slot> slots_;
-  // inotify watch on pending/, open while this daemon leads.
+  // inotify watch on pending/, open once the daemon serves.
   OwnedFd pending_watch_;
   double last_health_monotonic_ = -1.0;
   double last_snapshot_monotonic_ = -1.0;

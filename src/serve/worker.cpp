@@ -9,7 +9,6 @@
 #include "activity/activity.h"
 #include "bench_suite/experiment.h"
 #include "bench_suite/iscas.h"
-#include "obs/metrics.h"
 #include "opt/annealing_optimizer.h"
 #include "opt/baseline_optimizer.h"
 #include "opt/certifier.h"
@@ -19,7 +18,6 @@
 #include "io/checkpoint.h"
 #include "io/envelope.h"
 #include "serve/inject.h"
-#include "serve/lease.h"
 #include "util/check.h"
 #include "util/clock.h"
 #include "util/guard.h"
@@ -67,14 +65,12 @@ int run_worker_mode(const util::Cli& cli, const SpoolQueue& queue) {
     return 2;
   }
   return run_worker_job(job, seed, queue.result_path(id),
-                        queue.checkpoint_path(id),
-                        cli.get("lease-path", std::string()));
+                        queue.checkpoint_path(id));
 }
 
 int run_worker_job(const Job& job, std::uint64_t seed,
                    const std::string& result_path,
-                   const std::string& checkpoint_path,
-                   const std::string& lease_path) try {
+                   const std::string& checkpoint_path) try {
   if (job.circuit.empty() || result_path.empty()) return 2;
 
   // Chaos hooks: die (or wedge) exactly like a real worker fault would —
@@ -168,17 +164,6 @@ int run_worker_job(const Job& job, std::uint64_t seed,
 
   if (job.inject == "crash-pre-result") std::raise(SIGKILL);
   kill_point("worker.pre-result");
-
-  // Fence before the commit point: if the lease moved past the token this
-  // job was claimed under, the spawning leader is a zombie and this result
-  // must never land — the new leader re-runs the job. Fail-open when the
-  // job carries no token or the lease is missing (plain single-daemon
-  // spools and in-process tests).
-  if (!lease_path.empty() && job.fence_token > 0 &&
-      !lease_token_matches(lease_path, job.fence_token)) {
-    obs::counter("serve.lease.worker_fenced").add();
-    return kWorkerFencedExit;
-  }
 
   util::JsonWriter w(2);
   w.begin_object();

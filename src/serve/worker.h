@@ -30,29 +30,18 @@ namespace minergy::serve {
 
 // The `--worker` entry point of every binary the supervisor execs: loads
 // the running/ job named by --job-id from `queue` and runs it under
-// --attempt-seed and --lease-path. Returns the worker exit code (2 when the
-// job cannot be loaded).
+// --attempt-seed. Returns the worker exit code (2 when the job cannot be
+// loaded).
 int run_worker_mode(const util::Cli& cli, const SpoolQueue& queue);
 
 // Runs `job`, certifies the result, writes the envelope to `result_path`.
 // `checkpoint_path` is used for periodic snapshots and (when the file
 // exists) for resume; pass "" to disable. `attempt_seed` is the seed chosen
-// by the supervisor's retry schedule. `lease_path` (when non-empty AND the
-// job carries a fencing token) is re-checked immediately before the
-// envelope drop: if the spool's leader lease no longer carries the job's
-// token, the claim is stale — the spawning leader was deposed mid-flight —
-// and the worker exits 75 WITHOUT writing an envelope, so the new leader's
-// re-execution of the same job can never race a zombie's commit. Returns
-// the worker process exit code: 0 = envelope written (any verdict), 2 =
-// malformed job, 75 = fenced (stale lease token; no envelope). Typed
-// optimization errors are reported inside the envelope (ok=false), not via
-// exit codes.
+// by the supervisor's retry schedule. Returns the worker process exit code:
+// 0 = envelope written (any verdict), 2 = malformed job. Typed optimization
+// errors are reported inside the envelope (ok=false), not via exit codes.
 int run_worker_job(const Job& job, std::uint64_t attempt_seed,
                    const std::string& result_path,
-                   const std::string& checkpoint_path,
-                   const std::string& lease_path = std::string());
-
-// The exit code a fenced worker returns instead of writing an envelope.
-inline constexpr int kWorkerFencedExit = 75;
+                   const std::string& checkpoint_path);
 
 }  // namespace minergy::serve

@@ -27,6 +27,13 @@ Cli::Cli(int argc, const char* const* argv) {
 
 bool Cli::has(const std::string& name) const { return flags_.count(name) > 0; }
 
+std::vector<std::string> Cli::names() const {
+  std::vector<std::string> out;
+  out.reserve(flags_.size());
+  for (const auto& [name, value] : flags_) out.push_back(name);
+  return out;
+}
+
 std::string Cli::get(const std::string& name,
                      const std::string& fallback) const {
   auto it = flags_.find(name);

@@ -21,6 +21,8 @@ class Cli {
   int get(const std::string& name, int fallback) const;
   bool get(const std::string& name, bool fallback) const;
 
+  // The name of every --flag given, sorted.
+  std::vector<std::string> names() const;
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 

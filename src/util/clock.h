@@ -6,14 +6,14 @@
 // different modules line up on one axis and the numbers stay small enough
 // for exact double arithmetic over any realistic run length.
 //
-// The service plane (lease expiry, retry not_before) must never misbehave
+// The service plane (retry not_before, job timestamps) must never misbehave
 // when the wall clock steps backwards (NTP slew, VM resume, operator
 // `date -s`). Those call sites therefore take their "now" from
 // Clock::unix_monotone(): a unix-epoch timestamp whose LEVEL comes from the
 // wall clock but whose FORWARD PROGRESS is guaranteed by CLOCK_MONOTONIC —
 // it is clamped to be non-decreasing within the process, so a backward wall
-// jump can never produce a negative backoff or a premature lease steal. Tests substitute VirtualClock and jump the wall component
-// by ±1 h to prove it.
+// jump can never produce a negative backoff. Tests substitute VirtualClock
+// and jump the wall component by ±1 h to prove it.
 #pragma once
 
 #include <chrono>

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -92,8 +93,9 @@ std::string fake_envelope(const std::string& id, bool ok, bool feasible,
 }
 
 // A pending job file as earlier versions of minergy.job.v1 wrote it: a
-// background scheduling class, a submitting client and an absolute
-// completion deadline, fields this version neither writes nor honors.
+// background scheduling class, a submitting client, an absolute
+// completion deadline and a leader-lease fencing token, fields this version
+// neither writes nor honors.
 std::string legacy_job_json(const std::string& id, double submitted_unix,
                             double complete_by_unix) {
   util::JsonWriter w(2);
@@ -111,6 +113,7 @@ std::string legacy_job_json(const std::string& id, double submitted_unix,
   w.kv("priority", "background");
   w.kv("client", "legacy-client");
   w.kv("complete_by_unix", complete_by_unix);
+  w.kv("fence_token", 3);
   w.kv("submitted_unix", submitted_unix);
   w.kv("not_before_unix", 0.0);
   w.key("attempts").begin_array();
@@ -389,7 +392,8 @@ TEST(SpoolQueue, CorruptPendingJobIsQuarantinedNotWedged) {
 
 // A spool written by an earlier version drains in submission order: its
 // scheduling fields (a background class, a client, a completion deadline
-// an hour past) neither reorder nor fail the job.
+// an hour past) and its fencing token neither reorder nor fail the job, and
+// the next rewrite of the record drops the token.
 TEST(SpoolQueue, LegacySchedulingFieldsClaimFirstInFirstOut) {
   ScratchSpool spool("legacy_fifo");
   SpoolQueue q(spool.root);
@@ -412,11 +416,14 @@ TEST(SpoolQueue, LegacySchedulingFieldsClaimFirstInFirstOut) {
   std::vector<std::string> order;
   while (const std::optional<Job> job = q.claim(unix_now())) {
     order.push_back(job->id);
+    if (job->id == "b-legacy") q.update_running(*job);
   }
   EXPECT_EQ(order, (std::vector<std::string>{"c-new", "b-legacy", "d-new",
                                              "a-new"}));
   EXPECT_TRUE(q.ids_in("failed").empty());
   EXPECT_EQ(q.counts().running, 4u);
+  EXPECT_FALSE(read_record(q.job_path("running", "b-legacy"))
+                   .has("fence_token"));
 }
 
 TEST(SpoolQueue, RequeueJournalsOutcomeAndControlsCheckpointLifetime) {
@@ -717,7 +724,6 @@ TEST(Supervisor, CrashingWorkersAreReapedOnExit) {
   // before each reap would take at least 20 s.
   SupervisorOptions opts = fast_supervisor_options();
   opts.poll_seconds = 10.0;
-  opts.lease.ttl_seconds = 60.0;
   const auto start = std::chrono::steady_clock::now();
   Supervisor supervisor(q, opts);
   EXPECT_EQ(supervisor.run(), 0);
@@ -820,8 +826,7 @@ TEST(ServeLoop, JobArrivalAndWorkerExitWakeTheLoop) {
   SpoolQueue q(spool.root);
   // A 10 s poll cap: sleeping it out once to claim and once to reap would
   // blow the 5 s budget each job gets below.
-  const pid_t daemon =
-      spawn_served({"--spool=" + spool.root, "--poll=10", "--lease-ttl-s=60"});
+  const pid_t daemon = spawn_served({"--spool=" + spool.root, "--poll=10"});
   const bool up = wait_until([&] { return serving(spool.root); }, 30.0);
   EXPECT_TRUE(up) << "daemon never reported serving";
   for (int k = 0; up && k < 2; ++k) {
@@ -928,20 +933,92 @@ TEST(ServeLoop, StalePolicyFilesNeitherBlockNorGetScrubbed) {
   EXPECT_EQ(io::read_file_or_throw(bucket), bucket_bytes);
 }
 
-// --scrub is no longer a mode. util::Cli ignores unknown flags, so without
-// a usage check it would start a daemon that serves the spool until killed.
+// A flag no mode reads is a usage error: the retired --scrub mode, the
+// retired lease, stop-switch and exposition flags, and a misspelling.
+// util::Cli accepts any --name, so without the check each would start a
+// daemon that serves the spool until killed.
 TEST(ServeLoop, RemovedScrubModeIsAUsageErrorAndServesNothing) {
   ScratchSpool spool("removed_scrub");
   SpoolQueue q(spool.root);
   Job job;
   job.circuit = "c17";
   const std::string id = q.submit(job);
-  EXPECT_EQ(exit_code(spawn_served({"--spool=" + spool.root, "--scrub"}),
-                      10.0),
-            2);
-  EXPECT_TRUE(fs::exists(q.job_path("pending", id)));
-  EXPECT_EQ(q.counts().pending, 1u);
-  EXPECT_EQ(q.counts().terminal(), 0u);
+  for (const char* flag :
+       {"--scrub", "--standby", "--lease-ttl-s=1",
+        "--inject-stop=daemon.post-claim", "--listen=0",
+        "--scrub-interval-s=5", "--wokers=4"}) {
+    EXPECT_EQ(exit_code(spawn_served({"--spool=" + spool.root, flag}), 10.0),
+              2)
+        << flag;
+    EXPECT_TRUE(fs::exists(q.job_path("pending", id))) << flag;
+    EXPECT_EQ(q.counts().pending, 1u) << flag;
+    EXPECT_EQ(q.counts().terminal(), 0u) << flag;
+  }
+}
+
+// Every regular file under `root` with its bytes, except health.json and
+// its temporary, which the serving daemon rewrites.
+std::map<std::string, std::string> spool_files(const std::string& root) {
+  std::map<std::string, std::string> files;
+  for (const fs::directory_entry& e : fs::recursive_directory_iterator(root)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("health.json", 0) != 0 && e.is_regular_file()) {
+      files[e.path().string()] = read_text(e.path().string());
+    }
+  }
+  return files;
+}
+
+// One daemon per spool: a second daemon on a served spool exits 1 at once
+// and writes nothing into it, and the spool serves again once the first
+// daemon stops. The spool starts with an unreleased lease and a claim file
+// that an older daemon left behind; no daemon reads or touches them.
+TEST(ServeLoop, SecondDaemonOnAServedSpoolExitsAndWritesNothing) {
+  ScratchSpool spool("second_daemon");
+  SpoolQueue q(spool.root);
+  util::JsonWriter w(2);
+  w.begin_object();
+  w.kv("schema", "minergy.lease.v1");
+  w.kv("fencing_token", 7);
+  w.key("owner").begin_object();
+  w.kv("host", "elsewhere");
+  w.kv("pid", 1);
+  w.kv("pid_start_ticks", 1);
+  w.end_object();
+  w.kv("acquired_unix", unix_now());
+  w.kv("renewed_unix", unix_now());
+  w.kv("ttl_seconds", 3600.0);
+  w.kv("released", false);
+  w.end_object();
+  const std::string lease = io::wrap_envelope(w.str(), "minergy.lease.v1");
+  write_file(spool.root + "/leader.lease", lease);
+  write_file(spool.root + "/lease.claim.8", "");
+
+  const pid_t first = spawn_served({"--spool=" + spool.root});
+  const bool up = wait_until([&] { return serving(spool.root); }, 30.0);
+  EXPECT_TRUE(up) << "the first daemon never reported serving";
+  if (up) {
+    const std::map<std::string, std::string> before = spool_files(spool.root);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(exit_code(spawn_served({"--spool=" + spool.root}), 10.0), 1);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_LT(took.count(), 5.0);
+    EXPECT_EQ(read_record(spool.root + "/health.json").get_number("pid", 0.0),
+              static_cast<double>(first));
+    EXPECT_EQ(spool_files(spool.root), before);
+  }
+  kill(first, SIGTERM);
+  ASSERT_TRUE(wait_exit(first, 30.0));
+
+  Job job;
+  job.circuit = "c17";
+  const std::string id = q.submit(job);
+  ASSERT_TRUE(
+      wait_exit(spawn_served({"--spool=" + spool.root, "--once"}), 120.0));
+  EXPECT_TRUE(fs::exists(q.job_path("done", id)));
+  EXPECT_EQ(read_text(spool.root + "/leader.lease"), lease);
+  EXPECT_TRUE(fs::exists(spool.root + "/lease.claim.8"));
 }
 
 // The at-rest audit: --status --verify re-reads every terminal record

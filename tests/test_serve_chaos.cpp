@@ -248,24 +248,42 @@ TEST(ServeChaos, NoJobLostDuplicatedOrStuckAcrossKillPoints) {
 
 // ----------------------------------------------------- supervision paths
 
+// The second input's loop wakes less often than every 2.5 s, so the hung
+// worker is found past its 3 s timeout only on the second wait. Nothing in
+// the loop may depend on how often it wakes: the one attempt must end in a
+// timeout, not an interruption.
 TEST(ServeChaos, HangingWorkerIsTimedOutRetriedThenQuarantined) {
-  ScratchSpool spool("hang");
-  SpoolQueue q(spool.root);
-  const std::string id = submit_job(q, "c17", 1, "hang");
-  const int status = run_served(
-      {"--spool=" + spool.root, "--once", "--workers=1", "--poll=0.005",
-       "--timeout=0.3", "--retries=1", "--backoff=0.01"});
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  ASSERT_TRUE(fs::exists(q.job_path("quarantined", id)));
-  const util::JsonValue rec = read_record(q, "quarantined", id);
-  const auto& attempts = rec.at("attempts").items();
-  ASSERT_EQ(attempts.size(), 2u);  // first attempt + one retry
-  for (const util::JsonValue& a : attempts) {
-    EXPECT_EQ(a.get_string("outcome", ""), "timeout");
+  struct Input {
+    std::vector<std::string> flags;
+    std::size_t attempts;  // first attempt + retries
+  };
+  const std::vector<Input> inputs = {
+      {{"--poll=0.005", "--timeout=0.3", "--retries=1", "--backoff=0.01"}, 2},
+      {{"--poll=2.5", "--timeout=3", "--retries=0"}, 1},
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.flags[0]);
+    ScratchSpool spool("hang_" + std::to_string(input.attempts));
+    SpoolQueue q(spool.root);
+    const std::string id = submit_job(q, "c17", 1, "hang");
+    std::vector<std::string> flags = {"--spool=" + spool.root, "--once",
+                                      "--workers=1"};
+    flags.insert(flags.end(), input.flags.begin(), input.flags.end());
+    const int status = run_served(flags);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    ASSERT_TRUE(fs::exists(q.job_path("quarantined", id)));
+    const util::JsonValue rec = read_record(q, "quarantined", id);
+    const auto& attempts = rec.at("attempts").items();
+    ASSERT_EQ(attempts.size(), input.attempts);
+    for (const util::JsonValue& a : attempts) {
+      EXPECT_EQ(a.get_string("outcome", ""), "timeout");
+    }
+    // Retries ran under perturbed seeds (journaled as decimal strings).
+    if (attempts.size() == 2) {
+      EXPECT_NE(attempts[0].get_string("seed", ""),
+                attempts[1].get_string("seed", ""));
+    }
   }
-  // Retries ran under perturbed seeds (journaled as decimal strings).
-  EXPECT_NE(attempts[0].get_string("seed", ""),
-            attempts[1].get_string("seed", ""));
 }
 
 TEST(ServeChaos, CrashLoopingCircuitTripsBreakerAndShortCircuits) {
@@ -313,20 +331,31 @@ TEST(ServeChaos, DeadlinePropagatesIntoTruncatedButCertifiedResult) {
 
 // -------------------------------------------------- graceful drain/resume
 
-// SIGTERM mid-anneal, restart, and the finished job must be bit-identical
-// to an uninterrupted run: the drain preserved the PR-3 checkpoint and the
-// restarted worker resumed from it rather than starting over.
-TEST(ServeChaos, DrainedAnnealResumesBitExactlyAfterRestart) {
+// Stops the daemon mid-anneal with `sig`, restarts it, and checks that the
+// finished job is bit-identical to an uninterrupted run of the same job.
+// SIGTERM drains: the job is requeued with its PR-3 checkpoint. SIGKILL
+// leaves the job in running/ and its worker dies with the daemon; the
+// restart's recovery requeues it with the same checkpoint. Either way the
+// restarted worker resumes rather than starting over.
+void expect_anneal_resumes_bit_exactly(int sig) {
   const int kMoves = 800000;  // ~seconds of work: room to interrupt
-  ScratchSpool interrupted("resume_a");
-  ScratchSpool reference("resume_b");
-  SpoolQueue qa(interrupted.root);
+
+  // Reference: the same job, never interrupted.
+  ScratchSpool reference("resume_b" + std::to_string(sig));
   SpoolQueue qb(reference.root);
-  const std::string ida = submit_job(qa, "s27", 7, "", "anneal", kMoves);
   const std::string idb = submit_job(qb, "s27", 7, "", "anneal", kMoves);
+  ASSERT_EQ(run_served(fast_daemon_flags(reference.root, 120)), 0);
+  ASSERT_TRUE(fs::exists(qb.job_path("done", idb)));
+  const util::JsonValue rb = read_record(qb, "done", idb);
+  EXPECT_TRUE(rb.at("result").get_bool("certified", false));
+
+  ScratchSpool interrupted("resume_a" + std::to_string(sig));
+  SpoolQueue qa(interrupted.root);
+  const std::string ida = submit_job(qa, "s27", 7, "", "anneal", kMoves);
 
   // Start the daemon, wait until the worker has snapshotted at least one
-  // checkpoint, then SIGTERM with a grace window too short to finish.
+  // checkpoint, then stop it (SIGTERM with a grace window too short to
+  // finish).
   const pid_t daemon = spawn_served(
       {"--spool=" + interrupted.root, "--workers=1", "--poll=0.005",
        "--timeout=120", "--drain-grace=0.02"});
@@ -340,20 +369,27 @@ TEST(ServeChaos, DrainedAnnealResumesBitExactlyAfterRestart) {
     sleep_seconds(0.005);
   }
   EXPECT_TRUE(saw_checkpoint) << "worker never wrote a checkpoint";
-  kill(daemon, SIGTERM);
+  kill(daemon, sig);
   const int status = wait_exit(daemon, 30.0);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-      << "SIGTERM drain did not exit cleanly";
+  if (sig == SIGTERM) {
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "SIGTERM drain did not exit cleanly";
 
-  // The interrupted job is back in pending/ with its checkpoint preserved
-  // and the interruption journaled (no retry budget consumed).
-  ASSERT_TRUE(fs::exists(qa.job_path("pending", ida)));
-  ASSERT_TRUE(fs::exists(ck_path));
-  const Job requeued = Job::from_json(
-      io::read_artifact(qa.job_path("pending", ida), kJobSchema), "pending");
-  ASSERT_FALSE(requeued.attempts.empty());
-  EXPECT_EQ(requeued.attempts.back().outcome, "interrupted");
-  EXPECT_EQ(requeued.failed_attempts(), 0);
+    // The interrupted job is back in pending/ with its checkpoint
+    // preserved and the interruption journaled (no retry budget consumed).
+    ASSERT_TRUE(fs::exists(qa.job_path("pending", ida)));
+    ASSERT_TRUE(fs::exists(ck_path));
+    const Job requeued = Job::from_json(
+        io::read_artifact(qa.job_path("pending", ida), kJobSchema),
+        "pending");
+    ASSERT_FALSE(requeued.attempts.empty());
+    EXPECT_EQ(requeued.attempts.back().outcome, "interrupted");
+    EXPECT_EQ(requeued.failed_attempts(), 0);
+  } else {
+    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+    ASSERT_TRUE(fs::exists(qa.job_path("running", ida)));
+    ASSERT_TRUE(fs::exists(ck_path));
+  }
 
   // Restart: resumes from the snapshot and finishes.
   ASSERT_EQ(run_served(fast_daemon_flags(interrupted.root, 120)), 0);
@@ -361,11 +397,12 @@ TEST(ServeChaos, DrainedAnnealResumesBitExactlyAfterRestart) {
   const util::JsonValue ra = read_record(qa, "done", ida);
   EXPECT_TRUE(ra.at("result").get_bool("resumed", false))
       << "restarted worker did not resume from the checkpoint";
-
-  // Reference: the same job, never interrupted.
-  ASSERT_EQ(run_served(fast_daemon_flags(reference.root, 120)), 0);
-  ASSERT_TRUE(fs::exists(qb.job_path("done", idb)));
-  const util::JsonValue rb = read_record(qb, "done", idb);
+  if (sig == SIGKILL) {
+    const auto& attempts = ra.at("attempts").items();
+    ASSERT_EQ(attempts.size(), 2u);
+    EXPECT_EQ(attempts[0].get_string("outcome", ""), "interrupted");
+    EXPECT_EQ(attempts[1].get_string("outcome", ""), "ok");
+  }
 
   // Bit-exact: the JSON emits doubles with %.17g (exact round-trip), so
   // equality here is equality of the underlying bits.
@@ -374,10 +411,20 @@ TEST(ServeChaos, DrainedAnnealResumesBitExactlyAfterRestart) {
                             "critical_delay"}) {
     EXPECT_EQ(ra.at("result").get_number(field, -1.0),
               rb.at("result").get_number(field, -2.0))
-        << "field " << field << " diverged after drain+resume";
+        << "field " << field << " diverged after the restart";
   }
   EXPECT_TRUE(ra.at("result").get_bool("certified", false));
-  EXPECT_TRUE(rb.at("result").get_bool("certified", false));
+}
+
+TEST(ServeChaos, DrainedAnnealResumesBitExactlyAfterRestart) {
+  expect_anneal_resumes_bit_exactly(SIGTERM);
+}
+
+// Failover by restart: kill -9 the daemon mid-anneal. The kernel
+// drops its spool lock with it, so the daemon started next takes the spool
+// over at once and resumes the anneal bit-exactly from its checkpoint.
+TEST(HaFailover, StandbyTakeoverResumesAnnealBitExactly) {
+  expect_anneal_resumes_bit_exactly(SIGKILL);
 }
 
 // ------------------------------------------------------------ health file

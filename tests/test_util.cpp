@@ -6,6 +6,7 @@
 
 #include "util/check.h"
 #include "util/cli.h"
+#include "util/clock.h"
 #include "util/rng.h"
 #include "util/search.h"
 #include "util/stats.h"
@@ -137,6 +138,32 @@ TEST(HashMix, UnitIsDeterministicAndBounded) {
     EXPECT_LT(u, 1.0);
   }
   EXPECT_NE(hash_unit(1), hash_unit(2));
+}
+
+// ---------------------------------------------------------------- clock.h
+
+// Retry backoff reads unix_monotone(), so a wall step back must not move
+// it backwards.
+TEST(HaClock, UnixMonotoneNeverDecreasesAcrossWallJumps) {
+  // Leaked: the per-instance floor map keys on the Clock address, so stack
+  // reuse across tests would make a fresh clock inherit a stale floor.
+  auto* vc = new util::VirtualClock();
+  const double u0 = vc->unix_monotone();
+  vc->jump_wall(-3600.0);  // NTP step back one hour
+  const double u1 = vc->unix_monotone();
+  EXPECT_GE(u1, u0) << "unix_monotone went backwards on a wall step";
+  vc->advance(10.0);
+  const double u2 = vc->unix_monotone();
+  EXPECT_NEAR(u2 - u1, 10.0, 1e-9)
+      << "time does not advance at monotonic rate while wall lags the floor";
+  vc->jump_wall(7200.0);  // correction lands: wall is ahead again
+  const double u3 = vc->unix_monotone();
+  EXPECT_GE(u3, u2);
+  EXPECT_GT(u3, u2 + 3000.0) << "forward correction was not taken";
+
+  const double s0 = util::Clock::system().unix_monotone();
+  EXPECT_GT(s0, 1.0e9);
+  EXPECT_GE(util::Clock::system().unix_monotone(), s0);
 }
 
 // ---------------------------------------------------------------- stats.h

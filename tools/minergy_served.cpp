@@ -4,7 +4,10 @@
 // it, a daemon claims and executes them in supervised worker subprocesses,
 // and every transition is an atomic rename — SIGKILL the daemon at any
 // instruction and a restart recovers with no job lost, duplicated, or stuck
-// (see src/serve/ and docs/ROBUSTNESS.md, "Service & supervision").
+// (see src/serve/ and docs/ROBUSTNESS.md, "Service & supervision"). One
+// daemon serves a spool: it holds an exclusive flock on the spool directory
+// while it runs, and a second daemon on the same spool exits 1 within half
+// a second (docs/ROBUSTNESS.md, "One daemon per spool").
 //
 //   $ minergy_served --spool=/tmp/spool --submit --circuit=s27 ...
 //                                                 # enqueue, print job id
@@ -29,21 +32,9 @@
 //   --max-pending=N       admission bound for --submit (default 64)
 //   --inject-kill=PT[@K]  chaos hook: SIGKILL self at the K-th visit of
 //                         protocol point PT (see src/serve/inject.h)
-//   --inject-stop=PT[@K]  chaos hook: SIGSTOP self (a zombie leader, not a
-//                         dead one) at the K-th visit of point PT
 //   --inject-io=SPEC      chaos hook: storage-fault schedule, e.g.
 //                         write@3:enospc,fsync@1:eio (see src/io/fault_fs.h);
 //                         propagated into workers like --inject-kill
-//
-// High-availability flags (daemon mode; see docs/ROBUSTNESS.md, "High
-// availability"): every daemon runs under the spool's fenced leader lease
-// (<spool>/leader.lease, schema minergy.lease.v1); exactly one serves, the
-// rest stand by and take over within ~1 lease TTL:
-//   --standby             hot-standby start: never claim a fresh spool until
-//                         it has been observed leaderless for a full expiry
-//                         window (defers to a cold-starting leader)
-//   --lease-ttl-s=S       lease heartbeat TTL (default 2); renewed at TTL/3
-//   --lease-margin-s=S    extra observed staleness before a steal (def. 0.5)
 //
 // Telemetry flags (daemon mode; see docs/OBSERVABILITY.md):
 //   --event-log=FILE      append-only JSONL event log (minergy.event.v1):
@@ -69,19 +60,23 @@
 // PR-3 checkpoint snapshots, and the next daemon resumes them bit-exactly.
 //
 // Damage at rest is handled when a file is read (docs/ROBUSTNESS.md, "Damage
-// at rest"); --status --verify audits the terminal records. The former
-// offline --scrub mode is a usage error, so it never starts a daemon.
+// at rest"); --status --verify audits the terminal records.
 //
-// Exit codes: 0 success, 1 validation failure (full queue, failed verify),
-// 2 bad arguments / unreadable input, 4 (status mode) spool holds
-// quarantined job(s) — a poisoned spool operators must look at even when
-// every other invariant verifies clean.
+// A flag that no mode reads is a usage error (exit 2), so a misspelled or
+// retired flag never starts a daemon.
+//
+// Exit codes: 0 success, 1 validation failure (full queue, failed verify,
+// spool served by another daemon), 2 bad arguments / unreadable input, 4
+// (status mode) spool holds quarantined job(s) — a poisoned spool
+// operators must look at even when every other invariant verifies clean.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "io/durable.h"
 #include "io/envelope.h"
@@ -108,17 +103,39 @@ constexpr const char* kUsage =
     "          [--timeout=S] [--retries=N]\n"
     "          [--backoff=S] [--breaker-threshold=N] [--breaker-cooldown=S]\n"
     "          [--drain-grace=S] [--inject-kill=POINT[@K]]\n"
-    "          [--inject-stop=POINT[@K]] [--inject-io=SPEC]\n"
-    "          [--standby] [--lease-ttl-s=S] [--lease-margin-s=S]\n"
-    "          [--event-log=FILE] [--event-log-max-kb=N] [--slo-e2e-ms=N]\n"
-    "          [--snapshot-interval-s=S] [--perf-record[=FILE]]\n"
+    "          [--inject-io=SPEC] [--event-log=FILE] [--event-log-max-kb=N]\n"
+    "          [--slo-e2e-ms=N] [--snapshot-interval-s=S]\n"
+    "          [--perf-record[=FILE]] [--trace=FILE] [--metrics]\n"
     "          (--poll: longest wait without an event, default 0.02 s)\n"
     "  submit: --circuit=NAME [--optimizer=robust|joint|baseline|anneal]\n"
     "          [--seed=S] [--fc=HZ] [--activity=D] [--deadline=S]\n"
     "          [--max-evals=N] [--anneal-moves=N] [--max-pending=N]\n"
     "  status: [--verify] [--expect-jobs=N]\n"
-    "  exit codes: 0 ok, 1 validation failure, 2 usage error,\n"
+    "  exit codes: 0 ok, 1 validation failure or spool served by another\n"
+    "              daemon, 2 usage error (any other flag),\n"
     "              4 (status) quarantined job(s) present\n";
+
+// Every flag a mode or obs::Session reads. util::Cli accepts any --name, so
+// main() refuses the rest: a misspelled or retired flag is a usage error,
+// never silently ignored.
+constexpr std::string_view kFlags[] = {
+    // every mode
+    "spool", "help", "submit", "status", "worker", "max-pending",
+    // daemon
+    "workers", "once", "poll", "timeout", "retries", "backoff",
+    "breaker-threshold", "breaker-cooldown", "drain-grace", "inject-kill",
+    "inject-io", "slo-e2e-ms", "snapshot-interval-s",
+    // obs::Session (daemon)
+    "trace", "metrics", "verbose", "perf-record", "event-log",
+    "event-log-max-kb",
+    // submit
+    "circuit", "optimizer", "seed", "fc", "activity", "deadline",
+    "max-evals", "anneal-moves", "inject",
+    // status
+    "verify", "expect-jobs",
+    // worker
+    "job-id", "attempt-seed",
+};
 
 serve::SpoolOptions spool_options(const util::Cli& cli) {
   serve::SpoolOptions o;
@@ -252,9 +269,6 @@ int run_daemon(const util::Cli& cli, serve::SpoolQueue& queue,
   opts.backoff_seconds = cli.get("backoff", 0.5);
   opts.drain_grace_seconds = cli.get("drain-grace", 2.0);
   opts.once = cli.has("once");
-  opts.lease.standby = cli.has("standby");
-  opts.lease.ttl_seconds = cli.get("lease-ttl-s", 2.0);
-  opts.lease.margin_seconds = cli.get("lease-margin-s", 0.5);
   opts.breaker.threshold = cli.get("breaker-threshold", 3);
   opts.breaker.cooldown_seconds = cli.get("breaker-cooldown", 30.0);
   opts.snapshot_interval_seconds = cli.get("snapshot-interval-s", 0.0);
@@ -287,22 +301,19 @@ int run_daemon(const util::Cli& cli, serve::SpoolQueue& queue,
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
+  for (const std::string& name : cli.names()) {
+    if (std::find(std::begin(kFlags), std::end(kFlags), name) ==
+        std::end(kFlags)) {
+      std::fprintf(stderr, "error: unknown flag --%s\n%s", name.c_str(),
+                   kUsage);
+      return 2;
+    }
+  }
   if (cli.has("help")) {
     std::printf("%s", kUsage);
     return 0;
   }
-  // util::Cli ignores flags it does not know, so without this check the
-  // removed --scrub mode would fall through to serving the spool.
-  if (cli.has("scrub")) {
-    std::fprintf(stderr,
-                 "error: --scrub is no longer a mode (damage is handled "
-                 "when a file is read; --status --verify audits the "
-                 "terminal records)\n%s",
-                 kUsage);
-    return 2;
-  }
   serve::configure_kill_switch(cli.get("inject-kill", std::string()));
-  serve::configure_stop_switch(cli.get("inject-stop", std::string()));
   io::FaultFs::instance().configure(cli.get("inject-io", std::string()));
   const std::string spool = cli.get("spool", std::string());
   if (spool.empty()) {

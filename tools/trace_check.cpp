@@ -21,13 +21,6 @@
 // seq > 1 is a mid-stream continuation (the claim may live in the rotated
 // .1 file), so only ordering and well-formedness are enforced there.
 //
-// HA lease ordering (same pass): lease_acquired must carry a positive,
-// never-decreasing fencing token and must alternate with lease_lost (no
-// double-acquire, no loss while not leader); no job_claimed may appear in
-// a known-not-leader window (between a lease_lost and the next
-// lease_acquired); fenced_reject events must carry a non-empty detail
-// naming the refused op.
-//
 // Report checks (--report=FILE): the file round-trips through
 // obs::RunReport::from_json (schema minergy.run_report.v1) and the energies
 // of accepted trajectory points form a non-increasing sequence — the
@@ -209,10 +202,6 @@ int check_eventlog(const std::string& path) {
   bool rotated_segment = false;
   std::set<std::string> claimed;
   std::size_t events = 0, terminal = 0;
-  // Leadership state machine: -1 = unknown (no lease event yet — plain
-  // logs and rotated continuations), 1 = leader, 0 = known-not-leader.
-  int lease_state = -1;
-  std::int64_t last_token = 0;
   auto fail = [&](const std::string& what) {
     std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), lineno, what.c_str());
     return 1;
@@ -260,37 +249,6 @@ int check_eventlog(const std::string& path) {
       }
     }
     if (kind == "job_quarantined") ++terminal;
-    if (kind == "lease_acquired") {
-      if (lease_state == 1) {
-        return fail("lease_acquired while already leader "
-                    "(no lease_lost in between)");
-      }
-      const double tok_raw = e.get_number("token", -1.0);
-      const std::int64_t tok = static_cast<std::int64_t>(tok_raw);
-      if (tok < 1 || static_cast<double>(tok) != tok_raw) {
-        return fail("lease_acquired without a positive integer token");
-      }
-      if (tok < last_token) {
-        return fail("lease fencing token " + std::to_string(tok) +
-                    " decreased (was " + std::to_string(last_token) + ")");
-      }
-      last_token = tok;
-      lease_state = 1;
-    } else if (kind == "lease_lost") {
-      if (lease_state == 0) return fail("lease_lost while not leader");
-      if (lease_state == -1 && !rotated_segment) {
-        return fail("lease_lost with no earlier lease_acquired");
-      }
-      lease_state = 0;
-    } else if (kind == "job_claimed" && lease_state == 0) {
-      // The window between losing the lease and re-acquiring it is the one
-      // state where claiming is provably wrong: a deposed daemon must not
-      // take work it could never finalize.
-      return fail("job_claimed between lease_lost and lease_acquired");
-    }
-    if (kind == "fenced_reject" && e.get_string("detail", "").empty()) {
-      return fail(kind + " event carries no detail");
-    }
   }
   if (events == 0) {
     std::fprintf(stderr, "%s: event log is empty\n", path.c_str());
